@@ -5,7 +5,10 @@ surface normal) are grouped into compatible sets, each set yields a local
 stiffness estimate from a force-vs-depth line fit, and the sets drive an
 iterative closest-point style registration: the low-force reference point of
 each set is matched to the mesh, pushed inward along the surface normal by the
-predicted indentation force/stiffness, and a rigid transform is refit.
+predicted indentation force/stiffness, and the pose takes one linearised
+point-to-plane Gauss-Newton step towards those targets (Chen & Medioni 1992;
+Rusinkiewicz & Levoy 2001). A seed stops as soon as its objective stops
+falling, its step becomes negligible, or it reaches the iteration cap.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, InsufficientDataError,
                      InvalidInputError)
-from .geometry import RigidTransform, TriMesh, make_transform, rigid_fit_svd
+from .geometry import (RigidTransform, TriMesh, check_not_collinear,
+                       make_transform)
+# unused here, but bench/tracing.py wraps care.rigid_fit_svd by name
+from .geometry import rigid_fit_svd  # noqa: F401
 
 _MIN_STIFFNESS = 1e-6  # N/mm floor for degenerate line fits
 
@@ -114,7 +120,7 @@ class CMUConfig:
     tangent_distance: float = 1.0       # mm
     normal_angle_deg: float = 10.0
     min_force_difference: float = 0.05  # N
-    max_iterations: int = 50
+    max_iterations: int = 50  # per seed; a seed that reaches it has not converged
     convergence_tolerance: float = 1e-3  # mm, max reference-point displacement
     seed_transforms: Tuple[RigidTransform, ...] = field(
         default_factory=default_seed_transforms)
@@ -262,11 +268,15 @@ def estimate_stiffness(cset: CompatibleSet,
 
 @dataclass(frozen=True)
 class SeedOutcome:
-    """Converged state of one registration seed."""
+    """Best iterate of one registration seed.
+
+    `converged` is False only when the seed stopped at max_iterations.
+    """
 
     transform: RigidTransform
     objective: float
     iterations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -276,6 +286,7 @@ class RegistrationResult:
     transform: RigidTransform
     objective: float
     iterations: int
+    converged: bool  # of the winning seed
     per_seed: Tuple[SeedOutcome, ...]
 
 
@@ -302,6 +313,33 @@ def _registration_arrays(sets: Sequence[CompatibleSet],
     return np.asarray(points), np.asarray(forces), np.asarray(stiffness)
 
 
+def _rotation_from_vector(omega: np.ndarray) -> np.ndarray:
+    """Rodrigues: rotation by |omega| radians about omega's direction."""
+    theta = float(np.linalg.norm(omega))
+    if theta == 0.0:
+        return np.eye(3)
+    kx, ky, kz = omega / theta
+    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)
+
+
+def _point_to_plane_step(moved: np.ndarray, normals: np.ndarray,
+                         targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Newton step of the point-to-plane residuals n_i.(target_i - p_i).
+
+    The pose update is linearised about the centroid c of the moved points:
+    p -> p + omega x (p - c) + t. The minimum-norm least-squares (omega, t)
+    is applied exactly, as the rigid motion p -> R (p - c) + c + t. Returns
+    that motion's rotation and translation.
+    """
+    centroid = moved.mean(axis=0)
+    jacobian = np.hstack([np.cross(moved - centroid, normals), normals])
+    residual = np.einsum("ij,ij->i", normals, targets - moved)
+    step = np.linalg.lstsq(jacobian, residual, rcond=None)[0]
+    rot = _rotation_from_vector(step[:3])
+    return rot, centroid + step[3:] - rot @ centroid
+
+
 def cmu_register(sets: Sequence[CompatibleSet],
                  samples: Sequence[StiffnessSample],
                  mesh: TriMesh,
@@ -310,17 +348,23 @@ def cmu_register(sets: Sequence[CompatibleSet],
     """Multi-seed registration of probed reference points to the mesh.
 
     Each iteration maps the reference points through the current transform,
-    finds mesh closest points, offsets them inward along the surface normal by
-    force/stiffness, and refits a rigid transform; a seed stops once the
-    largest reference-point displacement falls below the tolerance. The seed
-    with the smallest final objective (sum of residual norms, correspondences
-    recomputed at the evaluated transform) wins; no seed is returned worse
-    than its own starting point.
+    finds mesh closest points, offsets them inward along the face normal by
+    force/stiffness, and takes one point-to-plane Gauss-Newton step towards
+    those targets (each target's plane is the closest face's). The objective
+    is the sum of residual norms, correspondences recomputed at the evaluated
+    transform. A seed stops at the first of: an iterate whose objective is not
+    below the seed's best so far, a step that moves no reference point by
+    convergence_tolerance or more, or max_iterations steps (the only stop
+    that leaves `converged` False). Each seed returns its best iterate, so no
+    seed is returned worse than its own starting point, and the seed with the
+    smallest objective wins.
 
     All seeds advance in lockstep so each iteration issues a single batched
     closest-point query; per-seed iterates are unaffected by the batching.
+    Raises DegenerateGeometryError when the reference points are collinear.
     """
     points, forces, stiffness = _registration_arrays(sets, samples, measurements)
+    check_not_collinear(points)
     offsets = forces / stiffness
 
     seeds = config.seed_transforms
@@ -331,6 +375,7 @@ def cmu_register(sets: Sequence[CompatibleSet],
     best_obj = [math.inf] * n_seeds
     iterations = [0] * n_seeds
     active = list(range(n_seeds))
+    settled: List[int] = []  # stopped by the tolerance; last step not yet scored
 
     for _ in range(config.max_iterations):
         if not active:
@@ -343,32 +388,41 @@ def cmu_register(sets: Sequence[CompatibleSet],
             moved = stacked[block]
             targets = surf[block] - normals[block] * offsets[:, None]
             objective = float(np.linalg.norm(targets - moved, axis=1).sum())
-            if objective < best_obj[i]:
-                best_obj[i] = objective
-                best_transform[i] = current[i]
-            nxt = rigid_fit_svd(points, targets)
-            displacement = float(
-                np.linalg.norm(nxt.apply(points) - moved, axis=1).max())
-            current[i] = nxt
+            if objective >= best_obj[i]:
+                continue  # the objective stopped falling: the best iterate stands
+            best_obj[i] = objective
+            best_transform[i] = current[i]
+            rot, shift = _point_to_plane_step(moved, normals[block], targets)
+            current[i] = RigidTransform(rot @ current[i].rotation,
+                                        rot @ current[i].translation + shift)
+            stepped = moved @ rot.T + shift
+            displacement = float(np.linalg.norm(stepped - moved, axis=1).max())
             iterations[i] += 1
             if displacement >= config.convergence_tolerance:
                 still_moving.append(i)
+            else:
+                settled.append(i)
         active = still_moving
 
-    stacked = np.concatenate([current[i].apply(points) for i in range(n_seeds)])
-    surf, normals, _, _ = mesh.closest_points(stacked)
-    for i in range(n_seeds):
-        block = slice(i * n_pts, (i + 1) * n_pts)
-        targets = surf[block] - normals[block] * offsets[:, None]
-        objective = float(np.linalg.norm(targets - stacked[block], axis=1).sum())
-        if objective < best_obj[i]:
-            best_obj[i] = objective
-            best_transform[i] = current[i]
+    capped = set(active)
+    unscored = settled + active
+    if unscored:
+        stacked = np.concatenate([current[i].apply(points) for i in unscored])
+        surf, normals, _, _ = mesh.closest_points(stacked)
+        for row, i in enumerate(unscored):
+            block = slice(row * n_pts, (row + 1) * n_pts)
+            targets = surf[block] - normals[block] * offsets[:, None]
+            objective = float(np.linalg.norm(targets - stacked[block], axis=1).sum())
+            if objective < best_obj[i]:
+                best_obj[i] = objective
+                best_transform[i] = current[i]
 
     outcomes = tuple(SeedOutcome(transform=best_transform[i], objective=best_obj[i],
-                                 iterations=iterations[i])
+                                 iterations=iterations[i],
+                                 converged=i not in capped)
                      for i in range(n_seeds))
     winner = min(range(n_seeds), key=lambda i: outcomes[i].objective)
     best = outcomes[winner]
     return RegistrationResult(transform=best.transform, objective=best.objective,
-                              iterations=best.iterations, per_seed=outcomes)
+                              iterations=best.iterations, converged=best.converged,
+                              per_seed=outcomes)

@@ -36,6 +36,9 @@ from .simulator import (NoiseSpec, PhantomSpec, ProbeConfig, ROI, grid_shape,
                         uniform_lattice)
 
 _STRATEGIES = ("ei", "uniform")
+# EI steps between cold (full multi-seed) registrations; the warm updates in
+# between start from the previous winner alone, at a fraction of the cost
+_COLD_RESTART_PERIOD = 25
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +218,12 @@ class ExperimentReport:
     map_rmse: float
     map_pearson: float
     wall_clock_seconds: float
+    registration_converged: bool
 
     def to_json_dict(self) -> dict:
         # wall clock is deliberately left out so identical runs serialize
-        # byte-identically; it is printed and written to timing.txt instead
+        # byte-identically; it is printed and written to timing.txt instead.
+        # registration_converged is left out too; the commands warn on it.
         return {
             "strategy": self.strategy,
             "probe_count": int(self.probe_count),
@@ -387,7 +392,7 @@ def execute_experiment(config: ExperimentConfig,
 
     if strategy == "ei":
         for step in range(1, config.budget + 1):
-            cold = step == 1 or step % 25 == 0
+            cold = step == 1 or step % _COLD_RESTART_PERIOD == 0
             _, _, _, training, _, prediction = update(cold)
             best = int(np.argmax(training.outputs))
             incumbent = Incumbent(value=float(training.outputs[best]),
@@ -449,6 +454,7 @@ def execute_experiment(config: ExperimentConfig,
         map_rmse=map_rmse,
         map_pearson=map_pearson,
         wall_clock_seconds=time.perf_counter() - t_start,
+        registration_converged=registration.converged,
     )
     return RunArtifacts(
         config=config, strategy=strategy, report=report, phantom=phantom,
@@ -598,9 +604,17 @@ def compare_strategies(config: ExperimentConfig) -> Tuple[ExperimentReport, Expe
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _warn_if_unconverged(report: ExperimentReport, config: ExperimentConfig):
+    if not report.registration_converged:
+        print(f"warning: {report.strategy}: final registration stopped at the "
+              f"{config.cmu.max_iterations}-iteration cap without converging",
+              file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     report = run_experiment(config)
+    _warn_if_unconverged(report, config)
     print(f"wrote {config.output_dir}")
     print(f"probes: {report.probe_count}")
     print(f"registration rms: {report.rms_mm:.4f} mm "
@@ -615,6 +629,7 @@ def _cmd_compare(args) -> int:
     ei_report, uni_report = compare_strategies(config)
     print(f"wrote {config.output_dir}")
     for report in (ei_report, uni_report):
+        _warn_if_unconverged(report, config)
         print(f"{report.strategy}: map rmse {report.map_rmse:.4f} N/mm, "
               f"rms {report.rms_mm:.4f} mm, probes {report.probe_count}")
     return 0

@@ -122,6 +122,17 @@ def make_transform(tx: float, ty: float, tz: float,
 # Point-set alignment
 # ---------------------------------------------------------------------------
 
+def check_not_collinear(points: np.ndarray):
+    """Raise DegenerateGeometryError when the (n, 3) points lie on one line.
+
+    A rotation about that line would not move them, so no rigid fit to them
+    is unique.
+    """
+    sing = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    if sing[1] <= 1e-9 * max(sing[0], 1e-6):
+        raise DegenerateGeometryError("source points are collinear")
+
+
 def rigid_fit_svd(source, target) -> RigidTransform:
     """Least-squares rigid transform mapping `source` points onto `target`.
 
@@ -136,14 +147,10 @@ def rigid_fit_svd(source, target) -> RigidTransform:
     if src.shape[0] < 3:
         raise InvalidInputError("at least 3 point pairs are required")
 
+    check_not_collinear(src)
     c_src = src.mean(axis=0)
     c_tgt = tgt.mean(axis=0)
-    centered = src - c_src
-    sing = np.linalg.svd(centered, compute_uv=False)
-    if sing[1] <= 1e-9 * max(sing[0], 1e-6):
-        raise DegenerateGeometryError("source points are collinear")
-
-    h = centered.T @ (tgt - c_tgt)
+    h = (src - c_src).T @ (tgt - c_tgt)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     if d == 0.0:

@@ -263,6 +263,47 @@ class TestRegistration:
         assert np.all(np.abs(angles) < 0.15)
         assert len(result.per_seed) == len(config.seed_transforms)
 
+    def test_recovers_known_transform_at_default_cap(self):
+        truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
+        spec, measurements = probed_phantom(truth)
+        config = CMUConfig()
+        assert config.max_iterations == 50
+        sets = collect_sets(measurements, config)
+        samples = [estimate_stiffness(s, measurements) for s in sets]
+        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        assert np.all(np.abs(result.transform.translation - truth.translation)
+                      < 0.01)
+        angles = np.array(result.transform.euler_deg()) - np.array(truth.euler_deg())
+        assert np.all(np.abs(angles) < 0.01)
+        assert result.converged
+        assert all(outcome.converged for outcome in result.per_seed)
+
+    def test_capped_seeds_are_not_converged(self):
+        truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
+        spec, measurements = probed_phantom(truth)
+        # one step cannot settle any seed from 5 mm and 5 deg away
+        config = dataclasses.replace(CMUConfig(), max_iterations=1)
+        sets = collect_sets(measurements, config)
+        samples = [estimate_stiffness(s, measurements) for s in sets]
+        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        assert not result.converged
+        for outcome in result.per_seed:
+            assert outcome.iterations == 1
+            assert not outcome.converged
+
+    def test_collinear_reference_points_rejected(self):
+        truth = make_transform(0, 0, 0, 0, 0, 0)
+        spec, _ = probed_phantom(truth)
+        measurements = []
+        for x in (2.0, 6.0, 10.0, 14.0):
+            measurements.extend(column(x, 5.0))
+        config = CMUConfig()
+        sets = collect_sets(measurements, config)
+        assert len(sets) == 4
+        samples = [estimate_stiffness(s, measurements) for s in sets]
+        with pytest.raises(DegenerateGeometryError):
+            cmu_register(sets, samples, spec.mesh, measurements, config)
+
     def test_no_seed_worse_than_start(self):
         truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
         spec, measurements = probed_phantom(truth)

@@ -184,6 +184,28 @@ class TestRunCommand:
                                       "top_decile_rmse", "rms_mm"}
         assert summary["budget"] == 4
 
+    def test_run_warns_when_registration_is_capped(self, tmp_path, capsys):
+        small_phantom(tmp_path)
+        assert main(["run", str(write_config(tmp_path))]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+        cfg_path = write_config(tmp_path, cmu={"max_iterations": 1})
+        assert main(["run", str(cfg_path)]) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["warning: ei: final registration stopped at the "
+                       "1-iteration cap without converging"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "converged" not in json.dumps(report)
+
+    def test_compare_warns_per_capped_strategy(self, tmp_path, capsys):
+        small_phantom(tmp_path)
+        cfg_path = write_config(tmp_path, cmu={"max_iterations": 1})
+        assert main(["compare", str(cfg_path)]) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"warning: {strategy}: final registration stopped at the "
+                       "1-iteration cap without converging"
+                       for strategy in ("ei", "uniform")]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         small_phantom(tmp_path)
         cfg_path = write_config(tmp_path, extra=True)
