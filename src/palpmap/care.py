@@ -19,8 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, InsufficientDataError,
-                     InvalidInputError)
+from .errors import InsufficientDataError, InvalidInputError
 from .geometry import (RigidTransform, TriMesh, check_not_collinear,
                        make_transform)
 # unused here, but bench/tracing.py wraps care.rigid_fit_svd by name
@@ -241,8 +240,9 @@ def estimate_stiffness(cset: CompatibleSet,
     """Least-squares slope of force vs. indentation depth within one set.
 
     Depth of each member is its distance from the set's minimum-force
-    (reference) measurement. Non-positive or sub-floor slopes are clamped to
-    1e-6 N/mm and flagged degenerate.
+    (reference) measurement. A set whose members all sit at one depth, and a
+    non-positive or sub-floor slope, give a sample clamped to 1e-6 N/mm and
+    flagged degenerate; `degenerate` is the only mark of an unusable sample.
     """
     reference = measurements[cset.reference_index]
     positions = np.asarray([measurements[i].position for i in cset.member_indices])
@@ -250,11 +250,11 @@ def estimate_stiffness(cset: CompatibleSet,
     depths = np.linalg.norm(positions - reference.position[None, :], axis=1)
 
     if depths.max() <= 1e-12:
-        raise DegenerateGeometryError("zero depth span in compatible set")
-
-    d_centered = depths - depths.mean()
-    slope = float(np.dot(d_centered, forces - forces.mean())
-                  / np.dot(d_centered, d_centered))
+        slope = -math.inf  # zero depth span: no slope to fit
+    else:
+        d_centered = depths - depths.mean()
+        slope = float(np.dot(d_centered, forces - forces.mean())
+                      / np.dot(d_centered, d_centered))
     degenerate = slope < _MIN_STIFFNESS
     return StiffnessSample(location=cset.location,
                            stiffness=max(slope, _MIN_STIFFNESS),

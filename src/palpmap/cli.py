@@ -5,14 +5,22 @@ regroup all measurements into compatible sets, re-estimate stiffness,
 re-register the probed points to the mesh, refit the GP in the tool frame,
 predict over the ROI grid, and let the sampling policy pick the next target.
 Outputs land in the configured directory as CSV/JSON/PGM files.
+
+Config documents are read through one table, `CONFIG_SCHEMA`: it names each
+section's keys and the dataclass field each one sets, and the dataclass
+defaults are the config defaults. The engine calls its layers (`probe`,
+`estimate_stiffness`, `cmu_register`, `gp_fit`, ...) through this module's
+globals, because the benchmark in `bench/` times them by swapping those
+names here.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import inspect
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -28,12 +36,12 @@ from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResul
 from .errors import (ConfigError, DegenerateGeometryError, ExplorationExhaustedError,
                      InsufficientDataError, InvalidInputError,
                      NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
-from .geometry import RigidTransform, TriMesh, load_mesh, rms_error
+from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import GPModel, KernelParams, Prediction, TrainingSet, gp_fit, gp_predict
 from .simulator import (NoiseSpec, PhantomSpec, ProbeConfig, ROI, grid_shape,
                         initial_samples, load_phantom, prediction_grid, probe,
-                        stiffness_field, transform_from_json, transform_to_json,
-                        uniform_lattice)
+                        reject_unknown, stiffness_field, tool_rays,
+                        transform_to_json, uniform_lattice)
 
 _STRATEGIES = ("ei", "uniform")
 # EI steps between cold (full multi-seed) registrations; the warm updates in
@@ -62,41 +70,53 @@ class ExperimentConfig:
     master_seed: int
 
 
-_TOP_KEYS = {"phantom", "roi", "probe", "noise", "kernel", "policy", "cmu",
-             "budget", "strategy", "output_dir", "master_seed"}
-_ROI_KEYS = {"xmin", "xmax", "ymin", "ymax", "spacing"}
-_PROBE_KEYS = {"probe_radius_mm", "contact_force_n", "depth_increment_mm",
-               "max_depth_mm"}
-_NOISE_KEYS = {"position_sigma_mm", "force_sigma_n", "rng_seed"}
-_KERNEL_KEYS = {"sigma_f", "length_scale_mm", "jitter"}
-_POLICY_KEYS = {"exploration_period", "uncertainty_fraction", "rng_seed"}
-_CMU_KEYS = {"tangent_distance_mm", "normal_angle_deg", "min_force_difference_n",
-             "max_iterations", "convergence_tolerance_mm", "random_seeds",
-             "seed_rng_seed", "max_translation_mm", "max_rotation_deg"}
+# One row per target built from a config section: (section, target, {config
+# key: target parameter}). The target's own defaults are the config defaults;
+# an int default makes the key an integer, and no default makes it required.
+CONFIG_SCHEMA = (
+    ("roi", ROI, {"xmin": "xmin", "xmax": "xmax", "ymin": "ymin",
+                  "ymax": "ymax", "spacing": "spacing"}),
+    ("probe", ProbeConfig, {"depth_increment_mm": "depth_increment",
+                            "max_depth_mm": "max_depth"}),
+    ("noise", NoiseSpec, {"position_sigma_mm": "position_sigma",
+                          "force_sigma_n": "force_sigma", "rng_seed": "rng_seed"}),
+    ("kernel", KernelParams, {"sigma_f": "sigma_f", "length_scale_mm": "length_scale",
+                              "jitter": "jitter"}),
+    ("policy", SamplingPolicy, {"exploration_period": "exploration_period",
+                                "uncertainty_fraction": "uncertainty_fraction",
+                                "rng_seed": "rng_seed"}),
+    ("cmu", default_seed_transforms, {"random_seeds": "count",
+                                      "max_translation_mm": "max_translation",
+                                      "max_rotation_deg": "max_rotation_deg",
+                                      "seed_rng_seed": "rng_seed"}),
+    ("cmu", CMUConfig, {"tangent_distance_mm": "tangent_distance",
+                        "normal_angle_deg": "normal_angle_deg",
+                        "min_force_difference_n": "min_force_difference",
+                        "max_iterations": "max_iterations",
+                        "convergence_tolerance_mm": "convergence_tolerance"}),
+)
+_TOP_KEYS = {"phantom", "budget", "strategy", "output_dir", "master_seed"}
 
 
-def _section(data: dict, key: str, allowed: set) -> dict:
-    raw = data.get(key, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{key}': {sorted(unknown)}")
-    return raw
+@functools.lru_cache(maxsize=None)  # inspect.signature costs ~50 us a call
+def schema_default(target, name: str):
+    """Default of `target`'s parameter `name`; inspect.Parameter.empty if required."""
+    return inspect.signature(target).parameters[name].default
 
 
-def _num(section: dict, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be a number")
+def _number(raw: dict, where: str, key: str, default):
+    """The one numeric reader: type, finiteness and presence of one key."""
+    value = raw.get(key, default)
+    if value is inspect.Parameter.empty:
+        raise ConfigError(f"'{where}.{key}' is required")
+    integral = isinstance(default, int)
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        raise ConfigError(f"'{where}.{key}' must be {'an integer' if integral else 'a number'}")
+    if integral:
+        return value
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past float range
+        raise ConfigError(f"'{where}.{key}' must be finite")
     return float(value)
-
-
-def _int(section: dict, key: str, default: int, where: str) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{where}.{key}' must be an integer")
-    return int(value)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -108,23 +128,18 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"bad config JSON {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+    allowed: Dict[str, set] = {}
+    for section, _, keys in CONFIG_SCHEMA:
+        allowed.setdefault(section, set()).update(keys)
+    reject_unknown(data, _TOP_KEYS | set(allowed), "the config")
     if "phantom" not in data or not isinstance(data["phantom"], str):
         raise ConfigError("config needs a 'phantom' path")
     if "roi" not in data:
         raise ConfigError("config needs a 'roi' section")
-
-    roi_raw = _section(data, "roi", _ROI_KEYS)
-    for key in ("xmin", "xmax", "ymin", "ymax"):
-        if key not in roi_raw:
-            raise ConfigError(f"'roi.{key}' is required")
-    probe_raw = _section(data, "probe", _PROBE_KEYS)
-    noise_raw = _section(data, "noise", _NOISE_KEYS)
-    kernel_raw = _section(data, "kernel", _KERNEL_KEYS)
-    policy_raw = _section(data, "policy", _POLICY_KEYS)
-    cmu_raw = _section(data, "cmu", _CMU_KEYS)
+    for section, keys in allowed.items():
+        if not isinstance(data.get(section, {}), dict):
+            raise ConfigError(f"'{section}' must be an object")
+        reject_unknown(data.get(section, {}), keys, f"'{section}'")
 
     strategy = data.get("strategy", "ei")
     if strategy not in _STRATEGIES:
@@ -139,49 +154,15 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(output_dir, str):
         raise ConfigError("'output_dir' must be a string")
 
+    built = {}
     try:
-        roi = ROI(
-            xmin=_num(roi_raw, "xmin", 0.0, "roi"),
-            xmax=_num(roi_raw, "xmax", 0.0, "roi"),
-            ymin=_num(roi_raw, "ymin", 0.0, "roi"),
-            ymax=_num(roi_raw, "ymax", 0.0, "roi"),
-            spacing=_num(roi_raw, "spacing", 1.0, "roi"),
-        )
-        probe_cfg = ProbeConfig(
-            probe_radius=_num(probe_raw, "probe_radius_mm", 9.0, "probe"),
-            contact_force=_num(probe_raw, "contact_force_n", 0.5, "probe"),
-            depth_increment=_num(probe_raw, "depth_increment_mm", 0.3, "probe"),
-            max_depth=_num(probe_raw, "max_depth_mm", 3.0, "probe"),
-        )
-        noise = NoiseSpec(
-            position_sigma=_num(noise_raw, "position_sigma_mm", 0.0, "noise"),
-            force_sigma=_num(noise_raw, "force_sigma_n", 0.0, "noise"),
-            rng_seed=_int(noise_raw, "rng_seed", 0, "noise"),
-        )
-        kernel = KernelParams(
-            sigma_f=_num(kernel_raw, "sigma_f", 1.0, "kernel"),
-            length_scale=_num(kernel_raw, "length_scale_mm", 3.0, "kernel"),
-            jitter=_num(kernel_raw, "jitter", 1e-8, "kernel"),
-        )
-        policy = SamplingPolicy(
-            exploration_period=_int(policy_raw, "exploration_period", 5, "policy"),
-            uncertainty_fraction=_num(policy_raw, "uncertainty_fraction", 0.9, "policy"),
-            rng_seed=_int(policy_raw, "rng_seed", 0, "policy"),
-        )
-        seeds = default_seed_transforms(
-            count=_int(cmu_raw, "random_seeds", 10, "cmu"),
-            max_translation=_num(cmu_raw, "max_translation_mm", 10.0, "cmu"),
-            max_rotation_deg=_num(cmu_raw, "max_rotation_deg", 15.0, "cmu"),
-            rng_seed=_int(cmu_raw, "seed_rng_seed", 7, "cmu"),
-        )
-        cmu = CMUConfig(
-            tangent_distance=_num(cmu_raw, "tangent_distance_mm", 1.0, "cmu"),
-            normal_angle_deg=_num(cmu_raw, "normal_angle_deg", 10.0, "cmu"),
-            min_force_difference=_num(cmu_raw, "min_force_difference_n", 0.05, "cmu"),
-            max_iterations=_int(cmu_raw, "max_iterations", 50, "cmu"),
-            convergence_tolerance=_num(cmu_raw, "convergence_tolerance_mm", 1e-3, "cmu"),
-            seed_transforms=seeds,
-        )
+        for section, target, keys in CONFIG_SCHEMA:
+            raw = data.get(section, {})
+            kwargs = {name: _number(raw, section, key, schema_default(target, name))
+                      for key, name in keys.items()}
+            if target is CMUConfig:  # the seed row above builds its transforms
+                kwargs["seed_transforms"] = built[default_seed_transforms]
+            built[target] = target(**kwargs)
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -193,9 +174,10 @@ def load_config(path) -> ExperimentConfig:
         out_path = path.parent / out_path
 
     return ExperimentConfig(
-        phantom_path=phantom_path, roi=roi, probe=probe_cfg, noise=noise,
-        kernel=kernel, policy=policy, cmu=cmu, budget=budget, strategy=strategy,
-        output_dir=out_path, master_seed=master_seed,
+        phantom_path=phantom_path, roi=built[ROI], probe=built[ProbeConfig],
+        noise=built[NoiseSpec], kernel=built[KernelParams],
+        policy=built[SamplingPolicy], cmu=built[CMUConfig], budget=budget,
+        strategy=strategy, output_dir=out_path, master_seed=master_seed,
     )
 
 
@@ -261,7 +243,7 @@ class RunArtifacts:
     training: TrainingSet
     registration: RegistrationResult
     sets: List[CompatibleSet]
-    samples: List[Optional[StiffnessSample]]
+    samples: List[StiffnessSample]
     measurements: List[ProbeMeasurement]
     probe_records: List[ProbeRecord]
     reference_points: np.ndarray
@@ -278,47 +260,10 @@ def _angle_error_deg(a: float, b: float) -> float:
     return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
-def _raycast_down_batch(mesh: TriMesh, origins: np.ndarray,
-                        direction: np.ndarray) -> np.ndarray:
-    """Hit points for many rays sharing one direction; NaN rows for misses."""
-    verts = mesh.vertices
-    tris = mesh.faces
-    v0 = verts[tris[:, 0]]
-    e1 = verts[tris[:, 1]] - v0
-    e2 = verts[tris[:, 2]] - v0
-    d = direction / np.linalg.norm(direction)
-    h = np.cross(d[None, :], e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    ok = np.abs(det) > 1e-12
-    inv = 1.0 / np.where(ok, det, 1.0)
-
-    out = np.full((origins.shape[0], 3), np.nan)
-    eps = 1e-9
-    chunk = max(1, int(4_000_000 // max(tris.shape[0], 1)))
-    for lo in range(0, origins.shape[0], chunk):
-        o = origins[lo:lo + chunk]
-        s = o[:, None, :] - v0[None, :, :]
-        u = np.einsum("cfj,fj->cf", s, h) * inv
-        qv = np.cross(s, e1[None, :, :])
-        v = np.einsum("j,cfj->cf", d, qv) * inv
-        t = np.einsum("fj,cfj->cf", e2, qv) * inv
-        hit = ok[None, :] & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > eps)
-        t = np.where(hit, t, np.inf)
-        idx = np.argmin(t, axis=1)
-        t_best = t[np.arange(o.shape[0]), idx]
-        good = np.isfinite(t_best)
-        out[lo:lo + chunk][good] = o[good] + t_best[good, None] * d
-    return out
-
-
 def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
     """True stiffness seen through a noise-free probe at each grid node (NaN = miss)."""
-    transform = spec.true_transform
-    top = float(transform.inverse().apply(spec.mesh.vertices)[:, 2].max()) + 10.0
-    origins_tool = np.column_stack([grid, np.full(grid.shape[0], top)])
-    origins = transform.apply(origins_tool)
-    direction = -transform.rotation[:, 2]
-    contacts = _raycast_down_batch(spec.mesh, origins, direction)
+    origins, direction = tool_rays(spec, grid)
+    contacts, _ = spec.mesh.raycasts(origins, direction)
     values = np.full(grid.shape[0], np.nan)
     good = np.isfinite(contacts[:, 0])
     if np.any(good):
@@ -362,13 +307,7 @@ def execute_experiment(config: ExperimentConfig,
 
     def update(cold: bool):
         sets = collector.sets(measurements)
-        samples: List[Optional[StiffnessSample]] = []
-        for cset in sets:
-            try:
-                samples.append(estimate_stiffness(cset, measurements))
-            except DegenerateGeometryError:
-                samples.append(None)
-        paired = [(s, m) for s, m in zip(sets, samples) if m is not None]
+        samples = [estimate_stiffness(cset, measurements) for cset in sets]
         # cold updates run the full multi-seed search (plus the previous
         # winner); in between, the previous winner alone tracks the optimum
         # as probes accumulate, which keeps the per-probe cost flat
@@ -379,10 +318,9 @@ def execute_experiment(config: ExperimentConfig,
         elif warm_start:
             cmu_cfg = dataclasses.replace(cmu_cfg,
                                           seed_transforms=(warm_start[-1],))
-        registration = cmu_register([s for s, _ in paired], [m for _, m in paired],
-                                    phantom.mesh, measurements, cmu_cfg)
+        registration = cmu_register(sets, samples, phantom.mesh, measurements, cmu_cfg)
         warm_start.append(registration.transform)
-        valid = [m for _, m in paired if not m.degenerate]
+        valid = [m for m in samples if not m.degenerate]
         training = TrainingSet([m.location for m in valid],
                                [m.stiffness for m in valid])
         model = gp_fit(training, config.kernel)
@@ -419,7 +357,7 @@ def execute_experiment(config: ExperimentConfig,
     reference_points = np.asarray([
         measurements[cset.reference_index].position
         for cset, sample in zip(sets, samples)
-        if sample is not None and not sample.degenerate
+        if not sample.degenerate
     ])
 
     truth = phantom.true_transform
@@ -487,7 +425,7 @@ def _write_stiffness_map(art: RunArtifacts, path: Path):
 def _write_probe_log(art: RunArtifacts, path: Path):
     stiffness_by_measurement: Dict[int, float] = {}
     for cset, sample in zip(art.sets, art.samples):
-        if sample is None or sample.degenerate:
+        if sample.degenerate:
             continue
         for member in cset.member_indices:
             stiffness_by_measurement[member] = sample.stiffness
@@ -519,17 +457,16 @@ def _write_registration_trace(art: RunArtifacts, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_heatmap_pgm(art: RunArtifacts, path: Path):
-    nx, ny = grid_shape(art.config.roi)
-    values = art.prediction.mean.reshape(ny, nx)
+def _pgm_bytes(values: np.ndarray) -> bytes:
+    """8-bit binary PGM (P5) of an (ny, nx) array, min to 0 and max to 255."""
+    ny, nx = values.shape
     lo = float(values.min())
     hi = float(values.max())
     if hi - lo <= 0.0:
         img = np.zeros((ny, nx), dtype=np.uint8)
     else:
         img = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    header = f"P5\n{nx} {ny}\n255\n".encode("ascii")
-    path.write_bytes(header + img.tobytes())
+    return f"P5\n{nx} {ny}\n255\n".encode("ascii") + img.tobytes()
 
 
 def write_run_outputs(art: RunArtifacts, out_dir) -> Path:
@@ -538,7 +475,8 @@ def write_run_outputs(art: RunArtifacts, out_dir) -> Path:
     _write_stiffness_map(art, out / "stiffness_map.csv")
     _write_probe_log(art, out / "probe_log.csv")
     _write_registration_trace(art, out / "registration_trace.csv")
-    _write_heatmap_pgm(art, out / "heatmap.pgm")
+    nx, ny = grid_shape(art.config.roi)
+    (out / "heatmap.pgm").write_bytes(_pgm_bytes(art.prediction.mean.reshape(ny, nx)))
     (out / "report.json").write_text(
         json.dumps(art.report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     (out / "timing.txt").write_text(
@@ -636,9 +574,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_ground_truth(args) -> int:
-    spec = load_phantom(args.phantom)
-    if args.spacing <= 0.0:
+    if not args.spacing > 0.0:  # also rejects NaN
         raise ConfigError("--spacing must be > 0")
+    spec = load_phantom(args.phantom)
     lo, hi = spec.mesh.bounds()
     roi = ROI(xmin=float(lo[0]), xmax=float(hi[0]),
               ymin=float(lo[1]), ymax=float(hi[1]), spacing=args.spacing)
@@ -653,14 +591,7 @@ def _cmd_ground_truth(args) -> int:
     (out / "ground_truth_map.csv").write_text("\n".join(lines) + "\n")
 
     nx, ny = grid_shape(roi)
-    img_values = values.reshape(ny, nx)
-    lo_v, hi_v = float(img_values.min()), float(img_values.max())
-    if hi_v - lo_v <= 0.0:
-        img = np.zeros((ny, nx), dtype=np.uint8)
-    else:
-        img = np.rint((img_values - lo_v) / (hi_v - lo_v) * 255.0).astype(np.uint8)
-    (out / "ground_truth.pgm").write_bytes(
-        f"P5\n{nx} {ny}\n255\n".encode("ascii") + img.tobytes())
+    (out / "ground_truth.pgm").write_bytes(_pgm_bytes(values.reshape(ny, nx)))
     print(f"wrote {out / 'ground_truth_map.csv'} ({grid.shape[0]} points)")
     return 0
 

@@ -349,13 +349,28 @@ class TriMesh:
     def raycast(self, origin, direction) -> Optional[Tuple[np.ndarray, int]]:
         """First intersection of the ray origin + t*direction (t > 0) with the mesh.
 
-        Returns (point, face_index) of the nearest hit or None. Ties on t
-        resolve to the lowest face index.
+        Returns (point, face_index) of the nearest hit or None; a one-row
+        `raycasts` call.
         """
         o = np.asarray(origin, dtype=float)
+        if o.shape != (3,):
+            raise InvalidInputError("origin must have shape (3,)")
+        points, faces = self.raycasts(o[None, :], direction)
+        if faces[0] < 0:
+            return None
+        return points[0], int(faces[0])
+
+    def raycasts(self, origins, direction) -> Tuple[np.ndarray, np.ndarray]:
+        """First intersections of the rays origins[i] + t*direction (t > 0).
+
+        Möller-Trumbore against every face, in chunks of origins. Returns
+        (points (n, 3), face_indices (n,)): NaN rows and -1 for misses. Ties
+        on t resolve to the lowest face index.
+        """
+        o = np.asarray(origins, dtype=float)
         d = np.asarray(direction, dtype=float)
-        if o.shape != (3,) or d.shape != (3,):
-            raise InvalidInputError("origin and direction must have shape (3,)")
+        if o.ndim != 2 or o.shape[1] != 3 or d.shape != (3,):
+            raise InvalidInputError("origins must have shape (n, 3), direction (3,)")
         norm = np.linalg.norm(d)
         if not np.isfinite(norm) or norm == 0.0:
             raise InvalidInputError("direction must be non-zero")
@@ -367,20 +382,27 @@ class TriMesh:
         h = np.cross(d[None, :], e2)
         det = np.einsum("ij,ij->i", e1, h)
         ok = np.abs(det) > 1e-12
-        inv = np.where(ok, det, 1.0)
-        s = o[None, :] - v0
-        u = np.einsum("ij,ij->i", s, h) / inv
-        qv = np.cross(s, e1)
-        v = np.einsum("j,ij->i", d, qv) / inv
-        t = np.einsum("ij,ij->i", e2, qv) / inv
+        det = np.where(ok, det, 1.0)
 
+        points = np.full((o.shape[0], 3), np.nan)
+        faces = np.full(o.shape[0], -1, dtype=np.int64)
         eps = 1e-9
-        hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > eps)
-        if not np.any(hit):
-            return None
-        t = np.where(hit, t, np.inf)
-        idx = int(np.argmin(t))
-        return o + t[idx] * d, idx
+        chunk = max(1, 4_000_000 // self._faces.shape[0])  # ~100 MB per (c, f, 3) temporary
+        for lo in range(0, o.shape[0], chunk):
+            oc = o[lo:lo + chunk]
+            s = oc[:, None, :] - v0[None, :, :]
+            u = np.einsum("cfj,fj->cf", s, h) / det
+            qv = np.cross(s, e1[None, :, :])
+            v = np.einsum("j,cfj->cf", d, qv) / det
+            t = np.einsum("fj,cfj->cf", e2, qv) / det
+            hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > eps)
+            t = np.where(hit, t, np.inf)
+            idx = np.argmin(t, axis=1)
+            t_best = t[np.arange(oc.shape[0]), idx]
+            good = np.isfinite(t_best)
+            points[lo:lo + chunk][good] = oc[good] + t_best[good, None] * d
+            faces[lo:lo + chunk][good] = idx[good]
+        return points, faces
 
     # -- serialization ----------------------------------------------------
 

@@ -126,17 +126,13 @@ def true_stiffness(spec: PhantomSpec, point) -> float:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Indentation protocol. Radius and contact force offset the raw
-    end-effector pose and are removed again when the contact point is
-    reported, so they do not change simulated measurements."""
+    """Indentation protocol: equal depth steps down to max_depth."""
 
-    probe_radius: float = 9.0      # mm
-    contact_force: float = 0.5     # N
     depth_increment: float = 0.3   # mm
     max_depth: float = 3.0         # mm
 
     def __post_init__(self):
-        for name in ("probe_radius", "contact_force", "depth_increment", "max_depth"):
+        for name in ("depth_increment", "max_depth"):
             if getattr(self, name) <= 0.0:
                 raise InvalidInputError(f"{name} must be > 0")
         steps = self.max_depth / self.depth_increment
@@ -163,6 +159,18 @@ class NoiseSpec:
             raise InvalidInputError("rng_seed must be a non-negative integer")
 
 
+def tool_rays(spec: PhantomSpec, targets) -> Tuple[np.ndarray, np.ndarray]:
+    """Model-frame vertical tool-frame rays through x-y targets (n, 2).
+
+    Each ray starts 10 mm above the mesh's highest tool-frame point and runs
+    along tool-frame -z. Returns (origins (n, 3), shared direction (3,)).
+    """
+    transform = spec.true_transform
+    top = float(transform.inverse().apply(spec.mesh.vertices)[:, 2].max()) + 10.0
+    origins_tool = np.column_stack([targets, np.full(len(targets), top)])
+    return transform.apply(origins_tool), -transform.rotation[:, 2]
+
+
 def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
           noise: NoiseSpec, rng: np.random.Generator) -> List[ProbeMeasurement]:
     """Simulate one probe event at a tool-frame x-y target.
@@ -180,11 +188,8 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
     transform = spec.true_transform
     inverse = transform.inverse()
 
-    top = float(inverse.apply(spec.mesh.vertices)[:, 2].max()) + 10.0
-    origin = transform.apply(np.array([tgt[0], tgt[1], top]))
-    direction = -transform.rotation[:, 2]  # tool-frame -z in model frame
-
-    hit = spec.mesh.raycast(origin, direction)
+    origins, direction = tool_rays(spec, tgt[None, :])
+    hit = spec.mesh.raycast(origins[0], direction)
     if hit is None:
         raise OutOfWorkspaceError(
             f"probe target ({tgt[0]:g}, {tgt[1]:g}) does not reach the surface")
@@ -250,8 +255,7 @@ def initial_samples(roi: ROI) -> np.ndarray:
 
 def prediction_grid(roi: ROI) -> np.ndarray:
     """Regular row-major lattice over the closed ROI at the configured spacing."""
-    nx = int(math.floor((roi.xmax - roi.xmin) / roi.spacing + 1e-9)) + 1
-    ny = int(math.floor((roi.ymax - roi.ymin) / roi.spacing + 1e-9)) + 1
+    nx, ny = grid_shape(roi)
     xs = roi.xmin + roi.spacing * np.arange(nx)
     ys = roi.ymin + roi.spacing * np.arange(ny)
     grid = np.empty((ny * nx, 2))
@@ -401,7 +405,8 @@ _ARTERY_KEYS = {"polyline", "half_width", "amplitude"}
 _TRANSFORM_KEYS = {"translation_mm", "rotation_deg"}
 
 
-def _reject_unknown(data: dict, allowed: set, where: str):
+def reject_unknown(data: dict, allowed: set, where: str):
+    """Raise ConfigError naming the keys of `data` outside `allowed`."""
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -418,7 +423,7 @@ def transform_to_json(transform: RigidTransform) -> dict:
 def transform_from_json(data: dict, where: str) -> RigidTransform:
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object")
-    _reject_unknown(data, _TRANSFORM_KEYS, where)
+    reject_unknown(data, _TRANSFORM_KEYS, where)
     tra = data.get("translation_mm", [0.0, 0.0, 0.0])
     rot = data.get("rotation_deg", [0.0, 0.0, 0.0])
     if len(tra) != 3 or len(rot) != 3:
@@ -462,7 +467,7 @@ def load_phantom(path) -> PhantomSpec:
         raise ConfigError(f"bad phantom JSON {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("phantom document must be a JSON object")
-    _reject_unknown(data, _PHANTOM_KEYS, "phantom")
+    reject_unknown(data, _PHANTOM_KEYS, "phantom")
     if "mesh" not in data or "baseline_stiffness" not in data:
         raise ConfigError("phantom needs 'mesh' and 'baseline_stiffness'")
 
@@ -478,7 +483,7 @@ def load_phantom(path) -> PhantomSpec:
     for i, raw in enumerate(data.get("bumps", [])):
         if not isinstance(raw, dict):
             raise ConfigError(f"bumps[{i}] must be an object")
-        _reject_unknown(raw, _BUMP_KEYS, f"bumps[{i}]")
+        reject_unknown(raw, _BUMP_KEYS, f"bumps[{i}]")
         try:
             bumps.append(StiffnessBump(center=tuple(raw["center"]),
                                        amplitude=float(raw["amplitude"]),
@@ -491,7 +496,7 @@ def load_phantom(path) -> PhantomSpec:
         raw = data["artery"]
         if not isinstance(raw, dict):
             raise ConfigError("artery must be an object or null")
-        _reject_unknown(raw, _ARTERY_KEYS, "artery")
+        reject_unknown(raw, _ARTERY_KEYS, "artery")
         try:
             artery = ArteryRidge(polyline=tuple(tuple(p) for p in raw["polyline"]),
                                  half_width=float(raw["half_width"]),

@@ -1,9 +1,13 @@
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from palpmap.cli import load_config, main
+from palpmap import cli
+from palpmap.cli import CONFIG_SCHEMA, load_config, main, schema_default
 from palpmap.errors import ConfigError
 from palpmap.geometry import make_transform
 from palpmap.make_demo import write_demo
@@ -106,6 +110,83 @@ class TestLoadConfig:
         path.write_text("{]")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+NUMERIC_KEYS = [(section, key) for section, _, keys in CONFIG_SCHEMA for key in keys]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("section,key", NUMERIC_KEYS,
+                             ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys,
+                                               section, key, value):
+        small_phantom(tmp_path)
+        doc = json.loads(write_config(tmp_path).read_text())
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        assert main(["run", str(path)]) == 2
+        assert f"'{section}.{key}'" in capsys.readouterr().err
+
+    def test_ground_truth_nan_spacing(self, tmp_path, capsys):
+        phantom = small_phantom(tmp_path)
+        assert main(["ground-truth", str(phantom), "--spacing", "nan"]) == 2
+        assert "--spacing" in capsys.readouterr().err
+
+    def test_docs_tables_match_schema(self):
+        """docs/config_schema.md lists each section's keys with the code's defaults."""
+        text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+        targets = {}
+        for section, target, keys in CONFIG_SCHEMA:
+            for key, name in keys.items():
+                targets.setdefault(section, {})[key] = (target, name)
+        for section, keys in targets.items():
+            block = text.split(f"## `{section}`\n", 1)[1].split("\n## ", 1)[0]
+            lines = [line for line in block.splitlines() if line.startswith("|")]
+            header = [cell.strip() for cell in lines[0].strip("|").split("|")]
+            rows = {}
+            for line in lines[2:]:
+                cells = [cell.strip() for cell in line.strip("|").split("|")]
+                rows[cells[0].strip("`")] = dict(zip(header, cells))
+            assert set(rows) == set(keys), section
+            for key, (target, name) in keys.items():
+                default = schema_default(target, name)
+                row = rows[key]
+                assert row["type"] == ("int" if isinstance(default, int) else "float")
+                if "default" in row:
+                    assert float(row["default"]) == default, f"{section}.{key}"
+                elif default is inspect.Parameter.empty:
+                    assert row["required"] == "yes", f"{section}.{key}"
+                else:
+                    found = re.fullmatch(r"no, default (\S+)", row["required"])
+                    assert found and float(found.group(1)) == default, f"{section}.{key}"
+
+    def test_removed_probe_keys_are_unknown(self, tmp_path, capsys):
+        small_phantom(tmp_path)
+        for key in ("probe_radius_mm", "contact_force_n"):
+            assert main(["run", str(write_config(tmp_path, probe={key: 1.0}))]) == 2
+            assert "unknown key" in capsys.readouterr().err
+
+
+# names bench/tracing.py and bench/run.py patch on palpmap.cli; the engine
+# must reach them through cli's module globals for the benchmark to see them
+BENCHMARK_HOOKS = ("probe", "load_phantom", "estimate_stiffness", "cmu_register",
+                   "gp_fit", "gp_predict", "select_next", "_ground_truth_map",
+                   "write_run_outputs", "execute_experiment")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_engine_calls_benchmark_hooks_through_cli(tmp_path, monkeypatch, command):
+    calls = dict.fromkeys(BENCHMARK_HOOKS, 0)
+    for name in BENCHMARK_HOOKS:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    small_phantom(tmp_path)
+    assert main([command, str(write_config(tmp_path))]) == 0
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 class TestRunCommand:

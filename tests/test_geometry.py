@@ -216,6 +216,54 @@ class TestTriMesh:
         hit = mesh.raycast(np.array([0.0, 0.0, 5.0]), np.array([0.0, 0, -1]))
         assert hit is not None
 
+    def test_raycasts_match_row_by_row_raycast(self):
+        # face 0 below, face 1 above it, face 2 a copy of face 1 (exact tie)
+        verts = np.array([[0.0, 0, 0], [8, 0, 0], [0, 8, 0],
+                          [0.0, 0, 2], [4, 0, 2], [0, 4, 2],
+                          [0.0, 0, 2], [4, 0, 2], [0, 4, 2]])
+        mesh = TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]]))
+        origins = np.array([[1.0, 1.0, 5.0],    # nearest of two, tie 1 vs 2
+                            [5.0, 1.0, 5.0],    # below the upper faces only
+                            [10.0, 10.0, 5.0],  # miss
+                            [1.0, 1.0, -5.0],   # surfaces behind the origin
+                            [0.5, 0.5, 1.0]])   # between the two layers
+        expected = {(0.0, 0, -1): [1, 0, -1, -1, 0], (1.0, 0, 0): [-1] * 5}
+        for direction in ([0.0, 0, -1], [1.0, 0, 0], [0.3, -0.2, -1.0]):
+            points, faces = mesh.raycasts(origins, np.array(direction))
+            assert points.shape == (5, 3) and faces.shape == (5,)
+            if tuple(direction) in expected:
+                assert faces.tolist() == expected[tuple(direction)]
+            for origin, point, face in zip(origins, points, faces):
+                hit = mesh.raycast(origin, np.array(direction))
+                if hit is None:
+                    assert face == -1 and np.all(np.isnan(point))
+                else:
+                    assert face == hit[1] and np.array_equal(point, hit[0])
+
+    def test_raycasts_across_chunks_match_rows(self):
+        mesh = lumpy_mesh(40, 40)  # 3,200 faces: 1,300 origins span two chunks
+        rng = np.random.default_rng(5)
+        origins = np.column_stack([rng.uniform(-5.0, 165.0, (1300, 2)),
+                                   np.full(1300, 10.0)])
+        direction = np.array([0.1, 0.05, -1.0])
+        points, faces = mesh.raycasts(origins, direction)
+        assert 0 < np.sum(faces < 0) < 1300
+        for origin, point, face in zip(origins, points, faces):
+            hit = mesh.raycast(origin, direction)
+            if hit is None:
+                assert face == -1
+            else:
+                assert face == hit[1] and np.array_equal(point, hit[0])
+
+    def test_raycasts_validation(self):
+        mesh = lumpy_mesh()
+        with pytest.raises(InvalidInputError):
+            mesh.raycasts(np.zeros(3), np.array([0.0, 0, -1]))
+        with pytest.raises(InvalidInputError):
+            mesh.raycasts(np.zeros((2, 3)), np.zeros(3))
+        points, faces = mesh.raycasts(np.zeros((0, 3)), np.array([0.0, 0, -1]))
+        assert points.shape == (0, 3) and faces.shape == (0,)
+
     def test_obj_roundtrip(self, tmp_path):
         mesh = lumpy_mesh(4, 4)
         path = tmp_path / "m.obj"
