@@ -6,9 +6,9 @@ re-register the probed points to the mesh, refit the GP in the tool frame,
 predict over the ROI grid, and let the sampling policy pick the next target.
 Outputs land in the configured directory as CSV/JSON/PGM files.
 
-Config documents are read through one table, `CONFIG_SCHEMA`: it names each
-section's keys and the dataclass field each one sets, and the dataclass
-defaults are the config defaults. The engine calls its layers (`probe`,
+Config documents are read through one table, `CONFIG_SCHEMA`, which maps each
+section's keys to the parameters of the dataclass they build; `schema` reads
+every field, as it does the phantom's. The engine calls its layers (`probe`,
 `estimate_stiffness`, `cmu_register`, `gp_fit`, ...) through this module's
 globals, because the benchmark in `bench/` times them by swapping those
 names here.
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
-import inspect
 import json
 import sys
 import time
@@ -38,10 +36,10 @@ from .errors import (ConfigError, DegenerateGeometryError, ExplorationExhaustedE
                      NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import GPModel, KernelParams, Prediction, TrainingSet, gp_fit, gp_predict
+from .schema import REQUIRED, build, read, read_document, reject_unknown
 from .simulator import (NoiseSpec, PhantomSpec, ProbeConfig, ROI, grid_shape,
                         initial_samples, load_phantom, prediction_grid, probe,
-                        reject_unknown, stiffness_field, tool_rays,
-                        transform_to_json, uniform_lattice)
+                        stiffness_field, tool_rays, transform_to_json, uniform_lattice)
 
 _STRATEGIES = ("ei", "uniform")
 # EI steps between cold (full multi-seed) registrations; the warm updates in
@@ -71,8 +69,9 @@ class ExperimentConfig:
 
 
 # One row per target built from a config section: (section, target, {config
-# key: target parameter}). The target's own defaults are the config defaults;
-# an int default makes the key an integer, and no default makes it required.
+# key: target parameter}), read by `schema.build`. The target's annotations
+# give each key's type and its defaults are the config defaults; no default
+# makes a key required.
 CONFIG_SCHEMA = (
     ("roi", ROI, {"xmin": "xmin", "xmax": "xmax", "ymin": "ymin",
                   "ymax": "ymax", "spacing": "spacing"}),
@@ -95,89 +94,36 @@ CONFIG_SCHEMA = (
                         "max_iterations": "max_iterations",
                         "convergence_tolerance_mm": "convergence_tolerance"}),
 )
-_TOP_KEYS = {"phantom", "budget", "strategy", "output_dir", "master_seed"}
-
-
-@functools.lru_cache(maxsize=None)  # inspect.signature costs ~50 us a call
-def schema_default(target, name: str):
-    """Default of `target`'s parameter `name`; inspect.Parameter.empty if required."""
-    return inspect.signature(target).parameters[name].default
-
-
-def _number(raw: dict, where: str, key: str, default):
-    """The one numeric reader: type, finiteness and presence of one key."""
-    value = raw.get(key, default)
-    if value is inspect.Parameter.empty:
-        raise ConfigError(f"'{where}.{key}' is required")
-    integral = isinstance(default, int)
-    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-        raise ConfigError(f"'{where}.{key}' must be {'an integer' if integral else 'a number'}")
-    if integral:
-        return value
-    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past float range
-        raise ConfigError(f"'{where}.{key}' must be finite")
-    return float(value)
+# The config's other top-level keys: {key: (type, default)}
+_TOP_LEVEL = {"phantom": (str, REQUIRED), "strategy": (str, "ei"), "budget": (int, 100),
+              "output_dir": (str, "out"), "master_seed": (int, 0)}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config document (unknown keys rejected)."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad config JSON {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    allowed: Dict[str, set] = {}
-    for section, _, keys in CONFIG_SCHEMA:
-        allowed.setdefault(section, set()).update(keys)
-    reject_unknown(data, _TOP_KEYS | set(allowed), "the config")
-    if "phantom" not in data or not isinstance(data["phantom"], str):
-        raise ConfigError("config needs a 'phantom' path")
-    if "roi" not in data:
-        raise ConfigError("config needs a 'roi' section")
-    for section, keys in allowed.items():
-        if not isinstance(data.get(section, {}), dict):
-            raise ConfigError(f"'{section}' must be an object")
-        reject_unknown(data.get(section, {}), keys, f"'{section}'")
-
-    strategy = data.get("strategy", "ei")
-    if strategy not in _STRATEGIES:
-        raise ConfigError(f"strategy must be one of {_STRATEGIES}, got {strategy!r}")
-    budget = data.get("budget", 100)
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ConfigError("'budget' must be a non-negative integer")
-    master_seed = data.get("master_seed", 0)
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or master_seed < 0:
-        raise ConfigError("'master_seed' must be a non-negative integer")
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("'output_dir' must be a string")
+    data = read_document(path, "config")
+    reject_unknown(data, set(_TOP_LEVEL) | {row[0] for row in CONFIG_SCHEMA}, "the config")
+    top = {key: read(data, "", key, hint, default) for key, (hint, default) in _TOP_LEVEL.items()}
+    if top["strategy"] not in _STRATEGIES:
+        raise ConfigError(f"strategy must be one of {_STRATEGIES}, got {top['strategy']!r}")
+    for key in ("budget", "master_seed"):
+        if top[key] < 0:
+            raise ConfigError(f"'{key}' must be >= 0")
 
     built = {}
-    try:
-        for section, target, keys in CONFIG_SCHEMA:
-            raw = data.get(section, {})
-            kwargs = {name: _number(raw, section, key, schema_default(target, name))
-                      for key, name in keys.items()}
-            if target is CMUConfig:  # the seed row above builds its transforms
-                kwargs["seed_transforms"] = built[default_seed_transforms]
-            built[target] = target(**kwargs)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    phantom_path = Path(data["phantom"])
-    if not phantom_path.is_absolute():
-        phantom_path = path.parent / phantom_path
-    out_path = Path(output_dir)
-    if not out_path.is_absolute():
-        out_path = path.parent / out_path
+    for section, target, keys in CONFIG_SCHEMA:
+        # CMUConfig takes its seed transforms from the cmu row above it
+        given = {"seed_transforms": built[default_seed_transforms]} if target is CMUConfig else {}
+        raw = read(data, "", section, dict, {})
+        allowed = set().union(*(row[2] for row in CONFIG_SCHEMA if row[0] == section))
+        built[target] = build(target, keys, raw, section, allowed, **given)
 
     return ExperimentConfig(
-        phantom_path=phantom_path, roi=built[ROI], probe=built[ProbeConfig],
-        noise=built[NoiseSpec], kernel=built[KernelParams],
-        policy=built[SamplingPolicy], cmu=built[CMUConfig], budget=budget,
-        strategy=strategy, output_dir=out_path, master_seed=master_seed,
+        phantom_path=path.parent / top["phantom"], roi=built[ROI], probe=built[ProbeConfig],
+        noise=built[NoiseSpec], kernel=built[KernelParams], policy=built[SamplingPolicy],
+        cmu=built[CMUConfig], budget=top["budget"], strategy=top["strategy"],
+        output_dir=path.parent / top["output_dir"], master_seed=top["master_seed"],
     )
 
 
@@ -303,23 +249,21 @@ def execute_experiment(config: ExperimentConfig,
     for target in initial_samples(config.roi):
         do_probe(target)
 
-    warm_start: List[RigidTransform] = []
+    warm_start: Optional[RigidTransform] = None  # the previous update's winner
 
     def update(cold: bool):
+        nonlocal warm_start
         sets = collector.sets(measurements)
         samples = [estimate_stiffness(cset, measurements) for cset in sets]
         # cold updates run the full multi-seed search (plus the previous
         # winner); in between, the previous winner alone tracks the optimum
         # as probes accumulate, which keeps the per-probe cost flat
         cmu_cfg = config.cmu
-        if warm_start and cold:
-            cmu_cfg = dataclasses.replace(
-                cmu_cfg, seed_transforms=cmu_cfg.seed_transforms + (warm_start[-1],))
-        elif warm_start:
-            cmu_cfg = dataclasses.replace(cmu_cfg,
-                                          seed_transforms=(warm_start[-1],))
+        if warm_start is not None:
+            seeds = cmu_cfg.seed_transforms if cold else ()
+            cmu_cfg = dataclasses.replace(cmu_cfg, seed_transforms=seeds + (warm_start,))
         registration = cmu_register(sets, samples, phantom.mesh, measurements, cmu_cfg)
-        warm_start.append(registration.transform)
+        warm_start = registration.transform
         valid = [m for m in samples if not m.degenerate]
         training = TrainingSet([m.location for m in valid],
                                [m.stiffness for m in valid])
@@ -574,12 +518,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_ground_truth(args) -> int:
-    if not args.spacing > 0.0:  # also rejects NaN
-        raise ConfigError("--spacing must be > 0")
     spec = load_phantom(args.phantom)
     lo, hi = spec.mesh.bounds()
-    roi = ROI(xmin=float(lo[0]), xmax=float(hi[0]),
-              ymin=float(lo[1]), ymax=float(hi[1]), spacing=args.spacing)
+    try:
+        roi = ROI(xmin=float(lo[0]), xmax=float(hi[0]),
+                  ymin=float(lo[1]), ymax=float(hi[1]), spacing=args.spacing)
+    except InvalidInputError as exc:
+        raise ConfigError(f"--spacing {args.spacing:g}: {exc}") from exc
     grid = prediction_grid(roi)
     values = stiffness_field(spec, grid)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .care import ProbeMeasurement
 from .errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from .geometry import RigidTransform, TriMesh, load_mesh, make_transform
+from .schema import build, read, read_document
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def true_stiffness(spec: PhantomSpec, point) -> float:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Indentation protocol: equal depth steps down to max_depth."""
+    """Indentation protocol: equal depth steps down to max_depth, 2 at least for a slope."""
 
     depth_increment: float = 0.3   # mm
     max_depth: float = 3.0         # mm
@@ -135,9 +136,8 @@ class ProbeConfig:
         for name in ("depth_increment", "max_depth"):
             if getattr(self, name) <= 0.0:
                 raise InvalidInputError(f"{name} must be > 0")
-        steps = self.max_depth / self.depth_increment
-        if abs(steps - round(steps)) > 1e-9:
-            raise InvalidInputError("max_depth must be a multiple of depth_increment")
+        if abs(self.max_depth / self.depth_increment - self.steps) > 1e-9 or self.steps < 2:
+            raise InvalidInputError("max_depth must be 2 or more whole depth_increments")
 
     @property
     def steps(self) -> int:
@@ -219,6 +219,11 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
 # Sampling layouts
 # ---------------------------------------------------------------------------
 
+# Largest prediction grid a ROI may ask for; the benchmark's largest is 6,561
+# nodes, and each node costs a GP posterior row and a ground-truth ray.
+MAX_GRID_NODES = 1_000_000
+
+
 @dataclass(frozen=True)
 class ROI:
     """Tool-frame rectangle under study plus the prediction-grid spacing."""
@@ -232,8 +237,9 @@ class ROI:
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise InvalidInputError("ROI must have positive extent")
-        if self.spacing <= 0.0:
+        if not self.spacing > 0.0:
             raise InvalidInputError("grid spacing must be > 0")
+        grid_shape(self)  # the node cap, checked before any grid is allocated
 
 
 def initial_samples(roi: ROI) -> np.ndarray:
@@ -265,9 +271,14 @@ def prediction_grid(roi: ROI) -> np.ndarray:
 
 
 def grid_shape(roi: ROI) -> Tuple[int, int]:
-    """(nx, ny) dimensions of prediction_grid(roi)."""
-    nx = int(math.floor((roi.xmax - roi.xmin) / roi.spacing + 1e-9)) + 1
-    ny = int(math.floor((roi.ymax - roi.ymin) / roi.spacing + 1e-9)) + 1
+    """(nx, ny) dimensions of prediction_grid(roi); InvalidInputError past MAX_GRID_NODES."""
+    # min() keeps an overflowing span (inf) from math.floor; such a grid is
+    # over the cap either way
+    nx, ny = (int(math.floor(min(span / roi.spacing, MAX_GRID_NODES) + 1e-9)) + 1
+              for span in (roi.xmax - roi.xmin, roi.ymax - roi.ymin))
+    if nx * ny > MAX_GRID_NODES:
+        raise InvalidInputError(f"grid spacing {roi.spacing:g} gives more than "
+                                f"{MAX_GRID_NODES:,} grid nodes over the ROI")
     return nx, ny
 
 
@@ -399,19 +410,6 @@ def artery_phantom(true_transform: Optional[RigidTransform] = None) -> PhantomSp
 # Phantom serialization
 # ---------------------------------------------------------------------------
 
-_PHANTOM_KEYS = {"mesh", "baseline_stiffness", "bumps", "artery", "true_transform"}
-_BUMP_KEYS = {"center", "amplitude", "radius"}
-_ARTERY_KEYS = {"polyline", "half_width", "amplitude"}
-_TRANSFORM_KEYS = {"translation_mm", "rotation_deg"}
-
-
-def reject_unknown(data: dict, allowed: set, where: str):
-    """Raise ConfigError naming the keys of `data` outside `allowed`."""
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
 def transform_to_json(transform: RigidTransform) -> dict:
     rx, ry, rz = transform.euler_deg()
     return {
@@ -420,37 +418,37 @@ def transform_to_json(transform: RigidTransform) -> dict:
     }
 
 
-def transform_from_json(data: dict, where: str) -> RigidTransform:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object")
-    reject_unknown(data, _TRANSFORM_KEYS, where)
-    tra = data.get("translation_mm", [0.0, 0.0, 0.0])
-    rot = data.get("rotation_deg", [0.0, 0.0, 0.0])
-    if len(tra) != 3 or len(rot) != 3:
-        raise ConfigError(f"{where} needs 3 translations and 3 angles")
-    try:
-        return make_transform(tra[0], tra[1], tra[2], rot[0], rot[1], rot[2])
-    except (TypeError, InvalidInputError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+def _transform_from_json(translation_mm: Tuple[float, float, float] = (0.0, 0.0, 0.0),
+                         rotation_deg: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+                         ) -> RigidTransform:
+    return make_transform(*translation_mm, *rotation_deg)
+
+
+# The phantom document's numeric fields, one row per section in the form of
+# cli.CONFIG_SCHEMA's rows: (target, {document key: target parameter}).
+PHANTOM_SCHEMA = {
+    "phantom": (PhantomSpec, {"baseline_stiffness": "baseline_stiffness"}),
+    "bumps": (StiffnessBump, {"center": "center", "amplitude": "amplitude",
+                              "radius": "radius"}),
+    "artery": (ArteryRidge, {"polyline": "polyline", "half_width": "half_width",
+                             "amplitude": "amplitude"}),
+    "true_transform": (_transform_from_json, {"translation_mm": "translation_mm",
+                                              "rotation_deg": "rotation_deg"}),
+}
 
 
 def save_phantom(spec: PhantomSpec, path, mesh_filename: str = "mesh.obj"):
     """Write the phantom JSON and its mesh (OBJ) next to it."""
     path = Path(path)
     spec.mesh.save_obj(path.parent / mesh_filename)
+
+    def fields(obj, section: str) -> dict:
+        return {key: getattr(obj, name) for key, name in PHANTOM_SCHEMA[section][1].items()}
+
     doc = {
-        "mesh": mesh_filename,
-        "baseline_stiffness": float(spec.baseline_stiffness),
-        "bumps": [
-            {"center": [b.center[0], b.center[1]],
-             "amplitude": float(b.amplitude), "radius": float(b.radius)}
-            for b in spec.bumps
-        ],
-        "artery": None if spec.artery is None else {
-            "polyline": [[p[0], p[1]] for p in spec.artery.polyline],
-            "half_width": float(spec.artery.half_width),
-            "amplitude": float(spec.artery.amplitude),
-        },
+        "mesh": mesh_filename, **fields(spec, "phantom"),
+        "bumps": [fields(b, "bumps") for b in spec.bumps],
+        "artery": None if spec.artery is None else fields(spec.artery, "artery"),
         "true_transform": transform_to_json(spec.true_transform),
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -459,59 +457,19 @@ def save_phantom(spec: PhantomSpec, path, mesh_filename: str = "mesh.obj"):
 def load_phantom(path) -> PhantomSpec:
     """Read a phantom JSON; the mesh path resolves relative to the document."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad phantom JSON {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("phantom document must be a JSON object")
-    reject_unknown(data, _PHANTOM_KEYS, "phantom")
-    if "mesh" not in data or "baseline_stiffness" not in data:
-        raise ConfigError("phantom needs 'mesh' and 'baseline_stiffness'")
-
-    mesh_path = Path(data["mesh"])
-    if not mesh_path.is_absolute():
-        mesh_path = path.parent / mesh_path
+    data = read_document(path, "phantom")
+    mesh_path = path.parent / read(data, "phantom", "mesh", str)
     try:
         mesh = load_mesh(mesh_path)
     except InvalidInputError as exc:
         raise ConfigError(f"bad mesh {mesh_path}: {exc}") from exc
-
-    bumps = []
-    for i, raw in enumerate(data.get("bumps", [])):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"bumps[{i}] must be an object")
-        reject_unknown(raw, _BUMP_KEYS, f"bumps[{i}]")
-        try:
-            bumps.append(StiffnessBump(center=tuple(raw["center"]),
-                                       amplitude=float(raw["amplitude"]),
-                                       radius=float(raw["radius"])))
-        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
-            raise ConfigError(f"bad bumps[{i}]: {exc}") from exc
-
-    artery = None
-    if data.get("artery") is not None:
-        raw = data["artery"]
-        if not isinstance(raw, dict):
-            raise ConfigError("artery must be an object or null")
-        reject_unknown(raw, _ARTERY_KEYS, "artery")
-        try:
-            artery = ArteryRidge(polyline=tuple(tuple(p) for p in raw["polyline"]),
-                                 half_width=float(raw["half_width"]),
-                                 amplitude=float(raw["amplitude"]))
-        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
-            raise ConfigError(f"bad artery: {exc}") from exc
-
-    transform = RigidTransform.identity()
-    if "true_transform" in data:
-        transform = transform_from_json(data["true_transform"], "true_transform")
-
-    try:
-        return PhantomSpec(mesh=mesh,
-                           baseline_stiffness=float(data["baseline_stiffness"]),
-                           bumps=tuple(bumps), artery=artery,
-                           true_transform=transform)
-    except (TypeError, ValueError, InvalidInputError) as exc:
-        raise ConfigError(f"bad phantom: {exc}") from exc
+    bumps = tuple(build(*PHANTOM_SCHEMA["bumps"], raw, f"phantom.bumps[{i}]")
+                  for i, raw in enumerate(read(data, "phantom", "bumps", list, [])))
+    artery = data.get("artery")
+    if artery is not None:
+        artery = build(*PHANTOM_SCHEMA["artery"], artery, "phantom.artery")
+    transform = build(*PHANTOM_SCHEMA["true_transform"], data.get("true_transform", {}),
+                      "phantom.true_transform")
+    target, keys = PHANTOM_SCHEMA["phantom"]
+    return build(target, keys, data, "phantom", set(PHANTOM_SCHEMA) | {"mesh", *keys},
+                 mesh=mesh, bumps=bumps, artery=artery, true_transform=transform)

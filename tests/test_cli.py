@@ -1,16 +1,20 @@
+import contextlib
 import inspect
+import io
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palpmap import cli
-from palpmap.cli import CONFIG_SCHEMA, load_config, main, schema_default
+from palpmap.cli import CONFIG_SCHEMA, load_config, main
 from palpmap.errors import ConfigError
 from palpmap.geometry import make_transform
 from palpmap.make_demo import write_demo
+from palpmap.schema import schema_default
 from palpmap.simulator import (PhantomSpec, StiffnessBump, make_surface_mesh,
                                save_phantom)
 
@@ -162,11 +166,71 @@ class TestConfigSchema:
                     found = re.fullmatch(r"no, default (\S+)", row["required"])
                     assert found and float(found.group(1)) == default, f"{section}.{key}"
 
+    def test_grid_node_cap(self, tmp_path, capsys):
+        phantom = small_phantom(tmp_path)
+        roi = {"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0, "spacing": 1e-9}
+        assert main(["run", str(write_config(tmp_path, roi=roi))]) == 2
+        assert main(["ground-truth", str(phantom), "--spacing", "1e-9"]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 2 and all("1,000,000 grid nodes" in line for line in err)
+        assert err[1].startswith("config error: --spacing")
+
+    def test_one_depth_step_is_config_error(self, tmp_path, capsys):
+        small_phantom(tmp_path)
+        probe = {"depth_increment_mm": 0.5, "max_depth_mm": 0.5}
+        assert main(["run", str(write_config(tmp_path, probe=probe))]) == 2
+        assert "'probe': max_depth must be 2 or more whole" in capsys.readouterr().err
+
     def test_removed_probe_keys_are_unknown(self, tmp_path, capsys):
         small_phantom(tmp_path)
         for key in ("probe_radius_mm", "contact_force_n"):
             assert main(["run", str(write_config(tmp_path, probe={key: 1.0}))]) == 2
             assert "unknown key" in capsys.readouterr().err
+
+
+def _leaves(doc, path=()):
+    """Paths to every scalar (null included) of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+_DELETE = object()
+_BAD_LEAVES = [float("nan"), float("inf"), float("-inf"), "4", True, None, [1.0],
+               {"a": 1.0}, _DELETE]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_never_raise(tmp_path_factory, data):
+    """One leaf of a valid config or phantom, replaced or deleted: a clean exit."""
+    directory = tmp_path_factory.mktemp("mutated")
+    small_phantom(directory)
+    docs = {"config.json": json.loads(write_config(
+        directory, budget=2, noise={"position_sigma_mm": 0.1, "rng_seed": 1},
+        roi={"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0,
+             "spacing": 4.0}).read_text())}
+    docs["phantom.json"] = json.loads((directory / "phantom.json").read_text())
+    docs["phantom.json"]["artery"] = {"polyline": [[0.0, 0.0], [8.0, 6.0]],
+                                      "half_width": 2.0, "amplitude": 1.0}
+    name = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(_leaves(docs[name])))
+    value = data.draw(st.sampled_from(_BAD_LEAVES))
+    parent = docs[name]
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    for doc_name, doc in docs.items():
+        (directory / doc_name).write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", str(directory / "config.json")]) in (0, 2, 3, 4)
 
 
 # names bench/tracing.py and bench/run.py patch on palpmap.cli; the engine

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from palpmap.cli import main
 from palpmap.errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from palpmap.geometry import RigidTransform, TriMesh, make_transform
 from palpmap.simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig,
@@ -160,6 +161,8 @@ class TestProbe:
             ProbeConfig(depth_increment=0.4, max_depth=3.0)  # not a multiple
         with pytest.raises(InvalidInputError):
             ProbeConfig(depth_increment=-0.3)
+        with pytest.raises(InvalidInputError):
+            ProbeConfig(depth_increment=0.5, max_depth=0.5)  # one depth step
         assert ProbeConfig(depth_increment=0.5, max_depth=2.0).steps == 4
 
 
@@ -221,6 +224,13 @@ class TestLayouts:
             ROI(5.0, 1.0, 0.0, 10.0, 1.0)
         with pytest.raises(InvalidInputError):
             ROI(0.0, 10.0, 0.0, 10.0, -1.0)
+        # the node cap is checked from the grid's shape, before any allocation
+        assert grid_shape(ROI(0.0, 999.0, 0.0, 999.0, 1.0)) == (1000, 1000)
+        for spacing in (1e-9, 1e-320):  # 1e-320 overflows the span count
+            with pytest.raises(InvalidInputError, match="grid nodes"):
+                ROI(0.0, 40.0, 0.0, 40.0, spacing)
+        with pytest.raises(InvalidInputError, match="grid nodes"):
+            ROI(0.0, 1000.0, 0.0, 999.0, 1.0)
 
 
 class TestSurfaceMesh:
@@ -242,7 +252,43 @@ class TestSurfaceMesh:
         assert lookup[(4.0, 4.0)] == pytest.approx(12.0)
 
 
+# (path into the phantom document, new value); the last str in the path is
+# the key the error message must name
+MALFORMED_PHANTOM = [
+    (("baseline_stiffness",), float("nan")),
+    (("bumps", 0, "center"), [float("nan"), 1.0]),
+    (("bumps", 0, "radius"), "4"),
+    (("baseline_stiffness",), "2"),
+    (("bumps", 0, "amplitude"), True),
+    (("true_transform", "translation_mm"), 5),
+    (("bumps",), 5),
+    (("mesh",), 5),
+]
+
+
 class TestPhantomIO:
+    @pytest.mark.parametrize("path,value", MALFORMED_PHANTOM,
+                             ids=[f"{'.'.join(map(str, p))}={v!r}"
+                                  for p, v in MALFORMED_PHANTOM])
+    def test_malformed_field_is_config_error(self, tmp_path, capsys, path, value):
+        spec = flat_spec(size=8.0, transform=make_transform(1.0, 0.0, 0.0, 0.0, 0.0, 2.0),
+                         bumps=[StiffnessBump(center=(1.0, 1.0), amplitude=1.0,
+                                              radius=2.0)])
+        save_phantom(spec, tmp_path / "phantom.json")
+        doc = json.loads((tmp_path / "phantom.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        (tmp_path / "phantom.json").write_text(json.dumps(doc))
+        (tmp_path / "config.json").write_text(json.dumps({
+            "phantom": "phantom.json", "budget": 1,
+            "roi": {"xmin": -4.0, "xmax": 4.0, "ymin": -4.0, "ymax": 4.0, "spacing": 4.0}}))
+        assert main(["run", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert [key for key in path if isinstance(key, str)][-1] in err
+
     def test_roundtrip(self, tmp_path):
         spec = multimodal_phantom()
         save_phantom(spec, tmp_path / "p.json")
