@@ -152,6 +152,11 @@ class SetCollector:
       (iii) angle to the anchor normal <= normal_angle_deg.
     The anchor is the set's first measurement. Grouping depends only on the
     measurement prefix, so adding measurements never reshuffles earlier sets.
+
+    Each slot keeps the `CompatibleSet` it last built. `add` drops the cache
+    of the slot it touched, and `sets` rebuilds only such slots and those whose
+    output index moved (an earlier singleton became a set); every other set is
+    returned as the same object as before.
     """
 
     def __init__(self, config: CMUConfig):
@@ -161,6 +166,7 @@ class SetCollector:
         self._normals: List[np.ndarray] = []
         self._members: List[List[int]] = []
         self._forces: List[List[float]] = []
+        self._built: List[Optional[CompatibleSet]] = []
         self._fmin = np.zeros(0)
         self._fmax = np.zeros(0)
         self._cos_limit = math.cos(math.radians(config.normal_angle_deg))
@@ -196,29 +202,37 @@ class SetCollector:
             self._forces[hit].append(force)
             self._fmin[hit] = min(self._fmin[hit], force)
             self._fmax[hit] = max(self._fmax[hit], force)
+            self._built[hit] = None
             return hit
 
         self._anchors.append(pos)
         self._normals.append(nrm)
         self._members.append([idx])
         self._forces.append([force])
+        self._built.append(None)
         self._fmin = np.append(self._fmin, force)
         self._fmax = np.append(self._fmax, force)
         return len(self._members) - 1
 
     def sets(self, measurements: Sequence[ProbeMeasurement]) -> List[CompatibleSet]:
-        """Finished sets with >= 2 members; singletons are discarded."""
+        """Finished sets with >= 2 members; singletons are discarded.
+
+        `measurements` must be the measurements passed to `add`, in order.
+        """
         out: List[CompatibleSet] = []
-        for members, forces in zip(self._members, self._forces):
+        for slot, (members, forces) in enumerate(zip(self._members, self._forces)):
             if len(members) < 2:
                 continue
-            ref = members[int(np.argmin(forces))]
-            out.append(CompatibleSet(
-                index=len(out),
-                member_indices=tuple(members),
-                reference_index=ref,
-                location=measurements[ref].position[:2],
-            ))
+            built = self._built[slot]
+            if built is None or built.index != len(out):
+                ref = members[int(np.argmin(forces))]
+                built = self._built[slot] = CompatibleSet(
+                    index=len(out),
+                    member_indices=tuple(members),
+                    reference_index=ref,
+                    location=measurements[ref].position[:2],
+                )
+            out.append(built)
         return out
 
 

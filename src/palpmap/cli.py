@@ -1,10 +1,13 @@
 """Experiment orchestration and the `palpmap` command-line interface.
 
 The closed loop: probe the 19 startup targets, then for each budgeted step
-regroup all measurements into compatible sets, re-estimate stiffness,
+update the compatible sets with the new measurements, estimate stiffness for
+the sets that are new or changed (the others keep their samples),
 re-register the probed points to the mesh, refit the GP in the tool frame,
-predict over the ROI grid, and let the sampling policy pick the next target.
-Outputs land in the configured directory as CSV/JSON/PGM files.
+predict over the ROI grid (evaluating the grid kernel only against inputs
+that are new), and let the sampling policy pick the next target. The reuse
+is bit-identical to recomputing everything. Outputs land in the configured
+directory as CSV/JSON/PGM files.
 
 Config documents are read through one table, `CONFIG_SCHEMA`, which maps each
 section's keys to the parameters of the dataclass they build; `schema` reads
@@ -35,7 +38,8 @@ from .errors import (ConfigError, DegenerateGeometryError, ExplorationExhaustedE
                      InsufficientDataError, InvalidInputError,
                      NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
-from .gp import GPModel, KernelParams, Prediction, TrainingSet, gp_fit, gp_predict
+from .gp import (CrossCovariance, GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
+                 gp_predict)
 from .schema import REQUIRED, build, read, read_document, reject_unknown
 from .simulator import (NoiseSpec, PhantomSpec, ProbeConfig, ROI, grid_shape,
                         initial_samples, load_phantom, prediction_grid, probe,
@@ -250,11 +254,19 @@ def execute_experiment(config: ExperimentConfig,
         do_probe(target)
 
     warm_start: Optional[RigidTransform] = None  # the previous update's winner
+    # the previous update's samples by (index, members, reference) of their
+    # set, and its grid x inputs kernel block: what a probe leaves unchanged
+    # is reused, not recomputed
+    known: Dict[tuple, StiffnessSample] = {}
+    cross = CrossCovariance()
 
     def update(cold: bool):
-        nonlocal warm_start
+        nonlocal warm_start, known
         sets = collector.sets(measurements)
-        samples = [estimate_stiffness(cset, measurements) for cset in sets]
+        keys = [(cset.index, cset.member_indices, cset.reference_index) for cset in sets]
+        samples = [known[key] if key in known else estimate_stiffness(cset, measurements)
+                   for key, cset in zip(keys, sets)]
+        known = dict(zip(keys, samples))
         # cold updates run the full multi-seed search (plus the previous
         # winner); in between, the previous winner alone tracks the optimum
         # as probes accumulate, which keeps the per-probe cost flat
@@ -268,7 +280,7 @@ def execute_experiment(config: ExperimentConfig,
         training = TrainingSet([m.location for m in valid],
                                [m.stiffness for m in valid])
         model = gp_fit(training, config.kernel)
-        prediction = gp_predict(model, grid)
+        prediction = gp_predict(model, grid, cross)
         trace.append((len(records), registration))
         return sets, samples, registration, training, model, prediction
 

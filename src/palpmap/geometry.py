@@ -21,6 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, InvalidInputError
+from .schema import read, read_document, read_text
 
 _ORTHONORMAL_TOL = 1e-9
 
@@ -418,7 +419,7 @@ class TriMesh:
     def load_obj(path) -> "TriMesh":
         verts = []
         faces = []
-        text = Path(path).read_text()
+        text = read_text(Path(path), "mesh")
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -457,20 +458,23 @@ class TriMesh:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TriMesh":
-        if not isinstance(data, dict) or "vertices" not in data or "faces" not in data:
-            raise InvalidInputError("mesh JSON needs 'vertices' and 'faces'")
-        return TriMesh(np.array(data["vertices"], dtype=float), np.array(data["faces"]))
+        """Mesh from {"vertices": [[x, y, z], ...], "faces": [[i, j, k], ...]}.
+
+        Each field is read through the document reader, so a ragged or
+        non-numeric entry raises ConfigError naming it.
+        """
+        if not isinstance(data, dict):
+            raise InvalidInputError("mesh JSON must be an object")
+        vertices = read(data, "mesh", "vertices", Tuple[Tuple[float, float, float], ...])
+        faces = read(data, "mesh", "faces", Tuple[Tuple[int, int, int], ...])
+        return TriMesh(np.array(vertices, dtype=float), np.array(faces))
 
     def save_json(self, path):
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
 
     @staticmethod
     def load_json(path) -> "TriMesh":
-        try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"bad mesh JSON: {exc}") from exc
-        return TriMesh.from_json_dict(data)
+        return TriMesh.from_json_dict(read_document(Path(path), "mesh"))
 
 
 def load_mesh(path) -> TriMesh:

@@ -181,14 +181,57 @@ def gp_fit(training: TrainingSet, params: KernelParams,
                    chol_lower=lower, alpha=alpha, jitter_used=jitter)
 
 
-def gp_predict(model: GPModel, queries) -> Prediction:
-    """Posterior mean and variance at the query locations."""
+class CrossCovariance:
+    """The query x training-input kernel block of the last `gp_predict` call.
+
+    Passed to successive predictions, it evaluates only the columns of inputs
+    appended since the last call, provided the queries and the kernel
+    parameters are unchanged and the new inputs begin with the previous ones
+    exactly; otherwise it evaluates the whole block. Each kernel entry depends
+    only on its own pair of points, so the block is bit-identical to a full
+    evaluation either way.
+    """
+
+    def __init__(self):
+        self._params: Optional[KernelParams] = None
+        self._queries = np.zeros((0, 2))
+        self._inputs = np.zeros((0, 2))
+        self._block = np.zeros((0, 0))
+
+    def block(self, params: KernelParams, queries: np.ndarray,
+              inputs: np.ndarray) -> np.ndarray:
+        kept = self._inputs.shape[0]
+        if not (params == self._params and kept <= inputs.shape[0]
+                and np.array_equal(self._queries, queries)
+                and np.array_equal(self._inputs, inputs[:kept])):
+            self._queries = queries.copy()
+            kept = 0
+        if kept == 0:
+            self._block = kernel_matrix(params, queries, inputs)
+        elif kept < inputs.shape[0]:
+            self._block = np.concatenate(
+                [self._block, kernel_matrix(params, queries, inputs[kept:])], axis=1)
+        self._block.flags.writeable = False  # kept for the next call
+        self._params = params
+        self._inputs = inputs.copy()
+        return self._block
+
+
+def gp_predict(model: GPModel, queries,
+               cache: Optional[CrossCovariance] = None) -> Prediction:
+    """Posterior mean and variance at the query locations.
+
+    A `cache` carried from one prediction to the next saves re-evaluating
+    the kernel between the queries and the inputs the models share; the
+    result is bit-identical to a prediction without it.
+    """
     q = _as_inputs(queries, "queries") if np.asarray(queries).size else \
         np.zeros((0, 2))
     if q.shape[0] == 0:
         return Prediction(np.zeros(0), np.zeros(0))
     params = model.params
-    ks = kernel_matrix(params, q, model.training.inputs)
+    inputs = model.training.inputs
+    ks = kernel_matrix(params, q, inputs) if cache is None else cache.block(params, q, inputs)
     mean = model.mean_offset + ks @ model.alpha
     v = solve_triangular(model.chol_lower, ks.T, lower=True)
     var = params.sigma_f - np.einsum("ij,ij->j", v, v)

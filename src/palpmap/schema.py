@@ -1,4 +1,4 @@
-"""How a JSON document value becomes a validated field, for configs and phantoms.
+"""How a JSON document value becomes a validated field, for configs, phantoms and meshes.
 
 A schema row maps document keys to the parameters of a target (a dataclass
 or function). A parameter's annotation says what its key must hold: `float`
@@ -25,11 +25,20 @@ _KINDS = {float: "a number", int: "an integer", str: "a string", list: "a list",
           dict: "an object"}
 
 
+def read_text(path: Path, what: str) -> str:
+    """The UTF-8 text in `path`; an unreadable file raises OSError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"bad {what} file {path}: {exc}") from exc
+
+
 def read_document(path: Path, what: str) -> dict:
     """The JSON object in `path`; an unreadable file raises OSError."""
+    text = read_text(path, what)
     try:
-        return _value(json.loads(path.read_text()), f"{what} document", dict)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _value(json.loads(text), f"{what} document", dict)
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"bad {what} JSON {path}: {exc}") from exc
 
 

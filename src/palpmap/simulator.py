@@ -22,6 +22,13 @@ from .errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from .geometry import RigidTransform, TriMesh, load_mesh, make_transform
 from .schema import build, read, read_document
 
+# Largest prediction grid a ROI may ask for; the benchmark's largest is 6,561
+# nodes, and each node costs a GP posterior row and a ground-truth ray.
+MAX_GRID_NODES = 1_000_000
+# Most depth steps a probe may take; the demo takes 10, and each step is a
+# measurement that grouping, stiffness fits and the probe log all carry.
+MAX_DEPTH_STEPS = 1_000
+
 
 # ---------------------------------------------------------------------------
 # Phantom description
@@ -136,6 +143,10 @@ class ProbeConfig:
         for name in ("depth_increment", "max_depth"):
             if getattr(self, name) <= 0.0:
                 raise InvalidInputError(f"{name} must be > 0")
+        # before `steps` rounds the ratio, which may be huge or infinite
+        if not self.max_depth / self.depth_increment < MAX_DEPTH_STEPS + 0.5:
+            raise InvalidInputError(f"max_depth / depth_increment gives more than "
+                                    f"{MAX_DEPTH_STEPS:,} depth steps")
         if abs(self.max_depth / self.depth_increment - self.steps) > 1e-9 or self.steps < 2:
             raise InvalidInputError("max_depth must be 2 or more whole depth_increments")
 
@@ -218,11 +229,6 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
 # ---------------------------------------------------------------------------
 # Sampling layouts
 # ---------------------------------------------------------------------------
-
-# Largest prediction grid a ROI may ask for; the benchmark's largest is 6,561
-# nodes, and each node costs a GP posterior row and a ground-truth ray.
-MAX_GRID_NODES = 1_000_000
-
 
 @dataclass(frozen=True)
 class ROI:

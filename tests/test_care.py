@@ -137,6 +137,37 @@ class TestGrouping:
             assert a.member_indices == b.member_indices
             assert a.reference_index == b.reference_index
 
+    def test_sets_rebuilt_only_when_changed(self):
+        """After every add the cached sets equal a fresh grouping, and a set
+        whose slot was not touched and whose index did not move is reused."""
+        config = CMUConfig()
+        script = (column(0.0, 0.0, steps=3)           # set 0
+                  + [meas(10.0, 0.0, 0.0, 1.0)]       # a singleton slot
+                  + column(20.0, 0.0, steps=3)        # set 1
+                  + [meas(0.0, 0.1, 0.0, 0.1)]        # lowest force of set 0: reference moves
+                  + [meas(10.0, 0.1, -0.3, 2.0)])     # singleton becomes a set, set 1 -> 2
+        collector = SetCollector(config)
+        previous = []
+        reused = 0
+        for n, m in enumerate(script, start=1):
+            collector.add(m)
+            current = collector.sets(script[:n])
+            fresh = collect_sets(script[:n], config)
+            assert len(current) == len(fresh)
+            for a, b in zip(current, fresh):
+                assert (a.index, a.member_indices, a.reference_index) == \
+                    (b.index, b.member_indices, b.reference_index)
+                assert np.array_equal(a.location, b.location)
+                same = [p for p in previous if (p.index, p.member_indices, p.reference_index)
+                        == (a.index, a.member_indices, a.reference_index)]
+                assert (same and same[0] is a) or not any(p is a for p in previous)
+                reused += bool(same)
+            previous = current
+        assert reused > 0
+        assert [s.member_indices for s in previous] == [(0, 1, 2, 7), (3, 8), (4, 5, 6)]
+        assert previous[0].reference_index == 7
+        assert np.array_equal(previous[0].location, [0.0, 0.1])
+
     def test_set_validation(self):
         with pytest.raises(InvalidInputError):
             CompatibleSet(index=0, member_indices=(3,), reference_index=3,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from palpmap import cli
 from palpmap.cli import CONFIG_SCHEMA, load_config, main
 from palpmap.errors import ConfigError
-from palpmap.geometry import make_transform
+from palpmap.geometry import load_mesh, make_transform
 from palpmap.make_demo import write_demo
 from palpmap.schema import schema_default
 from palpmap.simulator import (PhantomSpec, StiffnessBump, make_surface_mesh,
@@ -181,11 +181,43 @@ class TestConfigSchema:
         assert main(["run", str(write_config(tmp_path, probe=probe))]) == 2
         assert "'probe': max_depth must be 2 or more whole" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("increment", [1e-320, 1e-12])
+    def test_depth_step_cap(self, tmp_path, capsys, increment):
+        small_phantom(tmp_path)
+        probe = {"depth_increment_mm": increment, "max_depth_mm": 3.0}
+        assert main(["run", str(write_config(tmp_path, probe=probe))]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and "more than 1,000 depth steps" in err[0]
+
     def test_removed_probe_keys_are_unknown(self, tmp_path, capsys):
         small_phantom(tmp_path)
         for key in ("probe_radius_mm", "contact_force_n"):
             assert main(["run", str(write_config(tmp_path, probe={key: 1.0}))]) == 2
             assert "unknown key" in capsys.readouterr().err
+
+
+# mesh files that are not a readable document: (file name, bytes, stderr text)
+BAD_MESH_FILES = [
+    ("ragged.json", b'{"vertices": [[0, 0, 0], [1, 0]], "faces": [[0, 1, 2]]}',
+     "'mesh.vertices[1]' must have 3 entries"),
+    ("latin1.json", b'{"vertices": [], "faces": [], "name": "caf\xe9"}', "bad mesh file"),
+    ("latin1.obj", b"# caf\xe9\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "bad mesh file"),
+]
+
+
+class TestMeshFiles:
+    @pytest.mark.parametrize("name,content,message", BAD_MESH_FILES,
+                             ids=[row[0] for row in BAD_MESH_FILES])
+    def test_bad_mesh_file_is_config_error(self, tmp_path, capsys, name, content, message):
+        (tmp_path / name).write_bytes(content)
+        assert main(["mesh-check", str(tmp_path / name)]) == 2
+        small_phantom(tmp_path)
+        phantom = json.loads((tmp_path / "phantom.json").read_text())
+        (tmp_path / "phantom.json").write_text(json.dumps({**phantom, "mesh": name}))
+        assert main(["run", str(write_config(tmp_path))]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
+        assert all(message in line for line in err)
 
 
 def _leaves(doc, path=()):
@@ -204,11 +236,9 @@ _BAD_LEAVES = [float("nan"), float("inf"), float("-inf"), "4", True, None, [1.0]
                {"a": 1.0}, _DELETE]
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_mutated_documents_never_raise(tmp_path_factory, data):
-    """One leaf of a valid config or phantom, replaced or deleted: a clean exit."""
-    directory = tmp_path_factory.mktemp("mutated")
+def _documents(directory, json_mesh=False):
+    """A valid config and phantom (artery included), and the mesh as a JSON
+    document when `json_mesh`, keyed by file name; the OBJ mesh is written."""
     small_phantom(directory)
     docs = {"config.json": json.loads(write_config(
         directory, budget=2, noise={"position_sigma_mm": 0.1, "rng_seed": 1},
@@ -217,20 +247,63 @@ def test_mutated_documents_never_raise(tmp_path_factory, data):
     docs["phantom.json"] = json.loads((directory / "phantom.json").read_text())
     docs["phantom.json"]["artery"] = {"polyline": [[0.0, 0.0], [8.0, 6.0]],
                                       "half_width": 2.0, "amplitude": 1.0}
-    name = data.draw(st.sampled_from(sorted(docs)))
-    path = data.draw(st.sampled_from(_leaves(docs[name])))
+    if json_mesh:
+        docs["phantom.json"]["mesh"] = "mesh.json"
+        docs["mesh.json"] = load_mesh(directory / "mesh.obj").to_json_dict()
+    return docs
+
+
+def _replace_leaf(data, doc):
+    path = data.draw(st.sampled_from(_leaves(doc)))
     value = data.draw(st.sampled_from(_BAD_LEAVES))
-    parent = docs[name]
+    parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if value is _DELETE:
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+
+
+def _write_documents(directory, docs):
     for doc_name, doc in docs.items():
         (directory / doc_name).write_text(json.dumps(doc))
+
+
+def _run_exits_cleanly(directory) -> bool:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["run", str(directory / "config.json")]) in (0, 2, 3, 4)
+        return main(["run", str(directory / "config.json")]) in (0, 2, 3, 4)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_never_raise(tmp_path_factory, data):
+    """One leaf of a valid config or phantom, replaced or deleted: a clean exit."""
+    directory = tmp_path_factory.mktemp("mutated")
+    docs = _documents(directory)
+    _replace_leaf(data, docs[data.draw(st.sampled_from(sorted(docs)))])
+    _write_documents(directory, docs)
+    assert _run_exits_cleanly(directory)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_mesh_files_never_raise(tmp_path_factory, data):
+    """One leaf of a JSON mesh replaced or deleted, or one byte of any input
+    file, the OBJ mesh included, made non-UTF-8: a clean exit."""
+    directory = tmp_path_factory.mktemp("mutated-mesh")
+    json_mesh = data.draw(st.booleans())
+    docs = _documents(directory, json_mesh)
+    leaf = json_mesh and data.draw(st.booleans())
+    if leaf:
+        _replace_leaf(data, docs["mesh.json"])
+    _write_documents(directory, docs)
+    if not leaf:
+        name = data.draw(st.sampled_from(sorted(docs) + ([] if json_mesh else ["mesh.obj"])))
+        text = (directory / name).read_bytes()
+        at = data.draw(st.integers(0, len(text) - 1))
+        (directory / name).write_bytes(text[:at] + b"\xff" + text[at + 1:])
+    assert _run_exits_cleanly(directory)
 
 
 # names bench/tracing.py and bench/run.py patch on palpmap.cli; the engine

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from palpmap.errors import DegenerateGeometryError, InvalidInputError
 from palpmap.geometry import (RigidTransform, TriMesh, load_mesh,
@@ -123,6 +124,31 @@ class TestRigidFit:
         src = np.array([[float(i), 0.0, 0.0] for i in range(6)])
         with pytest.raises(DegenerateGeometryError):
             rigid_fit_svd(src, src + 1.0)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       translation=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+       source=st.lists(st.tuples(*[st.floats(-50.0, 50.0)] * 3), min_size=3, max_size=30))
+def test_rigid_fit_recovers_random_proper_transform(quaternion, translation, source):
+    """Exact correspondences of a random rotation (unit quaternion) and
+    translation give back that transform, with det +1."""
+    q = np.asarray(quaternion)
+    assume(np.linalg.norm(q) > 0.1)
+    w, x, y, z = q / np.linalg.norm(q)
+    rotation = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    truth = RigidTransform(rotation, np.asarray(translation))
+    src = np.asarray(source)
+    # well spread: the second singular value of the centred points is clear
+    # of zero, so the fit is determined and well conditioned
+    assume(np.linalg.svd(src - src.mean(axis=0), compute_uv=False)[1] > 1.0)
+    fit = rigid_fit_svd(src, truth.apply(src))
+    assert abs(np.linalg.det(fit.rotation) - 1.0) < 1e-9
+    assert np.max(np.abs(fit.rotation - rotation)) < 1e-8
+    assert np.max(np.abs(fit.translation - truth.translation)) < 1e-6
 
 
 def lumpy_mesh(nx=9, ny=9):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palpmap.errors import (InvalidInputError,
                             NumericalConditioningError)
-from palpmap.gp import (GPModel, KernelParams, TrainingSet, gp_fit, gp_predict,
-                        kernel_eval, kernel_matrix)
+from palpmap.gp import (CrossCovariance, GPModel, KernelParams, TrainingSet, gp_fit,
+                        gp_predict, kernel_eval, kernel_matrix)
 
 from _oracles import gp_posterior_reference
 
@@ -159,3 +160,77 @@ class TestPosterior:
         model = gp_fit(small_training(rng), KernelParams())
         pred = gp_predict(model, rng.uniform(0, 40, (10, 2)))
         assert np.allclose(pred.std, np.sqrt(pred.variance), atol=1e-15)
+
+
+class TestCrossCovariance:
+    def test_reuse_is_bit_identical_to_cold(self):
+        rng = np.random.default_rng(9)
+        grid = rng.uniform(0, 40, (400, 2))
+        x = rng.uniform(0, 40, (30, 2))
+        y = np.sin(x[:, 0] / 5.0)
+        moved = x.copy()
+        moved[3] += 0.25
+        params = KernelParams(jitter=1e-6)
+        steps = [  # (inputs, params, queries): each reuses, extends or resets
+            (x[:10], params, grid), (x[:10], params, grid), (x[:18], params, grid),
+            (x[:25], params, grid), (moved[:26], params, grid),
+            (moved[:28], KernelParams(length_scale=4.0, jitter=1e-6), grid),
+            (moved[:29], KernelParams(length_scale=4.0, jitter=1e-6), grid[::-1]),
+            (x[:5], params, grid), (x[:30], params, grid),
+        ]
+        cache = CrossCovariance()
+        earlier = []
+        for inputs, kernel, queries in steps:
+            model = gp_fit(TrainingSet(inputs, y[:len(inputs)]), kernel)
+            reused = gp_predict(model, queries, cache)
+            cold = gp_predict(model, queries)
+            assert np.array_equal(reused.mean, cold.mean)
+            assert np.array_equal(reused.variance, cold.variance)
+            earlier.append((reused, reused.mean.copy(), reused.variance.copy()))
+        # no later prediction changed an array an earlier one exposes
+        for pred, mean, variance in earlier:
+            assert np.array_equal(pred.mean, mean)
+            assert np.array_equal(pred.variance, variance)
+
+    def test_evaluates_only_appended_inputs(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        grid = rng.uniform(0, 40, (50, 2))
+        x = rng.uniform(0, 40, (12, 2))
+        cache = CrossCovariance()
+        cache.block(KernelParams(), grid, x[:8])
+        columns = []
+
+        def counting(params, a, b):
+            columns.append(len(b))
+            return kernel_matrix(params, a, b)
+
+        monkeypatch.setattr("palpmap.gp.kernel_matrix", counting)
+        block = cache.block(KernelParams(), grid, x)
+        assert columns == [4]
+        assert np.array_equal(block, kernel_matrix(KernelParams(), grid, x))
+        cache.block(KernelParams(), grid, x)
+        assert columns == [4]
+        cache.block(KernelParams(), grid, x[::-1])
+        assert columns == [4, 12]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(sigma_f=st.floats(0.01, 100.0), length_scale=st.floats(0.2, 20.0),
+       jitter=st.sampled_from([0.0, 1e-10, 1e-8, 1e-4, 0.1]),
+       inputs=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                       min_size=1, max_size=15, unique=True),
+       outputs=st.lists(st.floats(-50.0, 50.0), min_size=15, max_size=15),
+       queries=st.lists(st.tuples(st.floats(-40.0, 70.0), st.floats(-40.0, 70.0)),
+                        min_size=1, max_size=20))
+def test_posterior_variance_within_prior_bounds(sigma_f, length_scale, jitter, inputs,
+                                                outputs, queries):
+    """Posterior variance lies in [0, sigma_f + jitter] at training points and anywhere else."""
+    x = np.asarray(inputs, dtype=float)
+    params = KernelParams(sigma_f=sigma_f, length_scale=length_scale, jitter=jitter)
+    try:
+        model = gp_fit(TrainingSet(x, outputs[:len(x)]), params)
+    except NumericalConditioningError:
+        return  # a documented outcome for a kernel this ill-conditioned
+    pred = gp_predict(model, np.vstack([x, np.asarray(queries, dtype=float)]))
+    assert np.all(pred.variance >= 0.0)
+    assert np.all(pred.variance <= sigma_f + model.jitter_used)

@@ -1,0 +1,146 @@
+"""The closed loop's reuse of unchanged work equals recomputing everything.
+
+A small closed-loop run is recorded probe by probe, edited so that a
+singleton slot becomes a set mid-order, and replayed through the engine.
+At every update the sets, the stiffness samples and the GP prediction the
+engine used are checked against a from-scratch computation.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from palpmap import care, cli, gp
+from palpmap.care import ProbeMeasurement, collect_sets, estimate_stiffness
+from palpmap.make_demo import write_demo
+
+UP = np.array([0.0, 0.0, 1.0])
+
+
+def _far(x, force):
+    """A measurement away from every probed column (no set accepts it)."""
+    return ProbeMeasurement(position=np.array([x, -100.0, 0.0]), force=force,
+                            sensed_normal=UP)
+
+
+@pytest.fixture(scope="module")
+def demo_config(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reuse")
+    config = cli.load_config(write_demo(root) / "config.json")
+    # a 3 mm, 20 degree grouping window lets neighbouring probes join earlier
+    # sets, so sets grow and their references (GP inputs) move
+    return dataclasses.replace(
+        config, budget=12, roi=dataclasses.replace(config.roi, spacing=2.0),
+        cmu=dataclasses.replace(config.cmu, tangent_distance=3.0, normal_angle_deg=20.0))
+
+
+def _record(config, monkeypatch):
+    recorded = []
+    original = cli.probe
+
+    def recording(*args, **kwargs):
+        recorded.append(original(*args, **kwargs))
+        return recorded[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "probe", recording)
+        cli.execute_experiment(config)
+    return recorded
+
+
+def _same_set(a, b):
+    return (a.index == b.index and a.member_indices == b.member_indices
+            and a.reference_index == b.reference_index
+            and np.array_equal(a.location, b.location))
+
+
+def _same_sample(a, b):
+    return (np.array_equal(a.location, b.location) and a.stiffness == b.stiffness
+            and a.set_index == b.set_index and a.degenerate == b.degenerate)
+
+
+def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
+    recorded = _record(demo_config, monkeypatch)
+    # a lone measurement opens a singleton slot after the 3rd probe; the
+    # last probe adds a second member, so a set appears before later sets
+    script = recorded[:3] + [[_far(0.0, 1.0)]] + recorded[3:] + [[_far(0.1, 2.0)]]
+    config = dataclasses.replace(demo_config, budget=demo_config.budget + 2)
+
+    history = []      # each update's sets
+    estimated = []    # sets estimate_stiffness was called for
+    evaluated = []    # kernel columns evaluated, and used, per prediction
+    original_sets = care.SetCollector.sets
+    original_estimate = cli.estimate_stiffness
+    original_register = cli.cmu_register
+    original_predict = cli.gp_predict
+    original_kernel = gp.kernel_matrix
+
+    def replay(*args, **kwargs):
+        return script.pop(0)
+
+    def sets(self, measurements):
+        out = original_sets(self, measurements)
+        with monkeypatch.context() as patch:  # collect_sets calls sets itself
+            patch.setattr(care.SetCollector, "sets", original_sets)
+            fresh = collect_sets(measurements, demo_config.cmu)
+        assert len(out) == len(fresh)
+        assert all(_same_set(a, b) for a, b in zip(out, fresh))
+        history.append(out)
+        return out
+
+    def estimate(cset, measurements):
+        estimated.append(cset)
+        return original_estimate(cset, measurements)
+
+    def register(sets, samples, mesh, measurements, config):
+        for cset, sample in zip(sets, samples):
+            assert _same_sample(sample, estimate_stiffness(cset, measurements))
+        return original_register(sets, samples, mesh, measurements, config)
+
+    def predict(model, queries, cache=None):
+        columns = []
+
+        def kernel(params, a, b):
+            columns.append(np.asarray(b).shape[0])
+            return original_kernel(params, a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "kernel_matrix", kernel)
+            reused = original_predict(model, queries, cache)
+        evaluated.append((sum(columns), len(model.training)))
+        cold = original_predict(model, queries)
+        assert np.array_equal(reused.mean, cold.mean)
+        assert np.array_equal(reused.variance, cold.variance)
+        return reused
+
+    monkeypatch.setattr(cli, "probe", replay)
+    monkeypatch.setattr(care.SetCollector, "sets", sets)
+    monkeypatch.setattr(cli, "estimate_stiffness", estimate)
+    monkeypatch.setattr(cli, "cmu_register", register)
+    monkeypatch.setattr(cli, "gp_predict", predict)
+    cli.execute_experiment(config)
+
+    assert script == []
+    assert len(history) == config.budget + 1
+
+    # the run covers every way a set can change between updates
+    moved = grown = mid_order = 0
+    for before, after in zip(history, history[1:]):
+        by_anchor = {s.member_indices[0]: s for s in before}
+        for cset in after:
+            old = by_anchor.get(cset.member_indices[0])
+            if old is None:
+                mid_order += cset.index < len(before)
+            else:
+                grown += old.member_indices != cset.member_indices
+                moved += old.reference_index != cset.reference_index
+    assert moved > 0 and grown > 0 and mid_order > 0
+
+    # and reuse happened: stiffness only for new or changed sets, the grid
+    # kernel only against new inputs (in full only when an input moved)
+    changed = sum(1 for before, after in zip([[]] + history, history)
+                  for cset in after
+                  if not any(cset is old for old in before))
+    assert len(estimated) == changed < sum(len(sets) for sets in history)
+    assert sum(e for e, _ in evaluated) < sum(u for _, u in evaluated)
