@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 from scipy.special import ndtr

@@ -162,11 +162,12 @@ class SetCollector:
     def __init__(self, config: CMUConfig):
         self._config = config
         self._count = 0
-        self._anchors: List[np.ndarray] = []
-        self._normals: List[np.ndarray] = []
         self._members: List[List[int]] = []
         self._forces: List[List[float]] = []
         self._built: List[Optional[CompatibleSet]] = []
+        # per-slot geometry and force range, one row each, grown when a slot opens
+        self._anchors = np.zeros((0, 3))
+        self._normals = np.zeros((0, 3))
         self._fmin = np.zeros(0)
         self._fmax = np.zeros(0)
         self._cos_limit = math.cos(math.radians(config.normal_angle_deg))
@@ -179,23 +180,19 @@ class SetCollector:
         nrm = measurement.sensed_normal
         force = measurement.force
 
-        if self._anchors:
-            anchors = np.asarray(self._anchors)
-            normals = np.asarray(self._normals)
-            # (i): member forces span [fmin, fmax], so the largest |dF| to any
-            # member is reached at one of the extremes.
-            force_ok = np.maximum(force - self._fmin, self._fmax - force) \
-                >= self._config.min_force_difference
-            diff = pos[None, :] - anchors
-            along = np.einsum("ij,ij->i", diff, normals)
-            tangent = diff - along[:, None] * normals
-            dist_ok = np.einsum("ij,ij->i", tangent, tangent) \
-                <= self._config.tangent_distance ** 2
-            angle_ok = normals @ nrm >= self._cos_limit - 1e-12
-            match = force_ok & dist_ok & angle_ok
-            hit = int(np.argmax(match)) if match.any() else -1
-        else:
-            hit = -1
+        normals = self._normals
+        # (i): member forces span [fmin, fmax], so the largest |dF| to any
+        # member is reached at one of the extremes.
+        force_ok = np.maximum(force - self._fmin, self._fmax - force) \
+            >= self._config.min_force_difference
+        diff = pos[None, :] - self._anchors
+        along = np.einsum("ij,ij->i", diff, normals)
+        tangent = diff - along[:, None] * normals
+        dist_ok = np.einsum("ij,ij->i", tangent, tangent) \
+            <= self._config.tangent_distance ** 2
+        angle_ok = normals @ nrm >= self._cos_limit - 1e-12
+        match = force_ok & dist_ok & angle_ok
+        hit = int(np.argmax(match)) if match.any() else -1
 
         if hit >= 0:
             self._members[hit].append(idx)
@@ -205,8 +202,8 @@ class SetCollector:
             self._built[hit] = None
             return hit
 
-        self._anchors.append(pos)
-        self._normals.append(nrm)
+        self._anchors = np.vstack([self._anchors, pos])
+        self._normals = np.vstack([self._normals, nrm])
         self._members.append([idx])
         self._forces.append([force])
         self._built.append(None)

@@ -9,6 +9,12 @@ that are new), and let the sampling policy pick the next target. The reuse
 is bit-identical to recomputing everything. Outputs land in the configured
 directory as CSV/JSON/PGM files.
 
+Registration has one seeding policy. The first update searches from every
+configured seed; each later update in the loop starts from the previous
+winner alone; the final update searches from every configured seed plus the
+previous winner. The GP, EI and the map work in tool-frame locations, so
+registration feeds only the next warm start and the final report.
+
 Config documents are read through one table, `CONFIG_SCHEMA`, which maps each
 section's keys to the parameters of the dataclass they build; `schema` reads
 every field, as it does the phantom's. The engine calls its layers (`probe`,
@@ -34,9 +40,8 @@ from .acquisition import Incumbent, SamplingPolicy, expected_improvement, select
 from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
                    SetCollector, StiffnessSample, default_seed_transforms,
                    estimate_stiffness, cmu_register)
-from .errors import (ConfigError, DegenerateGeometryError, ExplorationExhaustedError,
-                     InsufficientDataError, InvalidInputError,
-                     NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
+from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
+                     OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import (CrossCovariance, GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
                  gp_predict)
@@ -46,9 +51,6 @@ from .simulator import (NoiseSpec, PhantomSpec, ProbeConfig, ROI, grid_shape,
                         stiffness_field, tool_rays, transform_to_json, uniform_lattice)
 
 _STRATEGIES = ("ei", "uniform")
-# EI steps between cold (full multi-seed) registrations; the warm updates in
-# between start from the previous winner alone, at a fraction of the cost
-_COLD_RESTART_PERIOD = 25
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,11 @@ def _angle_error_deg(a: float, b: float) -> float:
     return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
+def _incumbent(training: TrainingSet) -> Incumbent:
+    best = int(np.argmax(training.outputs))
+    return Incumbent(value=float(training.outputs[best]), location=training.inputs[best])
+
+
 def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
     """True stiffness seen through a noise-free probe at each grid node (NaN = miss)."""
     origins, direction = tool_rays(spec, grid)
@@ -253,6 +260,7 @@ def execute_experiment(config: ExperimentConfig,
     for target in initial_samples(config.roi):
         do_probe(target)
 
+    configured = config.cmu.seed_transforms
     warm_start: Optional[RigidTransform] = None  # the previous update's winner
     # the previous update's samples by (index, members, reference) of their
     # set, and its grid x inputs kernel block: what a probe leaves unchanged
@@ -260,20 +268,14 @@ def execute_experiment(config: ExperimentConfig,
     known: Dict[tuple, StiffnessSample] = {}
     cross = CrossCovariance()
 
-    def update(cold: bool):
+    def update(seeds: Tuple[RigidTransform, ...]):
         nonlocal warm_start, known
         sets = collector.sets(measurements)
         keys = [(cset.index, cset.member_indices, cset.reference_index) for cset in sets]
         samples = [known[key] if key in known else estimate_stiffness(cset, measurements)
                    for key, cset in zip(keys, sets)]
         known = dict(zip(keys, samples))
-        # cold updates run the full multi-seed search (plus the previous
-        # winner); in between, the previous winner alone tracks the optimum
-        # as probes accumulate, which keeps the per-probe cost flat
-        cmu_cfg = config.cmu
-        if warm_start is not None:
-            seeds = cmu_cfg.seed_transforms if cold else ()
-            cmu_cfg = dataclasses.replace(cmu_cfg, seed_transforms=seeds + (warm_start,))
+        cmu_cfg = dataclasses.replace(config.cmu, seed_transforms=seeds)
         registration = cmu_register(sets, samples, phantom.mesh, measurements, cmu_cfg)
         warm_start = registration.transform
         valid = [m for m in samples if not m.degenerate]
@@ -286,29 +288,26 @@ def execute_experiment(config: ExperimentConfig,
 
     if strategy == "ei":
         for step in range(1, config.budget + 1):
-            cold = step == 1 or step % _COLD_RESTART_PERIOD == 0
-            _, _, _, training, _, prediction = update(cold)
-            best = int(np.argmax(training.outputs))
-            incumbent = Incumbent(value=float(training.outputs[best]),
-                                  location=training.inputs[best])
+            # the first update searches every configured seed, later ones
+            # start from the previous winner alone
+            seeds = configured if warm_start is None else (warm_start,)
+            _, _, _, training, _, prediction = update(seeds)
             try:
-                idx = select_next(prediction, grid, visited, incumbent, step,
+                idx = select_next(prediction, grid, visited, _incumbent(training), step,
                                   config.policy, rng_explore,
                                   prior_variance=config.kernel.sigma_f)
             except ExplorationExhaustedError:
                 break
-            visited.add(idx)
             do_probe(grid[idx])
     elif config.budget > 0:
         for target in uniform_lattice(config.roi, config.budget):
             do_probe(target)
 
-    sets, samples, registration, training, model, prediction = update(cold=True)
-
-    best = int(np.argmax(training.outputs))
-    incumbent = Incumbent(value=float(training.outputs[best]),
-                          location=training.inputs[best])
-    ei_map = expected_improvement(prediction.mean, prediction.std, incumbent.value)
+    # the final update searches every configured seed plus the previous winner
+    seeds = configured if warm_start is None else configured + (warm_start,)
+    sets, samples, registration, training, model, prediction = update(seeds)
+    ei_map = expected_improvement(prediction.mean, prediction.std,
+                                  _incumbent(training).value)
 
     reference_points = np.asarray([
         measurements[cset.reference_index].position
@@ -601,8 +600,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, DegenerateGeometryError, NumericalConditioningError,
-            InsufficientDataError, OutOfWorkspaceError, ExplorationExhaustedError) as exc:
+    except PalpmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

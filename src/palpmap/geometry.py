@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -251,13 +251,16 @@ class TriMesh:
         if tris.ndim != 2 or tris.shape[1] != 3 or tris.shape[0] < 1:
             raise InvalidInputError("faces must have shape (m>=1, 3)")
         if not np.issubdtype(tris.dtype, np.integer):
-            tris_f = np.asarray(tris, dtype=float)
-            tris = tris_f.astype(np.int64)
-            if np.any(tris_f != tris):
+            try:
+                tris = np.asarray(tris, dtype=float)
+            except OverflowError as exc:  # an integer past the float range
+                raise InvalidInputError("face index out of range") from exc
+            if np.any(tris != np.trunc(tris)):
                 raise InvalidInputError("face indices must be integers")
-        tris = tris.astype(np.int64)
+        # range first: the int64 cast below is only exact for in-range indices
         if tris.min() < 0 or tris.max() >= verts.shape[0]:
             raise InvalidInputError("face index out of range")
+        tris = tris.astype(np.int64)
         if np.any((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
                   | (tris[:, 0] == tris[:, 2])):
             raise InvalidInputError("faces must reference three distinct vertices")

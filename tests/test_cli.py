@@ -219,6 +219,23 @@ class TestMeshFiles:
         assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
         assert all(message in line for line in err)
 
+    @pytest.mark.parametrize("name,content", [
+        ("huge.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999999\n"),
+        ("huge.json", b'{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], '
+                      b'"faces": [[0, 1, 99999999999999999999999]]}'),
+        ("past_float.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1" + b"0" * 400 + b"\n"),
+    ], ids=["obj", "json", "obj-past-float"])
+    @pytest.mark.filterwarnings("error")  # numpy warns on an out-of-range int64 cast
+    def test_face_index_past_int64_is_out_of_range(self, tmp_path, capfd, name, content):
+        (tmp_path / name).write_bytes(content)
+        assert main(["mesh-check", str(tmp_path / name)]) == 3
+        small_phantom(tmp_path)
+        phantom = json.loads((tmp_path / "phantom.json").read_text())
+        (tmp_path / "phantom.json").write_text(json.dumps({**phantom, "mesh": name}))
+        assert main(["run", str(write_config(tmp_path))]) == 2
+        err = capfd.readouterr().err.strip().split("\n")
+        assert len(err) == 2 and all("face index out of range" in line for line in err)
+
 
 def _leaves(doc, path=()):
     """Paths to every scalar (null included) of a JSON document."""
@@ -370,6 +387,20 @@ class TestRunCommand:
             a = (tmp_path / "out_a" / name).read_bytes()
             b = (tmp_path / "out_b" / name).read_bytes()
             assert a == b, name
+
+    def test_registration_seeding_policy(self, tmp_path):
+        """All configured seeds at the first update, the previous winner alone
+        at every later update in the loop, and both at the final update."""
+        small_phantom(tmp_path)
+        roi = {"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0, "spacing": 1.0}
+        config = load_config(write_config(tmp_path, roi=roi, budget=30))
+        trace = cli.execute_experiment(config).trace
+        configured = len(config.cmu.seed_transforms)
+        assert len(trace) == 30 + 1
+        first, *in_loop, final = [len(reg.per_seed) for _, reg in trace]
+        assert first == configured
+        assert in_loop == [1] * 29
+        assert final == configured + 1
 
     def test_uniform_strategy(self, tmp_path):
         small_phantom(tmp_path)
