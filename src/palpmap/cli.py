@@ -3,11 +3,13 @@
 The closed loop: probe the 19 startup targets, then for each budgeted step
 update the compatible sets with the new measurements, estimate stiffness for
 the sets that are new or changed (the others keep their samples),
-re-register the probed points to the mesh, refit the GP in the tool frame,
-predict over the ROI grid (evaluating the grid kernel only against inputs
-that are new), and let the sampling policy pick the next target. The reuse
-is bit-identical to recomputing everything. Outputs land in the configured
-directory as CSV/JSON/PGM files.
+re-register the probed points to the mesh, refit the GP in the tool frame
+(growing the previous Cholesky factor when inputs were only appended),
+predict over the ROI grid (whitening the grid rows of new inputs only), and
+let the sampling policy pick the next target. The reuse of sets and samples
+is bit-identical to recomputing them; a grown GP factor equals a refit to
+rounding (see `gp`). Outputs land in the configured directory as
+CSV/JSON/PGM files.
 
 Registration has one seeding policy. The first update searches from every
 configured seed; each later update in the loop starts from the previous
@@ -153,11 +155,13 @@ class ExperimentReport:
     map_pearson: float
     wall_clock_seconds: float
     registration_converged: bool
+    gp_jitter_used: float
 
     def to_json_dict(self) -> dict:
         # wall clock is deliberately left out so identical runs serialize
         # byte-identically; it is printed and written to timing.txt instead.
-        # registration_converged is left out too; the commands warn on it.
+        # registration_converged and gp_jitter_used are left out too; the
+        # commands warn on them.
         return {
             "strategy": self.strategy,
             "probe_count": int(self.probe_count),
@@ -263,13 +267,14 @@ def execute_experiment(config: ExperimentConfig,
     configured = config.cmu.seed_transforms
     warm_start: Optional[RigidTransform] = None  # the previous update's winner
     # the previous update's samples by (index, members, reference) of their
-    # set, and its grid x inputs kernel block: what a probe leaves unchanged
-    # is reused, not recomputed
+    # set, its GP fit and its grid rows: what a probe leaves unchanged is
+    # reused, not recomputed
     known: Dict[tuple, StiffnessSample] = {}
+    fitted: Optional[GPModel] = None
     cross = CrossCovariance()
 
     def update(seeds: Tuple[RigidTransform, ...]):
-        nonlocal warm_start, known
+        nonlocal warm_start, known, fitted
         sets = collector.sets(measurements)
         keys = [(cset.index, cset.member_indices, cset.reference_index) for cset in sets]
         samples = [known[key] if key in known else estimate_stiffness(cset, measurements)
@@ -281,7 +286,7 @@ def execute_experiment(config: ExperimentConfig,
         valid = [m for m in samples if not m.degenerate]
         training = TrainingSet([m.location for m in valid],
                                [m.stiffness for m in valid])
-        model = gp_fit(training, config.kernel)
+        model = fitted = gp_fit(training, config.kernel, previous=fitted)
         prediction = gp_predict(model, grid, cross)
         trace.append((len(records), registration))
         return sets, samples, registration, training, model, prediction
@@ -348,6 +353,7 @@ def execute_experiment(config: ExperimentConfig,
         map_pearson=map_pearson,
         wall_clock_seconds=time.perf_counter() - t_start,
         registration_converged=registration.converged,
+        gp_jitter_used=model.jitter_used,
     )
     return RunArtifacts(
         config=config, strategy=strategy, report=report, phantom=phantom,
@@ -497,17 +503,20 @@ def compare_strategies(config: ExperimentConfig) -> Tuple[ExperimentReport, Expe
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _warn_if_unconverged(report: ExperimentReport, config: ExperimentConfig):
+def _print_warnings(report: ExperimentReport, config: ExperimentConfig):
     if not report.registration_converged:
         print(f"warning: {report.strategy}: final registration stopped at the "
               f"{config.cmu.max_iterations}-iteration cap without converging",
               file=sys.stderr)
+    if report.gp_jitter_used != config.kernel.jitter:
+        print(f"warning: {report.strategy}: GP jitter escalated from "
+              f"{config.kernel.jitter:g} to {report.gp_jitter_used:g}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     report = run_experiment(config)
-    _warn_if_unconverged(report, config)
+    _print_warnings(report, config)
     print(f"wrote {config.output_dir}")
     print(f"probes: {report.probe_count}")
     print(f"registration rms: {report.rms_mm:.4f} mm "
@@ -522,7 +531,7 @@ def _cmd_compare(args) -> int:
     ei_report, uni_report = compare_strategies(config)
     print(f"wrote {config.output_dir}")
     for report in (ei_report, uni_report):
-        _warn_if_unconverged(report, config)
+        _print_warnings(report, config)
         print(f"{report.strategy}: map rmse {report.map_rmse:.4f} N/mm, "
               f"rms {report.rms_mm:.4f} mm, probes {report.probe_count}")
     return 0

@@ -455,6 +455,24 @@ class TestRunCommand:
                        "1-iteration cap without converging"
                        for strategy in ("ei", "uniform")]
 
+    def test_warns_when_gp_jitter_escalates(self, tmp_path, capsys):
+        # at jitter 0, a 1 m length scale leaves K singular in double precision
+        small_phantom(tmp_path)
+        cfg_path = write_config(tmp_path, kernel={"jitter": 0.0, "length_scale_mm": 1000.0})
+        assert main(["run", str(cfg_path)]) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["warning: ei: GP jitter escalated from 0 to 1e-08"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "jitter" not in json.dumps(report)
+        assert main(["compare", str(cfg_path)]) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"warning: {strategy}: GP jitter escalated from 0 to 1e-08"
+                       for strategy in ("ei", "uniform")]
+
+    def test_demo_config_prints_no_warning(self, tmp_path, capsys):
+        assert main(["run", str(write_demo(tmp_path) / "config.json")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         small_phantom(tmp_path)
         cfg_path = write_config(tmp_path, extra=True)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from palpmap.errors import (InvalidInputError,
                             NumericalConditioningError)
@@ -162,8 +165,15 @@ class TestPosterior:
         assert np.allclose(pred.std, np.sqrt(pred.variance), atol=1e-15)
 
 
+def _fresh(training, params, queries):
+    """A from-scratch fit and its uncached prediction."""
+    model = gp_fit(training, params)
+    return model, gp_predict(model, queries)
+
+
 class TestCrossCovariance:
     def test_reuse_is_bit_identical_to_cold(self):
+        """Bit-identical for a factor from scratch; to rounding for a grown one."""
         rng = np.random.default_rng(9)
         grid = rng.uniform(0, 40, (400, 2))
         x = rng.uniform(0, 40, (30, 2))
@@ -179,14 +189,24 @@ class TestCrossCovariance:
             (x[:5], params, grid), (x[:30], params, grid),
         ]
         cache = CrossCovariance()
+        model = None
+        grown = 0
         earlier = []
         for inputs, kernel, queries in steps:
-            model = gp_fit(TrainingSet(inputs, y[:len(inputs)]), kernel)
+            training = TrainingSet(inputs, y[:len(inputs)])
+            model = gp_fit(training, kernel, previous=model)
             reused = gp_predict(model, queries, cache)
-            cold = gp_predict(model, queries)
-            assert np.array_equal(reused.mean, cold.mean)
-            assert np.array_equal(reused.variance, cold.variance)
+            fresh, cold = _fresh(training, kernel, queries)
+            if model.incremental:  # a reused or grown factor: equal to rounding
+                grown += 1
+                assert np.allclose(reused.mean, cold.mean, rtol=1e-9, atol=1e-9)
+                assert np.allclose(reused.variance, cold.variance, rtol=1e-9, atol=1e-9)
+            else:  # a factor from scratch is predicted cold, bit for bit
+                assert np.array_equal(model.chol_lower, fresh.chol_lower)
+                assert np.array_equal(reused.mean, cold.mean)
+                assert np.array_equal(reused.variance, cold.variance)
             earlier.append((reused, reused.mean.copy(), reused.variance.copy()))
+        assert grown == 5
         # no later prediction changed an array an earlier one exposes
         for pred, mean, variance in earlier:
             assert np.array_equal(pred.mean, mean)
@@ -196,22 +216,162 @@ class TestCrossCovariance:
         rng = np.random.default_rng(10)
         grid = rng.uniform(0, 40, (50, 2))
         x = rng.uniform(0, 40, (12, 2))
+        y = np.cos(x[:, 1] / 7.0)
+        params = KernelParams()
         cache = CrossCovariance()
-        cache.block(KernelParams(), grid, x[:8])
-        columns = []
+        model = gp_fit(TrainingSet(x[:8], y[:8]), params)
+        gp_predict(model, grid, cache)
+        grown = gp_fit(TrainingSet(x, y), params, previous=model)
+        columns, rows = [], []
 
-        def counting(params, a, b):
+        def kernel(params, a, b):
             columns.append(len(b))
             return kernel_matrix(params, a, b)
 
-        monkeypatch.setattr("palpmap.gp.kernel_matrix", counting)
-        block = cache.block(KernelParams(), grid, x)
-        assert columns == [4]
-        assert np.array_equal(block, kernel_matrix(KernelParams(), grid, x))
-        cache.block(KernelParams(), grid, x)
-        assert columns == [4]
-        cache.block(KernelParams(), grid, x[::-1])
-        assert columns == [4, 12]
+        def solve(a, b, **kwargs):
+            rows.append(np.shape(b)[0])
+            return solve_triangular(a, b, **kwargs)
+
+        monkeypatch.setattr("palpmap.gp.kernel_matrix", kernel)
+        monkeypatch.setattr("palpmap.gp.solve_triangular", solve)
+        pred = gp_predict(grown, grid, cache)
+        assert columns == [4] and rows == [4]
+        assert np.array_equal(cache._block[:12], kernel_matrix(params, grid, x).T)
+        cold = gp_predict(grown, grid)
+        assert np.allclose(pred.mean, cold.mean, rtol=1e-9, atol=1e-9)
+        assert np.allclose(pred.variance, cold.variance, rtol=1e-9, atol=1e-9)
+        columns.clear()
+        rows.clear()
+        gp_predict(grown, grid, cache)  # the same inputs: nothing evaluated
+        assert columns == [] and rows == []
+        refit = gp_fit(TrainingSet(x[::-1], y[::-1]), params)
+        columns.clear()
+        rows.clear()
+        gp_predict(refit, grid, cache)
+        assert columns == [12] and rows == [12]
+
+    def test_resets_when_the_whitened_factor_changes(self):
+        rng = np.random.default_rng(14)
+        grid = rng.uniform(0, 40, (60, 2))
+        x = rng.uniform(0, 40, (10, 2))
+        params = KernelParams(jitter=1e-6)
+        cache = CrossCovariance()
+        previous = gp_fit(TrainingSet(x[:8], x[:8, 1]), params)
+        gp_predict(previous, grid, cache)
+        grown = gp_fit(TrainingSet(x, x[:, 1]), params, previous=previous)
+        lower = grown.chol_lower.copy()
+        lower[0, 0] *= 1.001  # the leading block no longer matches
+        model = dataclasses.replace(grown, chol_lower=lower)
+        reused, cold = gp_predict(model, grid, cache), gp_predict(model, grid)
+        assert np.array_equal(reused.mean, cold.mean)
+        assert np.array_equal(reused.variance, cold.variance)
+
+    def test_capacity_stays_below_twice_the_rows(self):
+        rng = np.random.default_rng(11)
+        grid = rng.uniform(0, 40, (30, 2))
+        x = rng.uniform(0, 40, (40, 2))
+        params = KernelParams(jitter=1e-6)
+        cache = CrossCovariance()
+        model = None
+        for n in range(1, 41):
+            model = gp_fit(TrainingSet(x[:n], x[:n, 0]), params, previous=model)
+            gp_predict(model, grid, cache)
+            assert model.incremental == (n > 1)
+            assert n <= cache._block.shape[0] < 2 * n
+            assert cache._whitened.shape == cache._block.shape
+
+
+# name: previous fit's inputs, new inputs, previous and new params, whether
+# the queries change; every case falls back to the cold computation
+_X = np.random.default_rng(12).uniform(0, 40, (12, 2))
+_P = KernelParams(jitter=1e-6)
+_ZERO = KernelParams(jitter=0.0)
+_NEAR = np.array([[0.0, 0.0], [1e-8, 0.0], [20.0, 5.0]])  # escalates at jitter 0
+_FALLBACKS = {
+    "first-fit": (None, _X[:10], _P, _P, False),
+    "moved-mid-order": (_X[:10], np.vstack([_X[:4], _X[4:5] + 0.5, _X[5:11]]), _P, _P, False),
+    "inserted-mid-order": (_X[:10], np.vstack([_X[:4], _X[11:], _X[4:10]]), _P, _P, False),
+    "changed-params": (_X[:10], _X[:12], _P, KernelParams(length_scale=4.0, jitter=1e-6),
+                       False),
+    "changed-queries": (_X[:10], _X[:10], _P, _P, True),
+    # a single input and its 2e-9 neighbour: the kernel entry rounds to
+    # sigma_f, so the Schur complement is exactly 0 at jitter 0
+    "schur-fails": (np.zeros((1, 2)), np.array([[0.0, 0.0], [2e-9, 0.0]]), _ZERO, _ZERO,
+                    False),
+    "escalated-previous": (_NEAR, np.vstack([_NEAR, [[31.0, 12.0]]]), _ZERO, _ZERO, False),
+}
+
+
+@pytest.mark.parametrize("name", _FALLBACKS)
+def test_fallback_is_bit_identical_to_cold(name):
+    grid = np.random.default_rng(13).uniform(-5, 45, (200, 2))
+    old, new, old_params, new_params, requery = _FALLBACKS[name]
+    cache = CrossCovariance()
+    previous = None
+    if old is not None:
+        previous = gp_fit(TrainingSet(old, np.arange(len(old), dtype=float)), old_params)
+        gp_predict(previous, grid, cache)
+    queries = grid[::-1] if requery else grid
+    training = TrainingSet(new, np.cos(np.arange(len(new), dtype=float)))
+    model = gp_fit(training, new_params, previous=previous)
+    pred = gp_predict(model, queries, cache)
+    fresh, cold = _fresh(training, new_params, queries)
+    # only the unchanged inputs of changed-queries keep their factor
+    assert model.incremental == requery
+    if name in ("schur-fails", "escalated-previous"):
+        assert model.jitter_used > new_params.jitter
+    assert np.array_equal(model.chol_lower, fresh.chol_lower)
+    assert np.array_equal(model.alpha, fresh.alpha)
+    assert model.jitter_used == fresh.jitter_used
+    assert np.array_equal(pred.mean, cold.mean)
+    assert np.array_equal(pred.variance, cold.variance)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(sigma_f=st.floats(0.01, 100.0), length_scale=st.floats(0.5, 8.0),
+       relative_jitter=st.sampled_from([1e-6, 1e-4, 1e-2]),
+       inputs=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                       min_size=2, max_size=24, unique=True),
+       batches=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+       queries=st.lists(st.tuples(st.floats(-10.0, 40.0), st.floats(-10.0, 40.0)),
+                        min_size=1, max_size=20))
+def test_grown_factor_matches_refit(sigma_f, length_scale, relative_jitter, inputs,
+                                    batches, queries):
+    """Appending inputs in batches of 1-4 gives the factor and posterior of a refit.
+
+    The jitter is drawn relative to sigma_f, at 1e-6 or more, so K + jI has a
+    condition number below about 1e8 and a 1e-9 comparison of two backward
+    stable factorizations is meaningful.
+    """
+    x = np.asarray(inputs, dtype=float)
+    y = np.sin(x[:, 0] / 3.0) * 10.0 - x[:, 1]
+    q = np.vstack([x, np.asarray(queries, dtype=float)])
+    params = KernelParams(sigma_f=sigma_f, length_scale=length_scale,
+                          jitter=relative_jitter * sigma_f)
+    cache = CrossCovariance()
+    model = None
+    earlier = []
+    n = 0
+    for step, size in enumerate([1] + batches):
+        n = min(n + size, len(x))
+        training = TrainingSet(x[:n], y[:n])
+        model = gp_fit(training, params, previous=model)
+        assert model.incremental == (step > 0)  # jitter >= 1e-6 sigma_f: C exists
+        pred = gp_predict(model, q, cache)
+        lower = model.chol_lower
+        k = kernel_matrix(params, x[:n], x[:n]) + model.jitter_used * np.eye(n)
+        assert np.max(np.abs(lower @ lower.T - k)) <= 1e-10 * sigma_f
+        _, cold = _fresh(training, params, q)
+        assert np.allclose(pred.mean, cold.mean, rtol=1e-9, atol=1e-9)
+        assert np.allclose(pred.variance, cold.variance, rtol=1e-9, atol=1e-9)
+        assert np.all(pred.variance >= 0.0)
+        assert np.all(pred.variance <= sigma_f + model.jitter_used)
+        assert not (lower.flags.writeable or model.training.inputs.flags.writeable)
+        earlier.append([(arr, arr.copy()) for arr in
+                        (lower, model.alpha, pred.mean, pred.variance)])
+    # no later fit or prediction changed an array an earlier one exposes
+    for arrays in earlier:
+        assert all(np.array_equal(arr, copy) for arr, copy in arrays)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
