@@ -11,10 +11,10 @@ from .errors import (ConfigError, DegenerateGeometryError,
                      ExplorationExhaustedError, InsufficientDataError,
                      InvalidInputError, NumericalConditioningError,
                      OutOfWorkspaceError, PalpmapError)
-from .geometry import (ClosestPointResult, RigidTransform, TriMesh, load_mesh,
-                       make_transform, rigid_fit_svd, rms_error)
+from .geometry import (RigidTransform, TriMesh, load_mesh, make_transform,
+                       rigid_fit_svd, rms_error)
 from .gp import (GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
-                 gp_predict, kernel_eval, kernel_matrix)
+                 gp_predict, kernel_matrix)
 from .simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
                         artery_phantom, grid_shape, initial_samples, load_phantom,
                         make_surface_mesh, multimodal_phantom, prediction_grid,
@@ -24,19 +24,18 @@ from .simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArteryRidge", "CMUConfig", "ClosestPointResult", "CompatibleSet",
-    "ConfigError", "DegenerateGeometryError", "ExperimentConfig",
-    "ExperimentReport", "ExplorationExhaustedError", "GPModel", "Incumbent",
-    "InsufficientDataError", "InvalidInputError", "KernelParams",
-    "NoiseSpec", "NumericalConditioningError", "OutOfWorkspaceError",
-    "PalpmapError", "PhantomSpec", "Prediction", "ProbeConfig",
-    "ProbeMeasurement", "ROI", "RegistrationResult", "RigidTransform",
-    "RunArtifacts", "SamplingPolicy", "SeedOutcome", "SetCollector",
-    "StiffnessBump", "StiffnessSample", "TrainingSet", "TriMesh",
-    "artery_phantom", "cmu_register", "collect_sets", "compare_strategies",
-    "default_seed_transforms", "estimate_stiffness", "execute_experiment",
-    "expected_improvement", "gp_fit", "gp_predict", "grid_shape",
-    "initial_samples", "kernel_eval", "kernel_matrix", "load_config",
+    "ArteryRidge", "CMUConfig", "CompatibleSet", "ConfigError",
+    "DegenerateGeometryError", "ExperimentConfig", "ExperimentReport",
+    "ExplorationExhaustedError", "GPModel", "Incumbent",
+    "InsufficientDataError", "InvalidInputError", "KernelParams", "NoiseSpec",
+    "NumericalConditioningError", "OutOfWorkspaceError", "PalpmapError",
+    "PhantomSpec", "Prediction", "ProbeConfig", "ProbeMeasurement", "ROI",
+    "RegistrationResult", "RigidTransform", "RunArtifacts", "SamplingPolicy",
+    "SeedOutcome", "SetCollector", "StiffnessBump", "StiffnessSample",
+    "TrainingSet", "TriMesh", "artery_phantom", "cmu_register", "collect_sets",
+    "compare_strategies", "default_seed_transforms", "estimate_stiffness",
+    "execute_experiment", "expected_improvement", "gp_fit", "gp_predict",
+    "grid_shape", "initial_samples", "kernel_matrix", "load_config",
     "load_mesh", "load_phantom", "main", "make_surface_mesh", "make_transform",
     "multimodal_phantom", "prediction_grid", "probe", "rigid_fit_svd",
     "rms_error", "run_experiment", "save_phantom", "select_next",

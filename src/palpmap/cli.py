@@ -4,11 +4,13 @@ The closed loop: probe the 19 startup targets, then for each budgeted step
 update the compatible sets with the new measurements, estimate stiffness for
 the sets that are new or changed (the others keep their samples),
 re-register the probed points to the mesh, refit the GP in the tool frame
-(growing the previous Cholesky factor when inputs were only appended),
-predict over the ROI grid (whitening the grid rows of new inputs only), and
-let the sampling policy pick the next target. The reuse of sets and samples
-is bit-identical to recomputing them; a grown GP factor equals a refit to
-rounding (see `gp`). Outputs land in the configured directory as
+(its Cholesky factor grows by block append from the previous update's when
+inputs were only appended, and from an empty one otherwise), predict over
+the ROI grid (whitening the grid rows of appended inputs, or of all inputs
+onto empty rows after a fit from scratch), and let the sampling policy pick
+the next target. The reuse of sets and samples is bit-identical to
+recomputing them; a GP factor grown from the previous one equals a fit from
+scratch to rounding (see `gp`). Outputs land in the configured directory as
 CSV/JSON/PGM files.
 
 Registration has one seeding policy. The first update searches from every

@@ -173,14 +173,6 @@ def rms_error(estimate: RigidTransform, truth: RigidTransform, points) -> float:
 # Triangle meshes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosestPointResult:
-    point: np.ndarray
-    normal: np.ndarray
-    face_index: int
-    distance: float
-
-
 def _closest_on_triangles(a, b, c, p) -> np.ndarray:
     """Closest points on triangles (a, b, c) to query points p, all (n, 3).
 
@@ -342,11 +334,6 @@ class TriMesh:
 
         faces = fidx[first]
         return (pts[first], self._face_normals[faces], faces, np.sqrt(best))
-
-    def closest_point(self, query) -> ClosestPointResult:
-        """Closest surface point to a single query point."""
-        pts, normals, faces, dists = self.closest_points(np.asarray(query, dtype=float)[None, :])
-        return ClosestPointResult(pts[0], normals[0], int(faces[0]), float(dists[0]))
 
     # -- ray casting ----------------------------------------------------
 

@@ -5,15 +5,18 @@ Outputs are centered on their mean before fitting (the prior mean is that
 offset), and the Cholesky factorization escalates diagonal jitter tenfold on
 failure up to 1e-4 * sigma_f.
 
-Given the previous fit, `gp_fit` reuses its factor for the same inputs and
-grows it by block append (Rasmussen & Williams 2006, Alg. 2.1) for appended
-ones, when the kernel parameters are equal and the previous fit kept the
-configured jitter. Otherwise, or when the appended block fails at that
-jitter, it refits from scratch, so an escalated fit is never extended; the
-weights are re-solved at every fit. `gp_predict` with a `CrossCovariance`
-whitens only the appended rows in the same way. A grown factor equals a
-refit to rounding; a refit and its prediction are bit-identical to a first
-fit and an uncached prediction.
+The factor is computed one way: appended inputs add the rows [B^T, C] to a
+given factor by block append (Rasmussen & Williams 2006, Alg. 2.1). Given the
+previous fit, `gp_fit` appends onto its factor when the kernel parameters are
+equal, its inputs are a prefix of the new ones and it kept the configured
+jitter. Otherwise, or when the appended block fails at that jitter, it
+appends every input onto an empty factor, which is a fit from scratch, so an
+escalated fit is never extended; the weights are re-solved at every fit.
+`gp_predict` grows the whitened query rows the same way, from the rows a
+`CrossCovariance` kept or from empty ones: an uncached prediction is a
+cached one that starts from empty rows. A factor grown from a previous one
+equals a fit from scratch to rounding; a fit from scratch is the same with
+or without `previous`.
 """
 
 from __future__ import annotations
@@ -56,16 +59,6 @@ def _as_inputs(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite values")
     return arr
-
-
-def kernel_eval(params: KernelParams, xi, xj) -> float:
-    """Kernel value between two 2D locations."""
-    a = np.asarray(xi, dtype=float)
-    b = np.asarray(xj, dtype=float)
-    if a.shape != (2,) or b.shape != (2,):
-        raise InvalidInputError("kernel_eval expects two points of shape (2,)")
-    d2 = float(np.sum((a - b) ** 2))
-    return float(params.sigma_f * np.exp(-d2 / (2.0 * params.length_scale ** 2)))
 
 
 def kernel_matrix(params: KernelParams, a, b) -> np.ndarray:
@@ -134,11 +127,7 @@ def _merge_duplicates(pts: np.ndarray, ys: np.ndarray):
 
 @dataclass(frozen=True)
 class GPModel:
-    """Fitted GP state: Cholesky factor and precomputed weights.
-
-    `incremental` is True when the factor is the previous fit's, reused or
-    grown by block append, and False when it was factorized from scratch.
-    """
+    """Fitted GP state: Cholesky factor and precomputed weights."""
 
     training: TrainingSet
     params: KernelParams
@@ -146,7 +135,6 @@ class GPModel:
     chol_lower: np.ndarray
     alpha: np.ndarray
     jitter_used: float
-    incremental: bool = False
 
 
 @dataclass(frozen=True)
@@ -161,28 +149,21 @@ class Prediction:
         return np.sqrt(self.variance)
 
 
-def _grown_factor(previous: GPModel, x: np.ndarray,
-                  params: KernelParams) -> Optional[np.ndarray]:
-    """`previous`'s factor extended to the inputs `x`, or None to refit.
+def _appended_factor(lower: np.ndarray, old: np.ndarray, new: np.ndarray,
+                     params: KernelParams, jitter: float) -> Optional[np.ndarray]:
+    """`lower`, the factor of K(old, old) + jI, extended to the inputs old + new.
 
-    The appended rows are [B^T, C] with B = L^-1 K(X_old, X_new) and
-    C = chol(K(X_new, X_new) + jI - B^T B).
+    The appended rows are [B^T, C] with B = L^-1 K(old, new) and
+    C = chol(K(new, new) + jI - B^T B); None when C does not exist. From an
+    empty factor, B is 0 x n and C is the whole factor.
     """
-    old = previous.training.inputs
-    m = old.shape[0]
-    if not (previous.params == params and previous.jitter_used == params.jitter
-            and m <= x.shape[0] and np.array_equal(old, x[:m])):
-        return None
-    if m == x.shape[0]:
-        return previous.chol_lower
-    new = x[m:]
-    b = solve_triangular(previous.chol_lower, kernel_matrix(params, old, new), lower=True)
-    schur = kernel_matrix(params, new, new) + params.jitter * np.eye(new.shape[0]) - b.T @ b
+    b = solve_triangular(lower, kernel_matrix(params, old, new), lower=True)
+    schur = kernel_matrix(params, new, new) + jitter * np.eye(new.shape[0]) - b.T @ b
     try:
         c = np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
         return None
-    return np.block([[previous.chol_lower, np.zeros((m, new.shape[0]))], [b.T, c]])
+    return np.block([[lower, np.zeros((lower.shape[0], new.shape[0]))], [b.T, c]])
 
 
 def gp_fit(training: TrainingSet, params: KernelParams,
@@ -191,8 +172,10 @@ def gp_fit(training: TrainingSet, params: KernelParams,
     """Factorize the kernel matrix and precompute prediction weights.
 
     `mean_offset` defaults to the training-output mean; pass 0.0 to fit a
-    zero-mean prior directly. Given the `previous` fit, its factor is reused
-    or grown when it can be (see `_grown_factor`) and refactorized otherwise.
+    zero-mean prior directly. The factor grows from the `previous` fit's
+    when the parameters are equal, its inputs are a prefix of these and it
+    kept the configured jitter, and from an empty factor otherwise or when
+    that fails; only the latter escalates the jitter.
     """
     if not isinstance(training, TrainingSet):
         raise InvalidInputError("training must be a TrainingSet")
@@ -200,31 +183,29 @@ def gp_fit(training: TrainingSet, params: KernelParams,
     y = training.outputs
     offset = float(y.mean()) if mean_offset is None else float(mean_offset)
 
-    lower = None if previous is None else _grown_factor(previous, x, params)
-    incremental = lower is not None
     jitter = params.jitter
-    if lower is None:
-        k = kernel_matrix(params, x, x)
-        eye = np.eye(x.shape[0])
-        max_jitter = 1e-4 * params.sigma_f
-        while True:
-            try:
-                lower = np.linalg.cholesky(k + jitter * eye)
-                break
-            except np.linalg.LinAlgError:
-                nxt = 1e-8 * params.sigma_f if jitter <= 0.0 else jitter * 10.0
-                if nxt > max_jitter:
-                    raise NumericalConditioningError(
-                        f"Cholesky failed with jitter up to {max_jitter:g}") from None
-                jitter = nxt
-    lower.flags.writeable = False  # later fits share or copy it
+    lower = None
+    if previous is not None:
+        old = previous.training.inputs
+        m = old.shape[0]
+        if (previous.params == params and previous.jitter_used == jitter
+                and m <= x.shape[0] and np.array_equal(old, x[:m])):
+            lower = _appended_factor(previous.chol_lower, old, x[m:], params, jitter)
+    max_jitter = 1e-4 * params.sigma_f
+    while lower is None:
+        lower = _appended_factor(np.zeros((0, 0)), np.zeros((0, 2)), x, params, jitter)
+        if lower is None:
+            jitter = 1e-8 * params.sigma_f if jitter <= 0.0 else jitter * 10.0
+            if jitter > max_jitter:
+                raise NumericalConditioningError(
+                    f"Cholesky failed with jitter up to {max_jitter:g}")
+    lower.flags.writeable = False  # kept models are compared against it
 
     resid = y - offset
     alpha = solve_triangular(lower.T, solve_triangular(lower, resid, lower=True),
                              lower=False)
     return GPModel(training=training, params=params, mean_offset=offset,
-                   chol_lower=lower, alpha=alpha, jitter_used=jitter,
-                   incremental=incremental)
+                   chol_lower=lower, alpha=alpha, jitter_used=jitter)
 
 
 class CrossCovariance:
@@ -232,23 +213,27 @@ class CrossCovariance:
     training inputs X, the whitened rows V = L^-1 K(X, queries) and their
     column sums of squares.
 
-    For a model whose factor was reused or grown from the one V was whitened
-    against, with the same queries and parameters, only the appended rows
-    C^-1 (K(X_new, queries) - L21 V) are computed. Any other model, such as a
-    refit, is predicted cold and starts the cache over. The rows grow in
-    place, doubling their capacity.
+    For a model with the same queries and parameters whose inputs extend the
+    kept ones and whose factor's leading block is the one V was whitened
+    against, only the appended rows C^-1 (K(X_new, queries) - L21 V) are
+    computed. Any other model, such as a refit, starts over from empty rows
+    and whitens every row the same way. The rows grow in place, doubling
+    their capacity.
     """
 
     def __init__(self):
+        self._start_over(np.zeros((0, 2)))
+
+    def _start_over(self, queries: np.ndarray):
         self._model: Optional[GPModel] = None  # the model V was whitened for
-        self._queries = np.zeros((0, 2))
-        self._block = np.zeros((0, 0))  # K(X, queries), rows beyond X unused
-        self._whitened = np.zeros((0, 0))  # V, likewise
-        self._sumsq = np.zeros(0)
+        self._queries = queries.copy()
+        self._block = np.zeros((0, queries.shape[0]))  # K(X, queries), rows beyond X unused
+        self._whitened = np.zeros((0, queries.shape[0]))  # V, likewise
+        self._sumsq = np.zeros(queries.shape[0])
 
     def _can_extend(self, model: GPModel, queries: np.ndarray) -> bool:
         kept = self._model
-        if kept is None or not model.incremental:
+        if kept is None:
             return False
         m = len(kept.training)
         return (model.params == kept.params and m <= len(model.training)
@@ -256,17 +241,13 @@ class CrossCovariance:
                 and np.array_equal(model.training.inputs[:m], kept.training.inputs)
                 and np.array_equal(model.chol_lower[:m, :m], kept.chol_lower))
 
-    def _restart(self, model: GPModel, queries: np.ndarray, ks: np.ndarray,
-                 v: np.ndarray, sumsq: np.ndarray):
-        self._model = model
-        self._queries = queries.copy()
-        self._block = ks.T.copy()
-        self._whitened = np.ascontiguousarray(v)
-        self._sumsq = sumsq
-
-    def _extend(self, model: GPModel) -> Tuple[np.ndarray, np.ndarray]:
-        """Whiten the appended inputs' rows; the posterior mean and the sums of squares."""
-        m, n = len(self._model.training), len(model.training)
+    def _extend(self, model: GPModel, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Whiten the rows of the inputs not kept yet, all of them after a start
+        over; the posterior mean and the sums of squares."""
+        if not self._can_extend(model, queries):
+            self._start_over(queries)
+        m = 0 if self._model is None else len(self._model.training)
+        n = len(model.training)
         if n > self._block.shape[0]:
             capacity = max(2 * self._block.shape[0], n)
             for name in ("_block", "_whitened"):
@@ -290,22 +271,16 @@ def gp_predict(model: GPModel, queries,
     """Posterior mean and variance at the query locations.
 
     A `cache` carried from one prediction to the next extends its whitened
-    rows when it can (see `CrossCovariance`); otherwise, and without one, the
-    prediction is computed in full.
+    rows when it can (see `CrossCovariance`); without one, the prediction
+    goes through a new cache, whose rows start empty.
     """
     q = _as_inputs(queries, "queries") if np.asarray(queries).size else \
         np.zeros((0, 2))
     if q.shape[0] == 0:
         return Prediction(np.zeros(0), np.zeros(0))
+    if cache is None:
+        cache = CrossCovariance()
+    mean, sumsq = cache._extend(model, q)
     params = model.params
-    if cache is not None and cache._can_extend(model, q):
-        mean, sumsq = cache._extend(model)
-    else:
-        ks = kernel_matrix(params, q, model.training.inputs)
-        mean = model.mean_offset + ks @ model.alpha
-        v = solve_triangular(model.chol_lower, ks.T, lower=True)
-        sumsq = np.einsum("ij,ij->j", v, v)
-        if cache is not None:
-            cache._restart(model, q, ks, v, sumsq)
     var = np.clip(params.sigma_f - sumsq, 0.0, params.sigma_f + model.jitter_used)
     return Prediction(mean, var)

@@ -208,9 +208,9 @@ class TestTriMesh:
 
     def test_closest_point_single(self):
         mesh = lumpy_mesh()
-        res = mesh.closest_point(np.array([10.0, 10.0, 30.0]))
-        assert res.distance > 0
-        assert 0 <= res.face_index < mesh.faces.shape[0]
+        _, _, faces, dists = mesh.closest_points(np.array([[10.0, 10.0, 30.0]]))
+        assert dists[0] > 0
+        assert 0 <= faces[0] < mesh.faces.shape[0]
 
     def test_raycast_hit(self):
         verts = np.array([[0.0, 0, 0], [4, 0, 0], [0, 4, 0]])

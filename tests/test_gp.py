@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.linalg import solve_triangular
 from palpmap.errors import (InvalidInputError,
                             NumericalConditioningError)
 from palpmap.gp import (CrossCovariance, GPModel, KernelParams, TrainingSet, gp_fit,
-                        gp_predict, kernel_eval, kernel_matrix)
+                        gp_predict, kernel_matrix)
 
 from _oracles import gp_posterior_reference
 
@@ -22,11 +23,11 @@ def small_training(rng, n=12):
 class TestKernel:
     def test_diagonal_value(self):
         p = KernelParams()
-        assert kernel_eval(p, np.zeros(2), np.zeros(2)) == pytest.approx(1.0)
+        assert kernel_matrix(p, np.zeros(2), np.zeros(2))[0, 0] == pytest.approx(1.0)
 
     def test_length_scale_distance(self):
         p = KernelParams(sigma_f=1.0, length_scale=3.0)
-        v = kernel_eval(p, np.zeros(2), np.array([3.0, 0.0]))
+        v = kernel_matrix(p, np.zeros(2), np.array([3.0, 0.0]))[0, 0]
         assert v == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_matrix_symmetry(self):
@@ -166,14 +167,48 @@ class TestPosterior:
 
 
 def _fresh(training, params, queries):
-    """A from-scratch fit and its uncached prediction."""
+    """A fit without `previous` and its prediction without a cache."""
     model = gp_fit(training, params)
     return model, gp_predict(model, queries)
 
 
+def _fit_keeping(training, params, previous=None):
+    """`gp_fit`, and whether its factor grew from `previous`'s: the fit then
+    evaluated the kernel only against appended inputs, never against all."""
+    columns = []
+
+    def kernel(params, a, b):
+        columns.append(len(b))
+        return kernel_matrix(params, a, b)
+
+    with mock.patch("palpmap.gp.kernel_matrix", kernel):
+        model = gp_fit(training, params, previous=previous)
+    return model, max(columns) < len(training)
+
+
+# bound on |posterior - dense-solve oracle|, relative to sigma_f plus the
+# largest |output - offset|; the worst case below, schur-fails, has a kernel
+# matrix with condition number about 2e8 and deviates by 2.4e-9, the rest by
+# under 1e-14
+_ORACLE_TOL = 1e-7
+
+
+def _assert_matches_oracle(model, queries, pred):
+    """`pred` is the posterior of `model`'s data by a dense solve, to _ORACLE_TOL."""
+    params = model.params
+    mean, var = gp_posterior_reference(
+        model.training.inputs, model.training.outputs, queries, sigma_f=params.sigma_f,
+        length_scale=params.length_scale, jitter=model.jitter_used,
+        mean_offset=model.mean_offset)
+    scale = params.sigma_f + np.max(np.abs(model.training.outputs - model.mean_offset))
+    assert np.max(np.abs(pred.mean - mean)) <= _ORACLE_TOL * scale
+    assert np.max(np.abs(pred.variance - np.clip(var, 0.0, None))) <= _ORACLE_TOL * scale
+
+
 class TestCrossCovariance:
     def test_reuse_is_bit_identical_to_cold(self):
-        """Bit-identical for a factor from scratch; to rounding for a grown one."""
+        """Bit-identical for a factor from scratch, to rounding for a grown one,
+        and within _ORACLE_TOL of the dense-solve oracle for both."""
         rng = np.random.default_rng(9)
         grid = rng.uniform(0, 40, (400, 2))
         x = rng.uniform(0, 40, (30, 2))
@@ -194,17 +229,21 @@ class TestCrossCovariance:
         earlier = []
         for inputs, kernel, queries in steps:
             training = TrainingSet(inputs, y[:len(inputs)])
-            model = gp_fit(training, kernel, previous=model)
+            previous = model
+            model, kept = _fit_keeping(training, kernel, previous)
             reused = gp_predict(model, queries, cache)
             fresh, cold = _fresh(training, kernel, queries)
-            if model.incremental:  # a reused or grown factor: equal to rounding
+            if kept:  # a reused or grown factor: equal to rounding
                 grown += 1
+                m = len(previous.training)
+                assert np.array_equal(model.chol_lower[:m, :m], previous.chol_lower)
                 assert np.allclose(reused.mean, cold.mean, rtol=1e-9, atol=1e-9)
                 assert np.allclose(reused.variance, cold.variance, rtol=1e-9, atol=1e-9)
-            else:  # a factor from scratch is predicted cold, bit for bit
+            else:  # a factor from scratch is the fresh one, and so is its prediction
                 assert np.array_equal(model.chol_lower, fresh.chol_lower)
                 assert np.array_equal(reused.mean, cold.mean)
                 assert np.array_equal(reused.variance, cold.variance)
+            _assert_matches_oracle(model, queries, reused)
             earlier.append((reused, reused.mean.copy(), reused.variance.copy()))
         assert grown == 5
         # no later prediction changed an array an earlier one exposes
@@ -266,6 +305,33 @@ class TestCrossCovariance:
         assert np.array_equal(reused.mean, cold.mean)
         assert np.array_equal(reused.variance, cold.variance)
 
+    def test_used_cache_keeps_nothing_stale(self):
+        """Append, refit with an input inserted mid-order, append: the carried
+        cache ends as a new cache given the fits from the refit on."""
+        rng = np.random.default_rng(15)
+        grid = rng.uniform(0, 40, (300, 2))
+        x = rng.uniform(0, 40, (16, 2))
+        y = np.sin(x[:, 0] / 5.0)
+        params = KernelParams(jitter=1e-6)
+        inserted = np.r_[0:4, 12, 4:9]
+        fits = [gp_fit(TrainingSet(x[:6], y[:6]), params)]
+        for order in (np.arange(9), inserted, np.r_[inserted, 9:12]):
+            fits.append(gp_fit(TrainingSet(x[order], y[order]), params, previous=fits[-1]))
+        assert np.array_equal(fits[3].chol_lower[:10, :10], fits[2].chol_lower)  # appended
+        used, new = CrossCovariance(), CrossCovariance()
+        for model in fits:
+            final = gp_predict(model, grid, used)
+        for model in fits[2:]:
+            again = gp_predict(model, grid, new)
+        assert np.array_equal(final.mean, again.mean)
+        assert np.array_equal(final.variance, again.variance)
+        assert np.array_equal(used._block[:13], new._block[:13])
+        assert np.array_equal(used._whitened[:13], new._whitened[:13])
+        # the final fit alone, whitened in one solve, agrees to rounding
+        alone = gp_predict(fits[3], grid, CrossCovariance())
+        assert np.allclose(final.mean, alone.mean, rtol=1e-9, atol=1e-9)
+        assert np.allclose(final.variance, alone.variance, rtol=1e-9, atol=1e-9)
+
     def test_capacity_stays_below_twice_the_rows(self):
         rng = np.random.default_rng(11)
         grid = rng.uniform(0, 40, (30, 2))
@@ -274,9 +340,9 @@ class TestCrossCovariance:
         cache = CrossCovariance()
         model = None
         for n in range(1, 41):
-            model = gp_fit(TrainingSet(x[:n], x[:n, 0]), params, previous=model)
+            model, kept = _fit_keeping(TrainingSet(x[:n], x[:n, 0]), params, model)
             gp_predict(model, grid, cache)
-            assert model.incremental == (n > 1)
+            assert kept == (n > 1)
             assert n <= cache._block.shape[0] < 2 * n
             assert cache._whitened.shape == cache._block.shape
 
@@ -313,11 +379,11 @@ def test_fallback_is_bit_identical_to_cold(name):
         gp_predict(previous, grid, cache)
     queries = grid[::-1] if requery else grid
     training = TrainingSet(new, np.cos(np.arange(len(new), dtype=float)))
-    model = gp_fit(training, new_params, previous=previous)
+    model, kept = _fit_keeping(training, new_params, previous)
     pred = gp_predict(model, queries, cache)
     fresh, cold = _fresh(training, new_params, queries)
     # only the unchanged inputs of changed-queries keep their factor
-    assert model.incremental == requery
+    assert kept == requery
     if name in ("schur-fails", "escalated-previous"):
         assert model.jitter_used > new_params.jitter
     assert np.array_equal(model.chol_lower, fresh.chol_lower)
@@ -325,6 +391,7 @@ def test_fallback_is_bit_identical_to_cold(name):
     assert model.jitter_used == fresh.jitter_used
     assert np.array_equal(pred.mean, cold.mean)
     assert np.array_equal(pred.variance, cold.variance)
+    _assert_matches_oracle(model, queries, pred)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -355,8 +422,12 @@ def test_grown_factor_matches_refit(sigma_f, length_scale, relative_jitter, inpu
     for step, size in enumerate([1] + batches):
         n = min(n + size, len(x))
         training = TrainingSet(x[:n], y[:n])
-        model = gp_fit(training, params, previous=model)
-        assert model.incremental == (step > 0)  # jitter >= 1e-6 sigma_f: C exists
+        previous = model
+        model, kept = _fit_keeping(training, params, previous)
+        assert kept == (step > 0)  # jitter >= 1e-6 sigma_f: C exists
+        if kept:
+            m = len(previous.training)
+            assert np.array_equal(model.chol_lower[:m, :m], previous.chol_lower)
         pred = gp_predict(model, q, cache)
         lower = model.chol_lower
         k = kernel_matrix(params, x[:n], x[:n]) + model.jitter_used * np.eye(n)
@@ -364,6 +435,7 @@ def test_grown_factor_matches_refit(sigma_f, length_scale, relative_jitter, inpu
         _, cold = _fresh(training, params, q)
         assert np.allclose(pred.mean, cold.mean, rtol=1e-9, atol=1e-9)
         assert np.allclose(pred.variance, cold.variance, rtol=1e-9, atol=1e-9)
+        _assert_matches_oracle(model, q, pred)
         assert np.all(pred.variance >= 0.0)
         assert np.all(pred.variance <= sigma_f + model.jitter_used)
         assert not (lower.flags.writeable or model.training.inputs.flags.writeable)
@@ -394,3 +466,4 @@ def test_posterior_variance_within_prior_bounds(sigma_f, length_scale, jitter, i
     pred = gp_predict(model, np.vstack([x, np.asarray(queries, dtype=float)]))
     assert np.all(pred.variance >= 0.0)
     assert np.all(pred.variance <= sigma_f + model.jitter_used)
+

@@ -1,6 +1,7 @@
 """Print a sha256 for every artifact of the canonical palpmap runs.
 
 Usage: python tools/golden_digest.py [--seed N] [--workdir DIR]
+       python tools/golden_digest.py --compare OLD_DIR NEW_DIR
 
 Runs, at master seed N (default 1), the scenarios
 
@@ -14,12 +15,18 @@ they wrote, inputs included: `<sha256>  <scenario>/<path>`, sorted.
 `timing.txt` holds wall-clock time and is left out. Two checkouts run the
 same seed produce identical listings exactly when every other artifact is
 byte-identical, so a golden comparison is one `diff` of two listings.
+
+`--compare` runs nothing: it reads two directories kept with `--workdir`
+(the same seed, two checkouts) and, for each file that differs, prints the
+file and the max absolute difference of every numeric CSV column and JSON
+leaf that differs. It exits 1 when any file differs, like `diff`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -82,13 +89,90 @@ def digest(root: Path) -> list[str]:
             if path.is_file() and path.name not in _SKIPPED]
 
 
+def _hashes(root: Path) -> dict:
+    """The listing of `digest`, as {path: sha256}."""
+    return {path: sha for sha, path in (line.split("  ", 1) for line in digest(root))}
+
+
+def _leaves(value, path=""):
+    """(dotted path, value) of every leaf of a JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _csv_columns(path: Path) -> dict:
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _as_floats(values):
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        return None
+
+
+def _differences(old: Path, new: Path) -> list[str]:
+    """`<name>  <max |difference|>` for each CSV column or JSON leaf that differs."""
+    if old.suffix == ".json":
+        before, after = dict(_leaves(json.loads(old.read_text()))), \
+            dict(_leaves(json.loads(new.read_text())))
+        pairs = {key: ([before.get(key)], [after.get(key)]) for key in {**before, **after}}
+    elif old.suffix == ".csv":
+        before, after = _csv_columns(old), _csv_columns(new)
+        pairs = {key: (before.get(key, []), after.get(key, [])) for key in {**before, **after}}
+    else:
+        return ["  differs (neither CSV nor JSON)"]
+    lines = []
+    for key in sorted(pairs):
+        a, b = pairs[key]
+        if a == b:
+            continue
+        fa, fb = _as_floats(a), _as_floats(b)
+        if (fa is None or fb is None or len(fa) != len(fb)
+                or any(isinstance(v, bool) for v in a + b)):
+            lines.append(f"  {key}  not numeric, or of different length: differs")
+        else:
+            lines.append(f"  {key}  {max(abs(x - y) for x, y in zip(fa, fb)):.3g}")
+    return lines
+
+
+def compare(old_root: Path, new_root: Path) -> int:
+    """Print each differing file under the two roots with its differences; 1 if any."""
+    old, new = _hashes(old_root), _hashes(new_root)
+    status = 0
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) == new.get(name):
+            continue
+        status = 1
+        if name not in new or name not in old:
+            print(f"{name}: only in {old_root if name in old else new_root}")
+            continue
+        print(name)
+        for line in _differences(old_root / name, new_root / name):
+            print(line)
+    return status
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
     parser.add_argument("--workdir", type=Path,
                         help="keep the runs' files here, to inspect a mismatch "
                              "(default: a temporary directory)")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                        help="run nothing; print the numeric differences between "
+                             "two kept work directories")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
 
     with contextlib.ExitStack() as stack:
         workdir = args.workdir or Path(stack.enter_context(tempfile.TemporaryDirectory()))
