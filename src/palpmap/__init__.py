@@ -1,6 +1,6 @@
 """Stiffness mapping and surface registration for simulated robotic palpation."""
 
-from .acquisition import Incumbent, SamplingPolicy, expected_improvement, select_next
+from .acquisition import SamplingPolicy, expected_improvement, select_next
 from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
                    SeedOutcome, SetCollector, StiffnessSample, cmu_register,
                    collect_sets, default_seed_transforms, estimate_stiffness)
@@ -18,16 +18,16 @@ from .gp import (GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
 from .simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
                         artery_phantom, grid_shape, initial_samples, load_phantom,
                         make_surface_mesh, multimodal_phantom, prediction_grid,
-                        probe, save_phantom, stiffness_field, true_stiffness,
-                        uniform_lattice, StiffnessBump)
+                        probe, save_phantom, stiffness_field, uniform_lattice,
+                        StiffnessBump)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArteryRidge", "CMUConfig", "CompatibleSet", "ConfigError",
     "DegenerateGeometryError", "ExperimentConfig", "ExperimentReport",
-    "ExplorationExhaustedError", "GPModel", "Incumbent",
-    "InsufficientDataError", "InvalidInputError", "KernelParams", "NoiseSpec",
+    "ExplorationExhaustedError", "GPModel", "InsufficientDataError",
+    "InvalidInputError", "KernelParams", "NoiseSpec",
     "NumericalConditioningError", "OutOfWorkspaceError", "PalpmapError",
     "PhantomSpec", "Prediction", "ProbeConfig", "ProbeMeasurement", "ROI",
     "RegistrationResult", "RigidTransform", "RunArtifacts", "SamplingPolicy",
@@ -39,5 +39,5 @@ __all__ = [
     "load_mesh", "load_phantom", "main", "make_surface_mesh", "make_transform",
     "multimodal_phantom", "prediction_grid", "probe", "rigid_fit_svd",
     "rms_error", "run_experiment", "save_phantom", "select_next",
-    "stiffness_field", "true_stiffness", "uniform_lattice", "write_run_outputs",
+    "stiffness_field", "uniform_lattice", "write_run_outputs",
 ]

@@ -16,24 +16,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class Incumbent:
-    """Best output observed so far and where it was measured."""
-
-    value: float
-    location: np.ndarray
-
-    def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float)
-        if loc.shape != (2,):
-            raise InvalidInputError("incumbent location must have shape (2,)")
-        if not (np.isfinite(self.value) and np.all(np.isfinite(loc))):
-            raise InvalidInputError("incumbent contains non-finite values")
-        loc = loc.copy()
-        loc.flags.writeable = False
-        object.__setattr__(self, "location", loc)
-
-
-@dataclass(frozen=True)
 class SamplingPolicy:
     """Exploration cadence for the selection loop.
 
@@ -81,7 +63,7 @@ def expected_improvement(mean, std, incumbent_value: float):
 
 
 def select_next(prediction: Prediction, grid, visited: Iterable[int],
-                incumbent: Incumbent, probe_count: int, policy: SamplingPolicy,
+                incumbent_value: float, probe_count: int, policy: SamplingPolicy,
                 rng: np.random.Generator, prior_variance: float = 1.0) -> int:
     """Pick the next grid index to probe.
 
@@ -89,6 +71,7 @@ def select_next(prediction: Prediction, grid, visited: Iterable[int],
     when `probe_count` is a positive multiple of the exploration period a
     uniformly random unvisited node with std >= uncertainty_fraction *
     sqrt(prior_variance) is taken instead (max-variance node if none qualify).
+    `incumbent_value` is the best output observed so far, the EI baseline.
     """
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
@@ -118,5 +101,5 @@ def select_next(prediction: Prediction, grid, visited: Iterable[int],
 
     ei = expected_improvement(prediction.mean[unvisited],
                               np.sqrt(prediction.variance[unvisited]),
-                              incumbent.value)
+                              incumbent_value)
     return int(unvisited[np.argmax(ei)])

@@ -8,7 +8,8 @@ each set is matched to the mesh, pushed inward along the surface normal by the
 predicted indentation force/stiffness, and the pose takes one linearised
 point-to-plane Gauss-Newton step towards those targets (Chen & Medioni 1992;
 Rusinkiewicz & Levoy 2001). A seed stops as soon as its objective stops
-falling, its step becomes negligible, or it reaches the iteration cap.
+falling, its step becomes negligible, or it reaches the iteration cap. Every
+iterate is scored at one site: a batched round over the seeds.
 """
 
 from __future__ import annotations
@@ -370,8 +371,10 @@ def cmu_register(sets: Sequence[CompatibleSet],
     seed is returned worse than its own starting point, and the seed with the
     smallest objective wins.
 
-    All seeds advance in lockstep so each iteration issues a single batched
-    closest-point query; per-seed iterates are unaffected by the batching.
+    All seeds advance in lockstep: each round scores, with one batched
+    closest-point query, every seed whose current iterate has no score yet; a
+    seed that settled or reached the cap is scored in the next round too, but
+    takes no further step. Per-seed iterates are unaffected by the batching.
     Raises DegenerateGeometryError when the reference points are collinear.
     """
     points, forces, stiffness = _registration_arrays(sets, samples, measurements)
@@ -385,16 +388,15 @@ def cmu_register(sets: Sequence[CompatibleSet],
     best_transform: List[RigidTransform] = list(seeds)
     best_obj = [math.inf] * n_seeds
     iterations = [0] * n_seeds
-    active = list(range(n_seeds))
-    settled: List[int] = []  # stopped by the tolerance; last step not yet scored
+    converged = [True] * n_seeds
+    stopped = [False] * n_seeds  # settled or capped: scored once more, never stepped
+    unscored = list(range(n_seeds))  # seeds whose current iterate has no score yet
 
-    for _ in range(config.max_iterations):
-        if not active:
-            break
-        stacked = np.concatenate([current[i].apply(points) for i in active])
+    while unscored:
+        stacked = np.concatenate([current[i].apply(points) for i in unscored])
         surf, normals, _, _ = mesh.closest_points(stacked)
-        still_moving = []
-        for row, i in enumerate(active):
+        next_round = []
+        for row, i in enumerate(unscored):
             block = slice(row * n_pts, (row + 1) * n_pts)
             moved = stacked[block]
             targets = surf[block] - normals[block] * offsets[:, None]
@@ -403,34 +405,22 @@ def cmu_register(sets: Sequence[CompatibleSet],
                 continue  # the objective stopped falling: the best iterate stands
             best_obj[i] = objective
             best_transform[i] = current[i]
+            if stopped[i]:
+                continue
             rot, shift = _point_to_plane_step(moved, normals[block], targets)
             current[i] = RigidTransform(rot @ current[i].rotation,
                                         rot @ current[i].translation + shift)
             stepped = moved @ rot.T + shift
             displacement = float(np.linalg.norm(stepped - moved, axis=1).max())
             iterations[i] += 1
-            if displacement >= config.convergence_tolerance:
-                still_moving.append(i)
-            else:
-                settled.append(i)
-        active = still_moving
-
-    capped = set(active)
-    unscored = settled + active
-    if unscored:
-        stacked = np.concatenate([current[i].apply(points) for i in unscored])
-        surf, normals, _, _ = mesh.closest_points(stacked)
-        for row, i in enumerate(unscored):
-            block = slice(row * n_pts, (row + 1) * n_pts)
-            targets = surf[block] - normals[block] * offsets[:, None]
-            objective = float(np.linalg.norm(targets - stacked[block], axis=1).sum())
-            if objective < best_obj[i]:
-                best_obj[i] = objective
-                best_transform[i] = current[i]
+            settled = displacement < config.convergence_tolerance
+            converged[i] = settled or iterations[i] < config.max_iterations
+            stopped[i] = settled or not converged[i]
+            next_round.append(i)
+        unscored = next_round
 
     outcomes = tuple(SeedOutcome(transform=best_transform[i], objective=best_obj[i],
-                                 iterations=iterations[i],
-                                 converged=i not in capped)
+                                 iterations=iterations[i], converged=converged[i])
                      for i in range(n_seeds))
     winner = min(range(n_seeds), key=lambda i: outcomes[i].objective)
     best = outcomes[winner]

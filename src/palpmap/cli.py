@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .acquisition import Incumbent, SamplingPolicy, expected_improvement, select_next
+from .acquisition import SamplingPolicy, expected_improvement, select_next
 from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
                    SetCollector, StiffnessSample, default_seed_transforms,
                    estimate_stiffness, cmu_register)
@@ -191,20 +191,14 @@ class RunArtifacts:
     """Everything a run produced, for writers and tests."""
 
     config: ExperimentConfig
-    strategy: str
     report: ExperimentReport
-    phantom: PhantomSpec
     grid: np.ndarray
     prediction: Prediction
     ei_map: np.ndarray
-    model: GPModel
-    training: TrainingSet
-    registration: RegistrationResult
     sets: List[CompatibleSet]
     samples: List[StiffnessSample]
     measurements: List[ProbeMeasurement]
     probe_records: List[ProbeRecord]
-    reference_points: np.ndarray
     ground_truth: np.ndarray
     trace: List[Tuple[int, RegistrationResult]]
 
@@ -216,11 +210,6 @@ def _mark_visited(grid: np.ndarray, target, visited: set):
 
 def _angle_error_deg(a: float, b: float) -> float:
     return abs((a - b + 180.0) % 360.0 - 180.0)
-
-
-def _incumbent(training: TrainingSet) -> Incumbent:
-    best = int(np.argmax(training.outputs))
-    return Incumbent(value=float(training.outputs[best]), location=training.inputs[best])
 
 
 def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
@@ -300,7 +289,8 @@ def execute_experiment(config: ExperimentConfig,
             seeds = configured if warm_start is None else (warm_start,)
             _, _, _, training, _, prediction = update(seeds)
             try:
-                idx = select_next(prediction, grid, visited, _incumbent(training), step,
+                idx = select_next(prediction, grid, visited,
+                                  float(training.outputs.max()), step,
                                   config.policy, rng_explore,
                                   prior_variance=config.kernel.sigma_f)
             except ExplorationExhaustedError:
@@ -314,7 +304,7 @@ def execute_experiment(config: ExperimentConfig,
     seeds = configured if warm_start is None else configured + (warm_start,)
     sets, samples, registration, training, model, prediction = update(seeds)
     ei_map = expected_improvement(prediction.mean, prediction.std,
-                                  _incumbent(training).value)
+                                  float(training.outputs.max()))
 
     reference_points = np.asarray([
         measurements[cset.reference_index].position
@@ -358,11 +348,10 @@ def execute_experiment(config: ExperimentConfig,
         gp_jitter_used=model.jitter_used,
     )
     return RunArtifacts(
-        config=config, strategy=strategy, report=report, phantom=phantom,
-        grid=grid, prediction=prediction, ei_map=np.asarray(ei_map), model=model,
-        training=training, registration=registration, sets=sets, samples=samples,
+        config=config, report=report, grid=grid, prediction=prediction,
+        ei_map=np.asarray(ei_map), sets=sets, samples=samples,
         measurements=measurements, probe_records=records,
-        reference_points=reference_points, ground_truth=ground_truth, trace=trace,
+        ground_truth=ground_truth, trace=trace,
     )
 
 

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -79,11 +79,6 @@ class RigidTransform:
         pts = _as_points(pts, "points")
         out = pts @ self.rotation.T + self.translation
         return out[0] if single else out
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equivalent to applying `other` first, then `self`."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
 
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
@@ -337,26 +332,13 @@ class TriMesh:
 
     # -- ray casting ----------------------------------------------------
 
-    def raycast(self, origin, direction) -> Optional[Tuple[np.ndarray, int]]:
-        """First intersection of the ray origin + t*direction (t > 0) with the mesh.
-
-        Returns (point, face_index) of the nearest hit or None; a one-row
-        `raycasts` call.
-        """
-        o = np.asarray(origin, dtype=float)
-        if o.shape != (3,):
-            raise InvalidInputError("origin must have shape (3,)")
-        points, faces = self.raycasts(o[None, :], direction)
-        if faces[0] < 0:
-            return None
-        return points[0], int(faces[0])
-
     def raycasts(self, origins, direction) -> Tuple[np.ndarray, np.ndarray]:
         """First intersections of the rays origins[i] + t*direction (t > 0).
 
         Möller-Trumbore against every face, in chunks of origins. Returns
         (points (n, 3), face_indices (n,)): NaN rows and -1 for misses. Ties
-        on t resolve to the lowest face index.
+        on t resolve to the lowest face index. This is the only ray caster; a
+        single ray is a one-row call.
         """
         o = np.asarray(origins, dtype=float)
         d = np.asarray(direction, dtype=float)

@@ -103,11 +103,8 @@ def _segment_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
 
 
 def stiffness_field(spec: PhantomSpec, points) -> np.ndarray:
-    """Ground-truth stiffness at model-frame x-y locations (n, 2) -> (n,)."""
+    """Ground-truth stiffness at model-frame x-y rows (n, 2) -> (n,); no 1-D form."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidInputError("points must have shape (n, 2)")
 
@@ -120,12 +117,7 @@ def stiffness_field(spec: PhantomSpec, points) -> np.ndarray:
         dist = _segment_distances(pts, np.asarray(art.polyline, dtype=float))
         ridge = art.amplitude * np.exp(-dist ** 2 / (2.0 * art.half_width ** 2))
         out += np.where(dist <= 3.0 * art.half_width, ridge, 0.0)
-    return out[0] if single else out
-
-
-def true_stiffness(spec: PhantomSpec, point) -> float:
-    """Scalar ground-truth stiffness at one model-frame x-y location."""
-    return float(stiffness_field(spec, np.asarray(point, dtype=float)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +179,9 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
     """Simulate one probe event at a tool-frame x-y target.
 
     A vertical tool-frame ray (direction -z) through the target is mapped
-    through the true transform and intersected with the mesh. From the contact
+    through the true transform and intersected with the mesh (a one-row
+    `raycasts` call), and the contact's stiffness is a one-row
+    `stiffness_field` lookup, as in the ground-truth map. From the contact
     point the probe indents along the inward surface normal in fixed
     increments; each step yields a sensed position (tool frame, with per-axis
     noise), a sensed force from the linear force law (with noise, clamped at
@@ -200,16 +194,16 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
     inverse = transform.inverse()
 
     origins, direction = tool_rays(spec, tgt[None, :])
-    hit = spec.mesh.raycast(origins[0], direction)
-    if hit is None:
+    contacts, faces = spec.mesh.raycasts(origins, direction)
+    if faces[0] < 0:
         raise OutOfWorkspaceError(
             f"probe target ({tgt[0]:g}, {tgt[1]:g}) does not reach the surface")
-    contact, face_index = hit
-    normal = spec.mesh.face_normals[face_index]
+    contact = contacts[0]
+    normal = spec.mesh.face_normals[faces[0]]
     if float(normal @ direction) > 0.0:
         raise OutOfWorkspaceError("probe ray reached a surface facing away from it")
 
-    stiffness = true_stiffness(spec, contact[:2])
+    stiffness = stiffness_field(spec, contact[None, :2])[0]
     sensed_normal = transform.rotation.T @ normal
 
     measurements = []

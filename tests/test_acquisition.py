@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from palpmap.acquisition import (Incumbent, SamplingPolicy,
-                                 expected_improvement, select_next)
+from palpmap.acquisition import (SamplingPolicy, expected_improvement,
+                                 select_next)
 from palpmap.errors import ExplorationExhaustedError, InvalidInputError
 from palpmap.gp import Prediction
 
@@ -82,7 +82,7 @@ def flat_grid(n=16):
 
 
 def incumbent():
-    return Incumbent(value=1.0, location=np.array([0.0, 0.0]))
+    return 1.0
 
 
 class TestSelectNext:

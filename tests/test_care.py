@@ -322,6 +322,28 @@ class TestRegistration:
             assert outcome.iterations == 1
             assert not outcome.converged
 
+    def test_batched_seeds_match_seeds_registered_alone(self):
+        truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
+        spec, measurements = probed_phantom(truth)
+        # at a cap of 6 the 11 default seeds stop in all three ways: seeds 0,
+        # 7 and 9 when the objective stops falling, 3 and 5 at the cap, the
+        # rest by the tolerance (1, 2 and 8 on their sixth step)
+        config = dataclasses.replace(CMUConfig(), max_iterations=6)
+        sets = collect_sets(measurements, config)
+        samples = [estimate_stiffness(s, measurements) for s in sets]
+        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        assert {outcome.converged for outcome in result.per_seed} == {True, False}
+        for seed, outcome in zip(config.seed_transforms, result.per_seed):
+            alone = cmu_register(sets, samples, spec.mesh, measurements,
+                                 dataclasses.replace(config, seed_transforms=(seed,)))
+            single = alone.per_seed[0]
+            assert np.array_equal(outcome.transform.rotation, single.transform.rotation)
+            assert np.array_equal(outcome.transform.translation,
+                                  single.transform.translation)
+            assert outcome.objective == single.objective
+            assert outcome.iterations == single.iterations
+            assert outcome.converged == single.converged
+
     def test_collinear_reference_points_rejected(self):
         truth = make_transform(0, 0, 0, 0, 0, 0)
         spec, _ = probed_phantom(truth)

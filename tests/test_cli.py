@@ -343,6 +343,46 @@ def test_engine_calls_benchmark_hooks_through_cli(tmp_path, monkeypatch, command
     assert [name for name, count in calls.items() if count == 0] == []
 
 
+def test_benchmark_traced_hooks_run_and_uninstall(tmp_path, monkeypatch):
+    """The benchmark's traced mode, on a small run and compare.
+
+    bench/tracing.py is imported as it stands (only sys.path is touched).
+    Its after-hooks read `select_next` and `cmu_register` arguments by
+    position; a hook that raised would surface from `main` as an exception
+    or a non-zero exit. care keeps `rigid_fit_svd` only for the wrapper,
+    so that layer alone records no calls.
+    """
+    from palpmap import care, geometry
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import ProbeClock, Tracer, install_layers
+
+    owners = (cli, care, care.SetCollector, geometry.TriMesh)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer()
+    wrapped = []
+    wrap = tracer.wrap
+
+    def recording_wrap(owner, attr, name, **kwargs):
+        wrapped.append(name)
+        wrap(owner, attr, name, **kwargs)
+
+    tracer.wrap = recording_wrap
+    install_layers(tracer, ProbeClock())
+    try:
+        small_phantom(tmp_path)
+        config = write_config(tmp_path)
+        assert main(["run", str(config)]) == 0
+        assert main(["compare", str(config)]) == 0
+    finally:
+        tracer.uninstall()
+    assert len(wrapped) == 14
+    assert [name for name in wrapped
+            if tracer.counters[f"{name}.calls"] == 0] == ["geometry.rigid_fit_svd"]
+    for owner, names in zip(owners, before):
+        assert [name for name, value in names.items()
+                if vars(owner).get(name) is not value] == []
+
+
 class TestRunCommand:
     def test_run_writes_all_outputs(self, tmp_path, capsys):
         small_phantom(tmp_path)

@@ -10,8 +10,8 @@ from palpmap.simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig,
                                ROI, artery_phantom, grid_shape, initial_samples,
                                load_phantom, make_surface_mesh,
                                multimodal_phantom, prediction_grid, probe,
-                               save_phantom, stiffness_field, true_stiffness,
-                               uniform_lattice, StiffnessBump)
+                               save_phantom, stiffness_field, uniform_lattice,
+                               StiffnessBump)
 
 
 def flat_spec(baseline=2.0, size=40.0, transform=None, bumps=(), artery=None):
@@ -27,11 +27,17 @@ class TestStiffnessField:
         pts = np.array([[0.0, 0.0], [5.0, -3.0]])
         assert np.allclose(stiffness_field(spec, pts), 1.7)
 
+    def test_one_location_is_one_row(self):
+        spec = flat_spec(baseline=1.7)
+        assert stiffness_field(spec, [[5.0, -3.0]]).shape == (1,)
+        with pytest.raises(InvalidInputError):
+            stiffness_field(spec, [5.0, -3.0])
+
     def test_bump_closed_form(self):
         bump = StiffnessBump(center=(3.0, 4.0), amplitude=2.0, radius=5.0)
         spec = flat_spec(baseline=1.0, bumps=[bump])
-        assert true_stiffness(spec, (3.0, 4.0)) == pytest.approx(3.0, abs=1e-12)
-        val = true_stiffness(spec, (8.0, 4.0))
+        assert stiffness_field(spec, [[3.0, 4.0]])[0] == pytest.approx(3.0, abs=1e-12)
+        val = stiffness_field(spec, [[8.0, 4.0]])[0]
         assert val == pytest.approx(1.0 + 2.0 * np.exp(-25.0 / 50.0), abs=1e-12)
 
     def test_bump_superposition(self):
@@ -41,25 +47,26 @@ class TestStiffnessField:
         one = flat_spec(baseline=0.5, bumps=[b1])
         two = flat_spec(baseline=0.5, bumps=[b2])
         p = (0.7, 0.2)
-        assert true_stiffness(spec, p) == pytest.approx(
-            true_stiffness(one, p) + true_stiffness(two, p) - 0.5, abs=1e-12)
+        assert stiffness_field(spec, [p])[0] == pytest.approx(
+            stiffness_field(one, [p])[0] + stiffness_field(two, [p])[0] - 0.5,
+            abs=1e-12)
 
     def test_artery_profile_and_cutoff(self):
         artery = ArteryRidge(polyline=((0.0, 0.0), (10.0, 0.0)), half_width=2.0,
                              amplitude=3.0)
         spec = flat_spec(baseline=1.0, artery=artery)
-        assert true_stiffness(spec, (5.0, 0.0)) == pytest.approx(4.0, abs=1e-12)
+        assert stiffness_field(spec, [[5.0, 0.0]])[0] == pytest.approx(4.0, abs=1e-12)
         d = 3.0
-        assert true_stiffness(spec, (5.0, d)) == pytest.approx(
+        assert stiffness_field(spec, [[5.0, d]])[0] == pytest.approx(
             1.0 + 3.0 * np.exp(-d * d / 8.0), abs=1e-12)
-        assert true_stiffness(spec, (5.0, 6.1)) == pytest.approx(1.0, abs=1e-15)
+        assert stiffness_field(spec, [[5.0, 6.1]])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_artery_distance_uses_segments(self):
         artery = ArteryRidge(polyline=((0.0, 0.0), (10.0, 0.0)), half_width=2.0,
                              amplitude=3.0)
         spec = flat_spec(baseline=1.0, artery=artery)
         # beyond the endpoint, distance is to the endpoint, not the line
-        end = true_stiffness(spec, (12.0, 0.0))
+        end = stiffness_field(spec, [[12.0, 0.0]])[0]
         assert end == pytest.approx(1.0 + 3.0 * np.exp(-4.0 / 8.0), abs=1e-12)
 
     def test_lipschitz_for_bump_fields(self):
