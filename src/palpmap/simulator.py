@@ -203,7 +203,7 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
     if float(normal @ direction) > 0.0:
         raise OutOfWorkspaceError("probe ray reached a surface facing away from it")
 
-    stiffness = stiffness_field(spec, contact[None, :2])[0]
+    stiffness = float(stiffness_field(spec, contact[None, :2])[0])
     sensed_normal = transform.rotation.T @ normal
 
     measurements = []
