@@ -26,15 +26,12 @@ class SamplingPolicy:
 
     exploration_period: int = 5
     uncertainty_fraction: float = 0.9
-    rng_seed: int = 0
 
     def __post_init__(self):
         if int(self.exploration_period) != self.exploration_period or self.exploration_period < 1:
             raise InvalidInputError("exploration_period must be a positive integer")
         if not (0.0 <= self.uncertainty_fraction <= 1.0):
             raise InvalidInputError("uncertainty_fraction must lie in [0, 1]")
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
-            raise InvalidInputError("rng_seed must be a non-negative integer")
 
 
 def expected_improvement(mean, std, incumbent_value: float):

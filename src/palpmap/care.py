@@ -15,6 +15,7 @@ iterate is scored at one site: a batched round over the seeds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,6 +28,10 @@ from .geometry import (RigidTransform, TriMesh, check_not_collinear,
 from .geometry import rigid_fit_svd  # noqa: F401
 
 _MIN_STIFFNESS = 1e-6  # N/mm floor for degenerate line fits
+RESTART_TABLE_SEED = 7  # a constant: the restart table depends on no config key
+# Most random restarts a config may ask for; the default is 10, and the first
+# and the final registration run every one of them as a seed.
+MAX_RESTART_SEEDS = 1_000
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,17 @@ class StiffnessSample:
 
 
 def default_seed_transforms(count: int = 10, max_translation: float = 10.0,
-                            max_rotation_deg: float = 15.0,
-                            rng_seed: int = 7) -> Tuple[RigidTransform, ...]:
+                            max_rotation_deg: float = 15.0) -> Tuple[RigidTransform, ...]:
     """Identity plus `count` random perturbations for multi-seed registration."""
-    rng = np.random.default_rng(rng_seed)
+    if int(count) != count or not 0 <= count <= MAX_RESTART_SEEDS:
+        raise InvalidInputError(f"random restarts must be an integer in "
+                                f"[0, {MAX_RESTART_SEEDS:,}]")
+    for name, limit in (("max_translation", max_translation),
+                        ("max_rotation_deg", max_rotation_deg)):
+        # the draw spans 2 * limit, which must stay a finite float
+        if not 0.0 <= 2.0 * limit < math.inf:
+            raise InvalidInputError(f"{name} must lie in [0, {sys.float_info.max / 2:.3g}]")
+    rng = np.random.default_rng(RESTART_TABLE_SEED)
     seeds = [RigidTransform.identity()]
     for _ in range(count):
         t = rng.uniform(-max_translation, max_translation, size=3)

@@ -88,16 +88,14 @@ CONFIG_SCHEMA = (
     ("probe", ProbeConfig, {"depth_increment_mm": "depth_increment",
                             "max_depth_mm": "max_depth"}),
     ("noise", NoiseSpec, {"position_sigma_mm": "position_sigma",
-                          "force_sigma_n": "force_sigma", "rng_seed": "rng_seed"}),
+                          "force_sigma_n": "force_sigma"}),
     ("kernel", KernelParams, {"sigma_f": "sigma_f", "length_scale_mm": "length_scale",
                               "jitter": "jitter"}),
     ("policy", SamplingPolicy, {"exploration_period": "exploration_period",
-                                "uncertainty_fraction": "uncertainty_fraction",
-                                "rng_seed": "rng_seed"}),
+                                "uncertainty_fraction": "uncertainty_fraction"}),
     ("cmu", default_seed_transforms, {"random_seeds": "count",
                                       "max_translation_mm": "max_translation",
-                                      "max_rotation_deg": "max_rotation_deg",
-                                      "seed_rng_seed": "rng_seed"}),
+                                      "max_rotation_deg": "max_rotation_deg"}),
     ("cmu", CMUConfig, {"tangent_distance_mm": "tangent_distance",
                         "normal_angle_deg": "normal_angle_deg",
                         "min_force_difference_n": "min_force_difference",
@@ -179,14 +177,6 @@ class ExperimentReport:
 
 
 @dataclass
-class ProbeRecord:
-    index: int
-    target: np.ndarray
-    start: int
-    count: int
-
-
-@dataclass
 class RunArtifacts:
     """Everything a run produced, for writers and tests."""
 
@@ -198,7 +188,8 @@ class RunArtifacts:
     sets: List[CompatibleSet]
     samples: List[StiffnessSample]
     measurements: List[ProbeMeasurement]
-    probe_records: List[ProbeRecord]
+    # one per probe; probe i sensed measurements [i * steps, (i + 1) * steps)
+    probe_targets: List[np.ndarray]
     ground_truth: np.ndarray
     trace: List[Tuple[int, RegistrationResult]]
 
@@ -231,25 +222,23 @@ def execute_experiment(config: ExperimentConfig,
     if strategy not in _STRATEGIES:
         raise InvalidInputError(f"unknown strategy {strategy!r}")
     phantom = load_phantom(config.phantom_path)
-    rng_noise = np.random.default_rng([config.master_seed, config.noise.rng_seed])
-    rng_explore = np.random.default_rng([config.master_seed, config.policy.rng_seed])
+    # distinct tags give independent streams of the one master seed
+    rng_explore = np.random.default_rng([config.master_seed, 0])
+    rng_noise = np.random.default_rng([config.master_seed, 1])
 
     grid = prediction_grid(config.roi)
     visited: set = set()
     measurements: List[ProbeMeasurement] = []
-    records: List[ProbeRecord] = []
+    targets: List[np.ndarray] = []
     collector = SetCollector(config.cmu)
     trace: List[Tuple[int, RegistrationResult]] = []
 
     def do_probe(target):
         sensed = probe(phantom, target, config.probe, config.noise, rng_noise)
-        start = len(measurements)
         measurements.extend(sensed)
         for m in sensed:
             collector.add(m)
-        records.append(ProbeRecord(index=len(records),
-                                   target=np.asarray(target, dtype=float),
-                                   start=start, count=len(sensed)))
+        targets.append(np.asarray(target, dtype=float))
         _mark_visited(grid, target, visited)
 
     for target in initial_samples(config.roi):
@@ -279,7 +268,7 @@ def execute_experiment(config: ExperimentConfig,
                                [m.stiffness for m in valid])
         model = fitted = gp_fit(training, config.kernel, previous=fitted)
         prediction = gp_predict(model, grid, cross)
-        trace.append((len(records), registration))
+        trace.append((len(targets), registration))
         return sets, samples, registration, training, model, prediction
 
     if strategy == "ei":
@@ -334,7 +323,7 @@ def execute_experiment(config: ExperimentConfig,
 
     report = ExperimentReport(
         strategy=strategy,
-        probe_count=len(records),
+        probe_count=len(targets),
         true_transform=truth,
         estimated_transform=estimate,
         translation_error_mm=t_err,
@@ -350,7 +339,7 @@ def execute_experiment(config: ExperimentConfig,
     return RunArtifacts(
         config=config, report=report, grid=grid, prediction=prediction,
         ei_map=np.asarray(ei_map), sets=sets, samples=samples,
-        measurements=measurements, probe_records=records,
+        measurements=measurements, probe_targets=targets,
         ground_truth=ground_truth, trace=trace,
     )
 
@@ -383,14 +372,16 @@ def _write_probe_log(art: RunArtifacts, path: Path):
             stiffness_by_measurement[member] = sample.stiffness
 
     increment = art.config.probe.depth_increment
+    steps = art.config.probe.steps
     lines = ["probe_index,target_x_mm,target_y_mm,sample_index,depth_mm,"
              "force_n,stiffness_n_per_mm"]
-    for rec in art.probe_records:
-        stiffness = stiffness_by_measurement.get(rec.start, float("nan"))
-        for k in range(rec.count):
-            m = art.measurements[rec.start + k]
+    for index, target in enumerate(art.probe_targets):
+        start = index * steps
+        stiffness = stiffness_by_measurement.get(start, float("nan"))
+        for k in range(steps):
+            m = art.measurements[start + k]
             lines.append(",".join([
-                str(rec.index), _fmt(rec.target[0]), _fmt(rec.target[1]),
+                str(index), _fmt(target[0]), _fmt(target[1]),
                 str(k + 1), _fmt((k + 1) * increment), _fmt(m.force),
                 _fmt(stiffness),
             ]))

@@ -21,7 +21,7 @@ def write_demo(directory) -> Path:
         "phantom": "phantom.json",
         "roi": {"xmin": 0.0, "xmax": 40.0, "ymin": 0.0, "ymax": 40.0,
                 "spacing": 1.0},
-        "noise": {"position_sigma_mm": 0.3, "force_sigma_n": 0.1, "rng_seed": 0},
+        "noise": {"position_sigma_mm": 0.3, "force_sigma_n": 0.1},
         # with noisy probes the GP needs a noise floor on the kernel diagonal,
         # roughly the measurement-noise variance; keep the default (1e-8) only
         # for noise-free data

@@ -153,13 +153,10 @@ class NoiseSpec:
 
     position_sigma: float = 0.0  # mm
     force_sigma: float = 0.0     # N
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.position_sigma < 0.0 or self.force_sigma < 0.0:
             raise InvalidInputError("noise sigmas must be >= 0")
-        if int(self.rng_seed) != self.rng_seed or self.rng_seed < 0:
-            raise InvalidInputError("rng_seed must be a non-negative integer")
 
 
 def tool_rays(spec: PhantomSpec, targets) -> Tuple[np.ndarray, np.ndarray]:

@@ -117,7 +117,7 @@ class TestSelectNext:
         grid = flat_grid(6)
         mean = np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])
         var = np.array([1.0, 1.0, 0.01, 1.0, 1.0, 1.0])
-        policy = SamplingPolicy(exploration_period=5, rng_seed=0)
+        policy = SamplingPolicy(exploration_period=5)
         picks = {select_next(Prediction(mean, var), grid, set(), incumbent(),
                              probe_count=5, policy=policy,
                              rng=np.random.default_rng(s))

@@ -195,6 +195,49 @@ class TestConfigSchema:
             assert main(["run", str(write_config(tmp_path, probe={key: 1.0}))]) == 2
             assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key", [("noise", "rng_seed"), ("policy", "rng_seed"),
+                                             ("cmu", "seed_rng_seed")])
+    def test_removed_seed_keys_are_unknown(self, tmp_path, capsys, section, key):
+        small_phantom(tmp_path)
+        assert main(["run", str(write_config(tmp_path, **{section: {key: 1}}))]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"config error: unknown key(s) in '{section}': ['{key}']"]
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_rotation_deg", -5.0, "max_rotation_deg must lie in [0, 8.99e+307]"),
+        ("max_translation_mm", -5.0, "max_translation must lie in [0, 8.99e+307]"),
+        ("max_translation_mm", 1e308, "max_translation must lie in [0, 8.99e+307]"),
+        ("random_seeds", -1, "random restarts must be an integer in [0, 1,000]"),
+        ("random_seeds", 1001, "random restarts must be an integer in [0, 1,000]"),
+    ], ids=["rotation-negative", "translation-negative", "translation-overflows",
+            "count-negative", "count-over-cap"])
+    def test_bad_restart_option_is_config_error(self, tmp_path, capsys, key, value, message):
+        small_phantom(tmp_path)
+        assert main(["run", str(write_config(tmp_path, cmu={key: value}))]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"config error: 'cmu': {message}"]
+
+    def test_docs_list_the_accepted_keys(self):
+        """The README's config example and docs/config_schema.md's key columns
+        name exactly the keys `load_config` accepts, as dotted paths."""
+        accepted = set(cli._TOP_LEVEL) | {section for section, _, _ in CONFIG_SCHEMA}
+        accepted |= {f"{section}.{key}" for section, _, keys in CONFIG_SCHEMA for key in keys}
+        root = Path(__file__).parents[1]
+
+        readme = (root / "README.md").read_text().split("### Config schema\n", 1)[1]
+        example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        assert set(example) | {f"{section}.{key}" for section, value in example.items()
+                               if isinstance(value, dict) for key in value} == accepted
+
+        documented = set()
+        text = (root / "docs" / "config_schema.md").read_text().split("\n## Phantom JSON", 1)[0]
+        for block in text.split("\n## ")[1:]:
+            title, body = block.split("\n", 1)
+            prefix = "" if title == "Top level" else title.strip("`") + "."
+            documented |= {prefix + line.split("|")[1].strip().strip("`")
+                           for line in body.splitlines()[2:] if line.startswith("| `")}
+        assert documented == accepted
+
 
 # mesh files that are not a readable document: (file name, bytes, stderr text)
 BAD_MESH_FILES = [
@@ -258,7 +301,7 @@ def _documents(directory, json_mesh=False):
     document when `json_mesh`, keyed by file name; the OBJ mesh is written."""
     small_phantom(directory)
     docs = {"config.json": json.loads(write_config(
-        directory, budget=2, noise={"position_sigma_mm": 0.1, "rng_seed": 1},
+        directory, budget=2, noise={"position_sigma_mm": 0.1},
         roi={"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0,
              "spacing": 4.0}).read_text())}
     docs["phantom.json"] = json.loads((directory / "phantom.json").read_text())
@@ -343,6 +386,25 @@ def test_engine_calls_benchmark_hooks_through_cli(tmp_path, monkeypatch, command
     assert [name for name, count in calls.items() if count == 0] == []
 
 
+def test_noise_and_exploration_streams_are_independent(tmp_path, monkeypatch):
+    """The noise and exploration generators start in different states.
+
+    Each state is read at the first call that receives its generator, before
+    either has drawn anything.
+    """
+    states = {}
+    for name in ("probe", "select_next"):
+        def recorded(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            rng = next(arg for arg in args if isinstance(arg, np.random.Generator))
+            states.setdefault(_name, rng.bit_generator.state)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recorded)
+    small_phantom(tmp_path)
+    assert main(["run", str(write_config(tmp_path))]) == 0
+    assert set(states) == {"probe", "select_next"}
+    assert states["probe"] != states["select_next"]
+
+
 def test_benchmark_traced_hooks_run_and_uninstall(tmp_path, monkeypatch):
     """The benchmark's traced mode, on a small run and compare.
 
@@ -414,7 +476,7 @@ class TestRunCommand:
 
     def test_run_deterministic_bytes(self, tmp_path):
         small_phantom(tmp_path)
-        noise = {"position_sigma_mm": 0.2, "force_sigma_n": 0.05, "rng_seed": 9}
+        noise = {"position_sigma_mm": 0.2, "force_sigma_n": 0.05}
         cfg_a = write_config(tmp_path, noise=noise, output_dir="out_a")
         assert main(["run", str(cfg_a)]) == 0
         cfg_b = tmp_path / "config_b.json"
