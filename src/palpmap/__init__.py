@@ -5,8 +5,8 @@ from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResul
                    SeedOutcome, SetCollector, StiffnessSample, cmu_register,
                    collect_sets, default_seed_transforms, estimate_stiffness)
 from .cli import (ExperimentConfig, ExperimentReport, RunArtifacts,
-                  compare_strategies, execute_experiment, load_config, main,
-                  run_experiment, write_run_outputs)
+                  compare_strategies, evaluate, execute_experiment, load_config,
+                  main, run_experiment, write_run_outputs)
 from .errors import (ConfigError, DegenerateGeometryError,
                      ExplorationExhaustedError, InsufficientDataError,
                      InvalidInputError, NumericalConditioningError,
@@ -34,7 +34,7 @@ __all__ = [
     "SeedOutcome", "SetCollector", "StiffnessBump", "StiffnessSample",
     "TrainingSet", "TriMesh", "artery_phantom", "cmu_register", "collect_sets",
     "compare_strategies", "default_seed_transforms", "estimate_stiffness",
-    "execute_experiment", "expected_improvement", "gp_fit", "gp_predict",
+    "evaluate", "execute_experiment", "expected_improvement", "gp_fit", "gp_predict",
     "grid_shape", "initial_samples", "kernel_matrix", "load_config",
     "load_mesh", "load_phantom", "main", "make_surface_mesh", "make_transform",
     "multimodal_phantom", "prediction_grid", "probe", "rigid_fit_svd",

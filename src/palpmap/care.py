@@ -32,6 +32,10 @@ RESTART_TABLE_SEED = 7  # a constant: the restart table depends on no config key
 # Most random restarts a config may ask for; the default is 10, and the first
 # and the final registration run every one of them as a seed.
 MAX_RESTART_SEEDS = 1_000
+# Widest restart translation range a config may ask for (per axis, mm). The
+# phantoms span tens of mm, so a seed offset by more registers nothing, and
+# past about 1e154 mm `TriMesh.closest_points` rejects the moved points.
+MAX_RESTART_TRANSLATION_MM = 1e6
 
 
 @dataclass(frozen=True)
@@ -111,11 +115,11 @@ def default_seed_transforms(count: int = 10, max_translation: float = 10.0,
     if int(count) != count or not 0 <= count <= MAX_RESTART_SEEDS:
         raise InvalidInputError(f"random restarts must be an integer in "
                                 f"[0, {MAX_RESTART_SEEDS:,}]")
-    for name, limit in (("max_translation", max_translation),
-                        ("max_rotation_deg", max_rotation_deg)):
-        # the draw spans 2 * limit, which must stay a finite float
-        if not 0.0 <= 2.0 * limit < math.inf:
-            raise InvalidInputError(f"{name} must lie in [0, {sys.float_info.max / 2:.3g}]")
+    for name, limit, cap in (("max_translation", max_translation, MAX_RESTART_TRANSLATION_MM),
+                             ("max_rotation_deg", max_rotation_deg, sys.float_info.max / 2)):
+        # the rotation draw spans 2 * limit, which must stay a finite float
+        if not 0.0 <= limit <= cap:
+            raise InvalidInputError(f"{name} must lie in [0, {cap:.3g}]")
     rng = np.random.default_rng(RESTART_TABLE_SEED)
     seeds = [RigidTransform.identity()]
     for _ in range(count):

@@ -10,8 +10,12 @@ the ROI grid (whitening the grid rows of appended inputs, or of all inputs
 onto empty rows after a fit from scratch), and let the sampling policy pick
 the next target. The reuse of sets and samples is bit-identical to
 recomputing them; a GP factor grown from the previous one equals a fit from
-scratch to rounding (see `gp`). Outputs land in the configured directory as
-CSV/JSON/PGM files.
+scratch at the same jitter to rounding (see `gp`).
+
+Scoring follows the loop: `evaluate` builds the ground-truth map once per
+command and scores every run against it and against the phantom's true
+transform. `run` and `compare` execute, evaluate, then write
+CSV/JSON/PGM files to the configured directory.
 
 Registration has one seeding policy. The first update searches from every
 configured seed; each later update in the loop starts from the previous
@@ -153,15 +157,17 @@ class ExperimentReport:
     registration_objective: float
     map_rmse: float
     map_pearson: float
-    wall_clock_seconds: float
+    wall_clock_seconds: float  # the closed loop's, scoring excluded
     registration_converged: bool
     gp_jitter_used: float
+    top_decile_rmse: float
+    top_decile_threshold: float
 
     def to_json_dict(self) -> dict:
         # wall clock is deliberately left out so identical runs serialize
         # byte-identically; it is printed and written to timing.txt instead.
         # registration_converged and gp_jitter_used are left out too; the
-        # commands warn on them.
+        # commands warn on them. The top-decile scores go to comparison.json.
         return {
             "strategy": self.strategy,
             "probe_count": int(self.probe_count),
@@ -178,10 +184,11 @@ class ExperimentReport:
 
 @dataclass
 class RunArtifacts:
-    """Everything a run produced, for writers and tests."""
+    """Everything the closed loop produced, for `evaluate`, writers and tests."""
 
     config: ExperimentConfig
-    report: ExperimentReport
+    strategy: str
+    phantom: PhantomSpec
     grid: np.ndarray
     prediction: Prediction
     ei_map: np.ndarray
@@ -190,17 +197,15 @@ class RunArtifacts:
     measurements: List[ProbeMeasurement]
     # one per probe; probe i sensed measurements [i * steps, (i + 1) * steps)
     probe_targets: List[np.ndarray]
-    ground_truth: np.ndarray
+    # the registration of every update; the final one is trace[-1][1]
     trace: List[Tuple[int, RegistrationResult]]
+    gp_jitter_used: float  # the final fit's
+    seconds: float  # the loop's wall clock
 
 
 def _mark_visited(grid: np.ndarray, target, visited: set):
     hits = np.flatnonzero(np.all(np.abs(grid - np.asarray(target)) <= 1e-9, axis=1))
     visited.update(int(i) for i in hits)
-
-
-def _angle_error_deg(a: float, b: float) -> float:
-    return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
 def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
@@ -216,7 +221,10 @@ def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
 
 def execute_experiment(config: ExperimentConfig,
                        strategy: Optional[str] = None) -> RunArtifacts:
-    """Run the full closed loop and return all artifacts (nothing written)."""
+    """Run the closed loop through its final update and return its state.
+
+    Nothing is scored (see `evaluate`) and nothing is written.
+    """
     t_start = time.perf_counter()
     strategy = strategy or config.strategy
     if strategy not in _STRATEGIES:
@@ -269,14 +277,14 @@ def execute_experiment(config: ExperimentConfig,
         model = fitted = gp_fit(training, config.kernel, previous=fitted)
         prediction = gp_predict(model, grid, cross)
         trace.append((len(targets), registration))
-        return sets, samples, registration, training, model, prediction
+        return sets, samples, training, model, prediction
 
     if strategy == "ei":
         for step in range(1, config.budget + 1):
             # the first update searches every configured seed, later ones
             # start from the previous winner alone
             seeds = configured if warm_start is None else (warm_start,)
-            _, _, _, training, _, prediction = update(seeds)
+            _, _, training, _, prediction = update(seeds)
             try:
                 idx = select_next(prediction, grid, visited,
                                   float(training.outputs.max()), step,
@@ -291,57 +299,63 @@ def execute_experiment(config: ExperimentConfig,
 
     # the final update searches every configured seed plus the previous winner
     seeds = configured if warm_start is None else configured + (warm_start,)
-    sets, samples, registration, training, model, prediction = update(seeds)
+    sets, samples, training, model, prediction = update(seeds)
     ei_map = expected_improvement(prediction.mean, prediction.std,
                                   float(training.outputs.max()))
+    return RunArtifacts(
+        config=config, strategy=strategy, phantom=phantom, grid=grid,
+        prediction=prediction, ei_map=np.asarray(ei_map), sets=sets, samples=samples,
+        measurements=measurements, probe_targets=targets, trace=trace,
+        gp_jitter_used=model.jitter_used, seconds=time.perf_counter() - t_start,
+    )
 
-    reference_points = np.asarray([
-        measurements[cset.reference_index].position
-        for cset, sample in zip(sets, samples)
-        if not sample.degenerate
-    ])
 
-    truth = phantom.true_transform
-    estimate = registration.transform
-    t_err = tuple(abs(float(e - t)) for e, t
-                  in zip(estimate.translation, truth.translation))
-    e_est = estimate.euler_deg()
-    e_true = truth.euler_deg()
-    r_err = tuple(_angle_error_deg(a, b) for a, b in zip(e_est, e_true))
-    rms = rms_error(estimate, truth, reference_points)
+def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
+    """Score runs of one phantom and ROI against one ground-truth map.
 
-    ground_truth = _ground_truth_map(phantom, grid)
+    Registration is scored against the phantom's true transform at the final
+    valid samples' reference points; the map over the grid nodes whose ray
+    reaches the surface, and over those in the top decile of true stiffness.
+    """
+    if not runs or any(art.config.phantom_path != runs[0].config.phantom_path
+                       or art.config.roi != runs[0].config.roi for art in runs):
+        raise InvalidInputError("evaluate scores one or more runs of one phantom and ROI")
+    ground_truth = _ground_truth_map(runs[0].phantom, runs[0].grid)
     good = np.isfinite(ground_truth)
     if not np.any(good):
         raise OutOfWorkspaceError("no prediction-grid ray reaches the surface")
-    diff = prediction.mean[good] - ground_truth[good]
-    map_rmse = float(np.sqrt(np.mean(diff * diff)))
-    if np.std(ground_truth[good]) < 1e-15 or np.std(prediction.mean[good]) < 1e-15:
-        map_pearson = 0.0
-    else:
-        map_pearson = float(np.corrcoef(prediction.mean[good], ground_truth[good])[0, 1])
+    gt = ground_truth[good]
+    threshold = float(np.quantile(gt, 0.9))
+    top = gt >= threshold
 
-    report = ExperimentReport(
-        strategy=strategy,
-        probe_count=len(targets),
-        true_transform=truth,
-        estimated_transform=estimate,
-        translation_error_mm=t_err,
-        rotation_error_deg=r_err,
-        rms_mm=rms,
-        registration_objective=float(registration.objective),
-        map_rmse=map_rmse,
-        map_pearson=map_pearson,
-        wall_clock_seconds=time.perf_counter() - t_start,
-        registration_converged=registration.converged,
-        gp_jitter_used=model.jitter_used,
-    )
-    return RunArtifacts(
-        config=config, report=report, grid=grid, prediction=prediction,
-        ei_map=np.asarray(ei_map), sets=sets, samples=samples,
-        measurements=measurements, probe_targets=targets,
-        ground_truth=ground_truth, trace=trace,
-    )
+    reports = []
+    for art in runs:
+        _, registration = art.trace[-1]
+        truth, estimate = art.phantom.true_transform, registration.transform
+        reference_points = np.asarray([
+            art.measurements[cset.reference_index].position
+            for cset, sample in zip(art.sets, art.samples) if not sample.degenerate
+        ])
+        mean = art.prediction.mean[good]
+        diff = mean - gt
+        flat = np.std(gt) < 1e-15 or np.std(mean) < 1e-15
+        reports.append(ExperimentReport(
+            strategy=art.strategy, probe_count=len(art.probe_targets),
+            true_transform=truth, estimated_transform=estimate,
+            translation_error_mm=tuple(abs(float(e - t)) for e, t
+                                       in zip(estimate.translation, truth.translation)),
+            rotation_error_deg=tuple(abs((a - b + 180.0) % 360.0 - 180.0) for a, b
+                                     in zip(estimate.euler_deg(), truth.euler_deg())),
+            rms_mm=rms_error(estimate, truth, reference_points),
+            registration_objective=float(registration.objective),
+            map_rmse=float(np.sqrt(np.mean(diff * diff))),
+            map_pearson=0.0 if flat else float(np.corrcoef(mean, gt)[0, 1]),
+            wall_clock_seconds=art.seconds, registration_converged=registration.converged,
+            gp_jitter_used=art.gp_jitter_used,
+            top_decile_rmse=float(np.sqrt(np.mean(diff[top] * diff[top]))),
+            top_decile_threshold=threshold,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +426,7 @@ def _pgm_bytes(values: np.ndarray) -> bytes:
     return f"P5\n{nx} {ny}\n255\n".encode("ascii") + img.tobytes()
 
 
-def write_run_outputs(art: RunArtifacts, out_dir) -> Path:
+def write_run_outputs(art: RunArtifacts, report: ExperimentReport, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_stiffness_map(art, out / "stiffness_map.csv")
@@ -421,64 +435,43 @@ def write_run_outputs(art: RunArtifacts, out_dir) -> Path:
     nx, ny = grid_shape(art.config.roi)
     (out / "heatmap.pgm").write_bytes(_pgm_bytes(art.prediction.mean.reshape(ny, nx)))
     (out / "report.json").write_text(
-        json.dumps(art.report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     (out / "timing.txt").write_text(
-        f"wall_clock_seconds {art.report.wall_clock_seconds:.3f}\n")
+        f"wall_clock_seconds {report.wall_clock_seconds:.3f}\n")
     return out
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute one run and write its output files to config.output_dir."""
+    """Execute and evaluate one run, and write its files to config.output_dir."""
     art = execute_experiment(config)
-    write_run_outputs(art, config.output_dir)
-    return art.report
+    [report] = evaluate([art])
+    write_run_outputs(art, report, config.output_dir)
+    return report
 
 
-def _top_decile_rmse(art: RunArtifacts) -> Tuple[float, float]:
-    good = np.isfinite(art.ground_truth)
-    gt = art.ground_truth[good]
-    threshold = float(np.quantile(gt, 0.9))
-    region = gt >= threshold
-    diff = art.prediction.mean[good][region] - gt[region]
-    return float(np.sqrt(np.mean(diff * diff))), threshold
-
-
-def compare_strategies(config: ExperimentConfig) -> Tuple[ExperimentReport, ExperimentReport]:
+def compare_strategies(config: ExperimentConfig) -> List[ExperimentReport]:
     """Run the same phantom/budget/seed with EI and with uniform sampling.
 
     Per-strategy outputs land in <output_dir>/ei and <output_dir>/uniform; a
     comparison.json at the top level holds the map RMSE over the whole grid
-    and over the top-decile-stiffness region.
+    and over the top-decile-stiffness region. Returns the reports, EI first.
     """
-    ei_art = execute_experiment(config, strategy="ei")
-    uni_art = execute_experiment(config, strategy="uniform")
+    runs = [execute_experiment(config, strategy=strategy) for strategy in _STRATEGIES]
+    reports = evaluate(runs)
     out = Path(config.output_dir)
-    write_run_outputs(ei_art, out / "ei")
-    write_run_outputs(uni_art, out / "uniform")
-
-    ei_top, threshold = _top_decile_rmse(ei_art)
-    uni_top, _ = _top_decile_rmse(uni_art)
+    for art, report in zip(runs, reports):
+        write_run_outputs(art, report, out / art.strategy)
     summary = {
         "master_seed": int(config.master_seed),
         "budget": int(config.budget),
-        "top_decile_threshold": threshold,
-        "ei": {
-            "map_rmse": float(ei_art.report.map_rmse),
-            "map_pearson": float(ei_art.report.map_pearson),
-            "top_decile_rmse": ei_top,
-            "rms_mm": float(ei_art.report.rms_mm),
-        },
-        "uniform": {
-            "map_rmse": float(uni_art.report.map_rmse),
-            "map_pearson": float(uni_art.report.map_pearson),
-            "top_decile_rmse": uni_top,
-            "rms_mm": float(uni_art.report.rms_mm),
-        },
+        "top_decile_threshold": reports[0].top_decile_threshold,
+        **{report.strategy: {"map_rmse": report.map_rmse, "map_pearson": report.map_pearson,
+                             "top_decile_rmse": report.top_decile_rmse,
+                             "rms_mm": report.rms_mm} for report in reports},
     }
-    out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ei_art.report, uni_art.report
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +503,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = load_config(args.config)
-    ei_report, uni_report = compare_strategies(config)
+    reports = compare_strategies(config)
     print(f"wrote {config.output_dir}")
-    for report in (ei_report, uni_report):
+    for report in reports:
         _print_warnings(report, config)
         print(f"{report.strategy}: map rmse {report.map_rmse:.4f} N/mm, "
               f"rms {report.rms_mm:.4f} mm, probes {report.probe_count}")

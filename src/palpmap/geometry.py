@@ -23,6 +23,10 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateGeometryError, InvalidInputError
 from .schema import read, read_document, read_text
 
+# Farthest a closest-point query may lie from the mesh: the squared distances
+# it compares, with a factor-2 margin, must stay finite floats.
+_MAX_QUERY_DISTANCE = math.sqrt(np.finfo(float).max) / 2.0
+
 _ORTHONORMAL_TOL = 1e-9
 
 
@@ -307,8 +311,13 @@ class TriMesh:
 
         upper, _ = vertex_tree.query(q)
         # Any face holding a point closer than `upper` has its centroid within
-        # upper + r_f of the query, so this ball is an exact candidate filter.
-        radii = upper + max_radius + 1e-9
+        # upper + r_f of the query, so this ball is an exact candidate filter;
+        # the relative slack keeps it so where rounding of a far query's
+        # distances exceeds any absolute one.
+        radii = (upper + max_radius) * (1.0 + 1e-9) + 1e-9
+        if not np.all(radii <= _MAX_QUERY_DISTANCE):
+            raise InvalidInputError("queries lie too far from the mesh: their squared "
+                                    "distances overflow")
         lists = centroid_tree.query_ball_point(q, radii, return_sorted=True)
 
         lens = np.fromiter((len(l) for l in lists), dtype=np.int64, count=len(lists))

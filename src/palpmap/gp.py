@@ -7,16 +7,17 @@ failure up to 1e-4 * sigma_f.
 
 The factor is computed one way: appended inputs add the rows [B^T, C] to a
 given factor by block append (Rasmussen & Williams 2006, Alg. 2.1). Given the
-previous fit, `gp_fit` appends onto its factor when the kernel parameters are
-equal, its inputs are a prefix of the new ones and it kept the configured
-jitter. Otherwise, or when the appended block fails at that jitter, it
-appends every input onto an empty factor, which is a fit from scratch, so an
-escalated fit is never extended; the weights are re-solved at every fit.
-`gp_predict` grows the whitened query rows the same way, from the rows a
-`CrossCovariance` kept or from empty ones: an uncached prediction is a
-cached one that starts from empty rows. A factor grown from a previous one
-equals a fit from scratch to rounding; a fit from scratch is the same with
-or without `previous`.
+previous fit, `gp_fit` appends onto its factor, at the jitter that fit used,
+when the kernel parameters are equal and its inputs are a prefix of the new
+ones, so an escalated fit is extended at its escalated jitter. Otherwise, or
+when the appended block fails, it appends every input onto an empty factor,
+which is a fit from scratch starting again at the configured jitter; the
+weights are re-solved at every fit. `gp_predict` grows the whitened query
+rows the same way, from the rows a `CrossCovariance` kept or from empty
+ones: an uncached prediction is a cached one that starts from empty rows. A
+factor grown from a previous one equals a fit from scratch at the same
+jitter to rounding; a fit from scratch is the same with or without
+`previous`.
 """
 
 from __future__ import annotations
@@ -172,10 +173,10 @@ def gp_fit(training: TrainingSet, params: KernelParams,
     """Factorize the kernel matrix and precompute prediction weights.
 
     `mean_offset` defaults to the training-output mean; pass 0.0 to fit a
-    zero-mean prior directly. The factor grows from the `previous` fit's
-    when the parameters are equal, its inputs are a prefix of these and it
-    kept the configured jitter, and from an empty factor otherwise or when
-    that fails; only the latter escalates the jitter.
+    zero-mean prior directly. The factor grows from the `previous` fit's, at
+    its `jitter_used`, when the parameters are equal and its inputs are a
+    prefix of these, and from an empty factor at `params.jitter` otherwise or
+    when that fails; only the latter escalates the jitter.
     """
     if not isinstance(training, TrainingSet):
         raise InvalidInputError("training must be a TrainingSet")
@@ -188,9 +189,11 @@ def gp_fit(training: TrainingSet, params: KernelParams,
     if previous is not None:
         old = previous.training.inputs
         m = old.shape[0]
-        if (previous.params == params and previous.jitter_used == jitter
-                and m <= x.shape[0] and np.array_equal(old, x[:m])):
-            lower = _appended_factor(previous.chol_lower, old, x[m:], params, jitter)
+        if previous.params == params and m <= x.shape[0] and np.array_equal(old, x[:m]):
+            lower = _appended_factor(previous.chol_lower, old, x[m:], params,
+                                     previous.jitter_used)
+            if lower is not None:
+                jitter = previous.jitter_used
     max_jitter = 1e-4 * params.sigma_f
     while lower is None:
         lower = _appended_factor(np.zeros((0, 0)), np.zeros((0, 2)), x, params, jitter)

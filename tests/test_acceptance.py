@@ -15,7 +15,7 @@ import pytest
 
 from palpmap.acquisition import expected_improvement
 from palpmap.care import CompatibleSet, ProbeMeasurement, estimate_stiffness
-from palpmap.cli import compare_strategies, execute_experiment, load_config, main
+from palpmap.cli import compare_strategies, evaluate, execute_experiment, load_config, main
 from palpmap.geometry import TriMesh, make_transform, rigid_fit_svd
 from palpmap.gp import KernelParams, TrainingSet, gp_fit, gp_predict
 from palpmap.simulator import (NoiseSpec, artery_phantom, make_surface_mesh,
@@ -75,9 +75,8 @@ def artery_config(tmp_path_factory):
 
 def test_criterion_1_registration_noise_free(multimodal_config):
     t0 = time.perf_counter()
-    art = execute_experiment(multimodal_config)
+    [report] = evaluate([execute_experiment(multimodal_config)])
     elapsed = time.perf_counter() - t0
-    report = art.report
     ok = (report.probe_count == 119
           and report.rms_mm <= 1.2
           and max(report.translation_error_mm) <= 1.0
@@ -101,8 +100,8 @@ def test_criterion_2_registration_with_noise(multimodal_config):
     t0 = time.perf_counter()
     rms = []
     for seed in (1, 2, 3, 4, 5):
-        art = execute_experiment(dataclasses.replace(noisy, master_seed=seed))
-        rms.append(art.report.rms_mm)
+        [report] = evaluate([execute_experiment(dataclasses.replace(noisy, master_seed=seed))])
+        rms.append(report.rms_mm)
     elapsed = time.perf_counter() - t0
     med = statistics.median(rms)
     ok = med <= 1.6 and elapsed <= 300.0

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from palpmap import cli
 from palpmap.cli import CONFIG_SCHEMA, load_config, main
-from palpmap.errors import ConfigError
+from palpmap.errors import ConfigError, InvalidInputError
 from palpmap.geometry import load_mesh, make_transform
 from palpmap.make_demo import write_demo
 from palpmap.schema import schema_default
@@ -205,12 +206,13 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("key,value,message", [
         ("max_rotation_deg", -5.0, "max_rotation_deg must lie in [0, 8.99e+307]"),
-        ("max_translation_mm", -5.0, "max_translation must lie in [0, 8.99e+307]"),
-        ("max_translation_mm", 1e308, "max_translation must lie in [0, 8.99e+307]"),
+        ("max_translation_mm", -5.0, "max_translation must lie in [0, 1e+06]"),
+        ("max_translation_mm", 1e308, "max_translation must lie in [0, 1e+06]"),
+        ("max_translation_mm", 1e160, "max_translation must lie in [0, 1e+06]"),
         ("random_seeds", -1, "random restarts must be an integer in [0, 1,000]"),
         ("random_seeds", 1001, "random restarts must be an integer in [0, 1,000]"),
     ], ids=["rotation-negative", "translation-negative", "translation-overflows",
-            "count-negative", "count-over-cap"])
+            "translation-over-cap", "count-negative", "count-over-cap"])
     def test_bad_restart_option_is_config_error(self, tmp_path, capsys, key, value, message):
         small_phantom(tmp_path)
         assert main(["run", str(write_config(tmp_path, cmu={key: value}))]) == 2
@@ -384,6 +386,30 @@ def test_engine_calls_benchmark_hooks_through_cli(tmp_path, monkeypatch, command
     small_phantom(tmp_path)
     assert main([command, str(write_config(tmp_path))]) == 0
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_one_ground_truth_map_per_command(tmp_path, monkeypatch, command):
+    calls = []
+    original = cli._ground_truth_map
+    monkeypatch.setattr(cli, "_ground_truth_map",
+                        lambda *args: calls.append(args) or original(*args))
+    small_phantom(tmp_path)
+    assert main([command, str(write_config(tmp_path))]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", ["phantom_path", "roi"])
+def test_evaluate_rejects_runs_of_another_phantom_or_roi(tmp_path, field):
+    small_phantom(tmp_path)
+    config = load_config(write_config(tmp_path, budget=0))
+    art = cli.execute_experiment(config)
+    changed = {"phantom_path": tmp_path / "other.json",
+               "roi": dataclasses.replace(config.roi, spacing=3.0)}[field]
+    other = dataclasses.replace(art, config=dataclasses.replace(config, **{field: changed}))
+    assert len(cli.evaluate([art, art])) == 2
+    with pytest.raises(InvalidInputError, match="one phantom and ROI"):
+        cli.evaluate([art, other])
 
 
 def test_noise_and_exploration_streams_are_independent(tmp_path, monkeypatch):

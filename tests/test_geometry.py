@@ -191,6 +191,27 @@ class TestTriMesh:
         lens = np.linalg.norm(normals, axis=1)
         assert np.allclose(lens, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("offset", [1e20, 1e100])
+    def test_far_queries_match_brute_oracle(self, offset):
+        """At these offsets rounding of the distances exceeds the mesh's size,
+        so the candidate ball needs its relative slack to stay non-empty."""
+        mesh = lumpy_mesh()
+        directions = np.random.default_rng(1).normal(size=(6, 3))
+        queries = offset * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        pts, _, fidx, dists = mesh.closest_points(queries)
+        for q, p, f, d in zip(queries, pts, fidx, dists):
+            _, _, od = closest_point_brute(mesh.vertices, mesh.faces, q)
+            assert abs(d - od) <= 1e-12 * od
+            i, j, k = mesh.faces[f]
+            on_face = closest_point_on_triangle(mesh.vertices[i], mesh.vertices[j],
+                                                mesh.vertices[k], p)
+            assert np.linalg.norm(p - on_face) < 1e-9
+
+    def test_query_whose_squared_distance_overflows_is_rejected(self):
+        mesh = lumpy_mesh()
+        with pytest.raises(InvalidInputError, match="too far from the mesh"):
+            mesh.closest_points(np.array([[1e160, 0.0, 0.0]]))
+
     def test_exact_tie_picks_lowest_face(self):
         # mirror-image triangles: IEEE negation is exact, so a query on the
         # mirror plane yields bit-identical distances to both faces

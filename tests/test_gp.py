@@ -364,7 +364,6 @@ _FALLBACKS = {
     # sigma_f, so the Schur complement is exactly 0 at jitter 0
     "schur-fails": (np.zeros((1, 2)), np.array([[0.0, 0.0], [2e-9, 0.0]]), _ZERO, _ZERO,
                     False),
-    "escalated-previous": (_NEAR, np.vstack([_NEAR, [[31.0, 12.0]]]), _ZERO, _ZERO, False),
 }
 
 
@@ -384,7 +383,7 @@ def test_fallback_is_bit_identical_to_cold(name):
     fresh, cold = _fresh(training, new_params, queries)
     # only the unchanged inputs of changed-queries keep their factor
     assert kept == requery
-    if name in ("schur-fails", "escalated-previous"):
+    if name == "schur-fails":
         assert model.jitter_used > new_params.jitter
     assert np.array_equal(model.chol_lower, fresh.chol_lower)
     assert np.array_equal(model.alpha, fresh.alpha)
@@ -392,6 +391,24 @@ def test_fallback_is_bit_identical_to_cold(name):
     assert np.array_equal(pred.mean, cold.mean)
     assert np.array_equal(pred.variance, cold.variance)
     _assert_matches_oracle(model, queries, pred)
+
+
+def test_escalated_previous_is_extended_at_its_jitter():
+    """A fit that escalated its jitter keeps its factor: the appended input
+    is added at the escalated jitter, and the posterior is the dense one."""
+    grid = np.random.default_rng(13).uniform(-5, 45, (200, 2))
+    cache = CrossCovariance()
+    previous = gp_fit(TrainingSet(_NEAR, np.arange(3, dtype=float)), _ZERO)
+    assert previous.jitter_used > _ZERO.jitter
+    gp_predict(previous, grid, cache)
+    training = TrainingSet(np.vstack([_NEAR, [[31.0, 12.0]]]), np.cos(np.arange(4.0)))
+    model, kept = _fit_keeping(training, _ZERO, previous)
+    assert kept
+    assert model.jitter_used == previous.jitter_used
+    assert np.array_equal(model.chol_lower[:3, :3], previous.chol_lower)
+    assert cache._can_extend(model, grid)  # the grid rows grow by one, too
+    pred = gp_predict(model, grid, cache)
+    _assert_matches_oracle(model, grid, pred)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

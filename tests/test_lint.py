@@ -36,3 +36,47 @@ def _unused_imports(path: Path):
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+ROOT = Path(__file__).parents[1]
+# every Python file a definition may be referenced from
+CALLERS = sorted(path for folder in ("src", "tests", "bench", "tools")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def _definitions(path: Path):
+    """(line, name) of each module-level def, class and assigned name."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, target.id) for target in targets
+                      if isinstance(target, ast.Name)]
+    return found
+
+
+def _references(path: Path):
+    """Names `path` reads: bare names, attributes, imported names and string
+    constants that are identifiers (`getattr` and `mock.patch` targets)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(part for part in node.value.split(".") if part.isidentifier())
+    return names
+
+
+def test_no_unreferenced_definitions():
+    """Every module-level definition in the package is read somewhere in the
+    package, its tests, the benchmark or the tools."""
+    referenced = set().union(*(_references(path) for path in CALLERS))
+    unreferenced = [f"{path.name}:{line} {name}" for path in SOURCES
+                    for line, name in _definitions(path) if name not in referenced]
+    assert unreferenced == []
