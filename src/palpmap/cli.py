@@ -415,14 +415,15 @@ def _write_registration_trace(art: RunArtifacts, path: Path):
 
 
 def _pgm_bytes(values: np.ndarray) -> bytes:
-    """8-bit binary PGM (P5) of an (ny, nx) array, min to 0 and max to 255."""
+    """8-bit binary PGM (P5) of an (ny, nx) array: finite min to 0, max to 255, NaN to 0."""
     ny, nx = values.shape
-    lo = float(values.min())
-    hi = float(values.max())
+    finite = np.isfinite(values)
+    lo = float(values[finite].min()) if finite.any() else 0.0
+    hi = float(values[finite].max()) if finite.any() else 0.0
     if hi - lo <= 0.0:
         img = np.zeros((ny, nx), dtype=np.uint8)
     else:
-        img = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
+        img = np.rint((np.where(finite, values, lo) - lo) / (hi - lo) * 255.0).astype(np.uint8)
     return f"P5\n{nx} {ny}\n255\n".encode("ascii") + img.tobytes()
 
 
@@ -514,14 +515,16 @@ def _cmd_compare(args) -> int:
 
 def _cmd_ground_truth(args) -> int:
     spec = load_phantom(args.phantom)
-    lo, hi = spec.mesh.bounds()
+    # the tool frame, as in the run outputs: grid (x, y) label tool-frame rays
+    tool = spec.true_transform.inverse().apply(spec.mesh.vertices)
+    lo, hi = tool.min(axis=0), tool.max(axis=0)
     try:
         roi = ROI(xmin=float(lo[0]), xmax=float(hi[0]),
                   ymin=float(lo[1]), ymax=float(hi[1]), spacing=args.spacing)
     except InvalidInputError as exc:
         raise ConfigError(f"--spacing {args.spacing:g}: {exc}") from exc
     grid = prediction_grid(roi)
-    values = stiffness_field(spec, grid)
+    values = _ground_truth_map(spec, grid)  # NaN where no ray meets the mesh
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

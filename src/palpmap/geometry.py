@@ -29,6 +29,9 @@ _MAX_QUERY_DISTANCE = math.sqrt(np.finfo(float).max) / 2.0
 
 _ORTHONORMAL_TOL = 1e-9
 
+# (query, face) pairs one candidate chunk may hold: ~100 MB per (pairs, 3) array
+_MAX_PAIRS = 4_000_000
+
 
 def _as_points(value, name: str) -> np.ndarray:
     pts = np.asarray(value, dtype=float)
@@ -229,6 +232,37 @@ def _closest_on_triangles(a, b, c, p) -> np.ndarray:
     return out
 
 
+def _first_minimum(tree: cKDTree, points: np.ndarray, radii: np.ndarray, score):
+    """Per point, the (point, item) pair of its ball with the lowest score.
+
+    score(qidx, fidx) returns (values (p,), rows (p, 3)) for the pairs, which
+    run item-ascending per point, so ties go to the lowest item. Returns the
+    winners' (values (n,), items (n,), rows (n, 3)); a point with no pair
+    scoring below inf gets (inf, -1, NaN). Points go in chunks of
+    _MAX_PAIRS // items, so that a chunk holds at most _MAX_PAIRS pairs.
+    """
+    best = np.full(points.shape[0], np.inf)
+    items = np.full(points.shape[0], -1, dtype=np.int64)
+    rows = np.full((points.shape[0], 3), np.nan)
+    chunk = max(1, _MAX_PAIRS // tree.n)
+    for lo in range(0, points.shape[0], chunk):
+        lists = tree.query_ball_point(points[lo:lo + chunk], radii[lo:lo + chunk],
+                                      return_sorted=True)
+        lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        fidx = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists])
+        values, pair_rows = score(lo + np.repeat(np.arange(len(lists)), lens), fidx)
+        starts = np.cumsum(lens) - lens
+        some = np.flatnonzero(lens)
+        least = np.minimum.reduceat(values, starts[some])
+        order = np.where(values == np.repeat(least, lens[some]),
+                         np.arange(values.shape[0]), values.shape[0])
+        found = np.isfinite(least)
+        first = np.minimum.reduceat(order, starts[some])[found]
+        won = lo + some[found]
+        best[won], items[won], rows[won] = least[found], fidx[first], pair_rows[first]
+    return best, items, rows
+
+
 class TriMesh:
     """Immutable triangle mesh with normals derived from winding order."""
 
@@ -269,6 +303,7 @@ class TriMesh:
         self._faces = tris
         self._face_normals = normals
         self._accel = None
+        self._rays = None
 
     @property
     def vertices(self) -> np.ndarray:
@@ -318,72 +353,66 @@ class TriMesh:
         if not np.all(radii <= _MAX_QUERY_DISTANCE):
             raise InvalidInputError("queries lie too far from the mesh: their squared "
                                     "distances overflow")
-        lists = centroid_tree.query_ball_point(q, radii, return_sorted=True)
 
-        lens = np.fromiter((len(l) for l in lists), dtype=np.int64, count=len(lists))
-        qidx = np.repeat(np.arange(q.shape[0]), lens)
-        fidx = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists])
+        def squared_distance(qidx, fidx):
+            corners = self._vertices[self._faces[fidx]]
+            pts = _closest_on_triangles(corners[:, 0], corners[:, 1], corners[:, 2], q[qidx])
+            diff = pts - q[qidx]
+            return np.einsum("ij,ij->i", diff, diff), pts
 
-        corners = self._vertices[self._faces[fidx]]
-        pts = _closest_on_triangles(corners[:, 0], corners[:, 1], corners[:, 2], q[qidx])
-        diff = pts - q[qidx]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-
-        starts = np.zeros(q.shape[0], dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        best = np.minimum.reduceat(d2, starts)
-        equal = d2 == np.repeat(best, lens)
-        order = np.arange(d2.shape[0])
-        first = np.minimum.reduceat(np.where(equal, order, d2.shape[0]), starts)
-
-        faces = fidx[first]
-        return (pts[first], self._face_normals[faces], faces, np.sqrt(best))
+        best, faces, points = _first_minimum(centroid_tree, q, radii, squared_distance)
+        return points, self._face_normals[faces], faces, np.sqrt(best)
 
     # -- ray casting ----------------------------------------------------
 
     def raycasts(self, origins, direction) -> Tuple[np.ndarray, np.ndarray]:
         """First intersections of the rays origins[i] + t*direction (t > 0).
 
-        Möller-Trumbore against every face, in chunks of origins. Returns
-        (points (n, 3), face_indices (n,)): NaN rows and -1 for misses. Ties
-        on t resolve to the lowest face index. This is the only ray caster; a
-        single ray is a one-row call.
+        Möller-Trumbore against the faces under each ray: those whose
+        centroids, projected onto the plane normal to the direction, lie
+        within the largest face radius of the projected origin. A k-d tree of
+        the projected centroids, kept for the last direction, finds them.
+        Origins go in chunks of 4,000,000 // faces, so that a chunk holds at
+        most 4M (ray, face) pairs. Returns (points (n, 3), face_indices (n,)):
+        NaN rows and -1 for misses. Ties on t resolve to the lowest face index.
         """
         o = np.asarray(origins, dtype=float)
         d = np.asarray(direction, dtype=float)
         if o.ndim != 2 or o.shape[1] != 3 or d.shape != (3,):
             raise InvalidInputError("origins must have shape (n, 3), direction (3,)")
+        if not np.all(np.abs(o) < 1e307):  # NaN fails too; projections stay finite
+            raise InvalidInputError("origins must be finite and below 1e307 in magnitude")
         norm = np.linalg.norm(d)
         if not np.isfinite(norm) or norm == 0.0:
             raise InvalidInputError("direction must be non-zero")
         d = d / norm
 
-        v0 = self._vertices[self._faces[:, 0]]
-        e1 = self._vertices[self._faces[:, 1]] - v0
-        e2 = self._vertices[self._faces[:, 2]] - v0
-        h = np.cross(d[None, :], e2)
-        det = np.einsum("ij,ij->i", e1, h)
-        ok = np.abs(det) > 1e-12
-        det = np.where(ok, det, 1.0)
-
-        points = np.full((o.shape[0], 3), np.nan)
-        faces = np.full(o.shape[0], -1, dtype=np.int64)
+        _, _, centroids, max_radius = self._ensure_accel()
+        if self._rays is None or self._rays[0] != tuple(d):
+            v0, v1, v2 = self._vertices[self._faces].transpose(1, 0, 2)
+            e1, e2 = v1 - v0, v2 - v0
+            h = np.cross(d[None, :], e2)
+            basis = np.linalg.svd(d[None, :])[2][1:]  # orthonormal, normal to d
+            self._rays = (tuple(d), basis, cKDTree(centroids @ basis.T),
+                          v0, e1, e2, h, np.einsum("ij,ij->i", e1, h))
+        _, basis, tree, v0, e1, e2, h, det = self._rays
         eps = 1e-9
-        chunk = max(1, 4_000_000 // self._faces.shape[0])  # ~100 MB per (c, f, 3) temporary
-        for lo in range(0, o.shape[0], chunk):
-            oc = o[lo:lo + chunk]
-            s = oc[:, None, :] - v0[None, :, :]
-            u = np.einsum("cfj,fj->cf", s, h) / det
-            qv = np.cross(s, e1[None, :, :])
-            v = np.einsum("j,cfj->cf", d, qv) / det
-            t = np.einsum("fj,cfj->cf", e2, qv) / det
+
+        def hits(qidx, f):  # per (origin, face) pair: t and point of the hit
+            ok = np.abs(det[f]) > 1e-12
+            det_f = np.where(ok, det[f], 1.0)
+            s = o[qidx] - v0[f]
+            u = np.einsum("ij,ij->i", s, h[f]) / det_f
+            qv = np.cross(s, e1[f])
+            v = np.einsum("j,ij->i", d, qv) / det_f
+            t = np.einsum("ij,ij->i", e2[f], qv) / det_f
             hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > eps)
-            t = np.where(hit, t, np.inf)
-            idx = np.argmin(t, axis=1)
-            t_best = t[np.arange(oc.shape[0]), idx]
-            good = np.isfinite(t_best)
-            points[lo:lo + chunk][good] = oc[good] + t_best[good, None] * d
-            faces[lo:lo + chunk][good] = idx[good]
+            return np.where(hit, t, np.inf), o[qidx] + np.where(hit, t, 0.0)[:, None] * d
+
+        # the eps tests admit each triangle scaled by 1 + 3 eps about its
+        # centroid; the slack covers that and the projections' rounding
+        radii = np.full(o.shape[0], max_radius * (1.0 + 1e-6) + 1e-9)
+        _, faces, points = _first_minimum(tree, o @ basis.T, radii, hits)
         return points, faces
 
     # -- serialization ----------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different computational route from the code
 under test (candidate enumeration instead of region classification, dense
-solves instead of Cholesky, scipy instead of hand-rolled math).
+solves instead of Cholesky, scipy instead of hand-rolled math, every face
+instead of an index).
 """
 
 import numpy as np
@@ -48,6 +49,45 @@ def closest_point_brute(vertices, faces, q):
         if d < best_d:
             best_d, best_p, best_f = d, p, f
     return best_p, best_f, best_d
+
+
+def raycasts_brute(mesh, origins, direction):
+    """Möller-Trumbore against every face of `mesh`, in chunks of origins.
+
+    The caster `TriMesh.raycasts` replaced with an index: it must return the
+    same (points, face_indices) bit for bit.
+    """
+    o = np.asarray(origins, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
+    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
+    h = np.cross(d[None, :], e2)
+    det = np.einsum("ij,ij->i", e1, h)
+    ok = np.abs(det) > 1e-12
+    det = np.where(ok, det, 1.0)
+
+    points = np.full((o.shape[0], 3), np.nan)
+    faces = np.full(o.shape[0], -1, dtype=np.int64)
+    eps = 1e-9
+    chunk = max(1, 4_000_000 // mesh.faces.shape[0])  # ~100 MB per (c, f, 3) temporary
+    for lo in range(0, o.shape[0], chunk):
+        oc = o[lo:lo + chunk]
+        s = oc[:, None, :] - v0[None, :, :]
+        u = np.einsum("cfj,fj->cf", s, h) / det
+        qv = np.cross(s, e1[None, :, :])
+        v = np.einsum("j,cfj->cf", d, qv) / det
+        t = np.einsum("fj,cfj->cf", e2, qv) / det
+        hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > eps)
+        t = np.where(hit, t, np.inf)
+        idx = np.argmin(t, axis=1)
+        t_best = t[np.arange(oc.shape[0]), idx]
+        good = np.isfinite(t_best)
+        points[lo:lo + chunk][good] = oc[good] + t_best[good, None] * d
+        faces[lo:lo + chunk][good] = idx[good]
+    return points, faces
 
 
 def rotation_from_euler(rx_deg, ry_deg, rz_deg):

@@ -16,7 +16,7 @@ from palpmap.errors import ConfigError, InvalidInputError
 from palpmap.geometry import load_mesh, make_transform
 from palpmap.make_demo import write_demo
 from palpmap.schema import schema_default
-from palpmap.simulator import (PhantomSpec, StiffnessBump, make_surface_mesh,
+from palpmap.simulator import (PhantomSpec, StiffnessBump, load_phantom, make_surface_mesh,
                                save_phantom)
 
 
@@ -631,8 +631,26 @@ class TestOtherCommands:
         assert main(["ground-truth", str(phantom), "--spacing", "4",
                      "--out", str(out)]) == 0
         lines = (out / "ground_truth_map.csv").read_text().strip().split("\n")
-        assert len(lines) == 1 + 14 * 14  # mesh bounds span 52mm, spacing 4
+        assert len(lines) == 1 + 14 * 14  # tool-frame mesh bounds span 52-53 mm, spacing 4
         assert (out / "ground_truth.pgm").exists()
+
+    def test_ground_truth_rows_are_the_scored_map(self, tmp_path):
+        """Each row holds the map `evaluate` scores against, at the row's tool-frame (x, y)."""
+        write_demo(tmp_path)
+        out = tmp_path / "gt"
+        assert main(["ground-truth", str(tmp_path / "phantom.json"), "--out", str(out)]) == 0
+        rows = np.array([[float(v) for v in line.split(",")] for line in
+                         (out / "ground_truth_map.csv").read_text().strip().split("\n")[1:]])
+        spec = load_phantom(tmp_path / "phantom.json")
+        assert np.array_equal(rows[:, 2], cli._ground_truth_map(spec, rows[:, :2]),
+                              equal_nan=True)
+        misses = np.isnan(rows[:, 2])
+        assert 0 < misses.sum() < len(rows) / 2
+        pixels = np.frombuffer((out / "ground_truth.pgm").read_bytes().split(b"\n", 3)[3],
+                               dtype=np.uint8)
+        assert np.all(pixels[misses] == 0) and pixels[~misses].max() == 255
+        lo = rows[~misses, 2].min()
+        assert np.all(pixels[~misses][rows[~misses, 2] == lo] == 0)
 
     def test_ground_truth_bad_spacing(self, tmp_path):
         phantom = small_phantom(tmp_path)

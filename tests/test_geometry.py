@@ -1,13 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from palpmap import geometry
+from palpmap.cli import load_config
 from palpmap.errors import DegenerateGeometryError, InvalidInputError
 from palpmap.geometry import (RigidTransform, TriMesh, load_mesh,
                               make_transform, rigid_fit_svd, rms_error)
+from palpmap.make_demo import write_demo
+from palpmap.simulator import (ROI, artery_phantom, initial_samples, load_phantom,
+                               prediction_grid, tool_rays, uniform_lattice)
 
 from _oracles import (closest_point_brute, closest_point_on_triangle,
-                      euler_from_rotation, rotation_from_euler)
+                      euler_from_rotation, raycasts_brute, rotation_from_euler)
 
 
 def random_transform(rng, max_t=50.0, max_deg=179.0):
@@ -307,6 +314,13 @@ class TestTriMesh:
         points, faces = mesh.raycasts(np.zeros((0, 3)), np.array([0.0, 0, -1]))
         assert points.shape == (0, 3) and faces.shape == (0,)
 
+    def test_raycasts_reject_non_finite_origins(self):
+        mesh = lumpy_mesh()
+        for bad in (np.nan, np.inf, 2e307):
+            with pytest.raises(InvalidInputError, match="finite and below 1e307"):
+                mesh.raycasts(np.array([[1.0, 1.0, 5.0], [bad, 1.0, 5.0]]),
+                              np.array([0.0, 0, -1]))
+
     def test_obj_roundtrip(self, tmp_path):
         mesh = lumpy_mesh(4, 4)
         path = tmp_path / "m.obj"
@@ -348,3 +362,96 @@ class TestTriMesh:
         lo, hi = mesh.bounds()
         assert np.all(lo <= hi)
         assert lo[0] == 0.0 and hi[0] == 12.0
+
+
+def assert_casts_match_oracle(mesh, origins, direction):
+    points, faces = mesh.raycasts(origins, direction)
+    want_points, want_faces = raycasts_brute(mesh, origins, direction)
+    assert np.array_equal(faces, want_faces)
+    assert np.array_equal(points, want_points, equal_nan=True)
+    return faces
+
+
+class TestRaycastIndex:
+    """`raycasts` tests only the faces under each ray, and must equal the
+    brute-force caster that tests every face bit for bit."""
+
+    @pytest.mark.parametrize("workload", ["demo-1mm", "demo-0.5mm", "artery-1.5mm"])
+    def test_workload_rays_match_oracle(self, tmp_path, workload):
+        if workload == "artery-1.5mm":
+            spec, roi, budgets = artery_phantom(), ROI(0.0, 60.0, 0.0, 60.0, 1.5), [100]
+        else:
+            config = load_config(write_demo(tmp_path) / "config.json")
+            spec = load_phantom(config.phantom_path)
+            spacing, budgets = {"demo-1mm": (1.0, [100]), "demo-0.5mm": (0.5, [300])}[workload]
+            roi = dataclasses.replace(config.roi, spacing=spacing)
+        for targets in [prediction_grid(roi), initial_samples(roi),
+                        *(uniform_lattice(roi, budget) for budget in budgets)]:
+            faces = assert_casts_match_oracle(spec.mesh, *tool_rays(spec, targets))
+            assert np.all(faces >= 0)
+        # one-row casts, as `probe` makes them
+        for target in initial_samples(roi):
+            assert_casts_match_oracle(spec.mesh, *tool_rays(spec, target[None, :]))
+
+    def test_misses_parallel_faces_and_ties_match_oracle(self):
+        # face 0 below, face 1 above it, face 2 a copy of face 1 (exact tie),
+        # face 3 vertical: parallel to -z, and under the rays of +x
+        verts = np.array([[0.0, 0, 0], [8, 0, 0], [0, 8, 0],
+                          [0.0, 0, 2], [4, 0, 2], [0, 4, 2],
+                          [0.0, 0, 2], [4, 0, 2], [0, 4, 2],
+                          [6.0, 0, -1], [6, 8, -1], [6, 0, 6]])
+        mesh = TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]))
+        origins = np.array([[1.0, 1.0, 5.0], [5.0, 1.0, 5.0], [6.0, 1.0, 5.0],
+                            [10.0, 10.0, 5.0], [1.0, 1.0, -5.0], [0.5, 0.5, 1.0],
+                            [-3.0, 1.0, 0.5], [0.0, 0.0, 5.0]])
+        down = np.array([0.0, 0, -1])
+        faces = assert_casts_match_oracle(mesh, origins, down)
+        assert faces.tolist() == [1, 0, 0, -1, -1, 0, -1, 1]
+        assert assert_casts_match_oracle(mesh, origins, np.array([1.0, 0, 0]))[6] == 3
+        # every ray outside the footprint: no candidate at all
+        far = origins + np.array([100.0, 0.0, 0.0])
+        assert np.all(assert_casts_match_oracle(mesh, far, down) == -1)
+        assert np.all(assert_casts_match_oracle(mesh, far[:1], down) == -1)
+
+    def test_directions_in_turn_match_oracle(self):
+        """The index is kept per direction: casting another one rebuilds it."""
+        mesh = lumpy_mesh(10, 10)
+        rng = np.random.default_rng(11)
+        origins = np.column_stack([rng.uniform(-5.0, 45.0, (300, 2)), np.full(300, 10.0)])
+        directions = [np.array([0.0, 0, -1]), np.array([0.3, -0.2, -1.0]),
+                      np.array([0.0, 0, -2]), np.array([0.3, -0.2, -1.0]), np.array([1.0, 0, 0])]
+        hits = [assert_casts_match_oracle(mesh, origins, d) for d in directions]
+        assert np.array_equal(hits[0], hits[2]) and np.array_equal(hits[1], hits[3])
+        assert not np.array_equal(hits[0], hits[1])
+
+    def test_chunks_bound_the_pairs(self, monkeypatch):
+        """One huge face makes every face a candidate of every ray."""
+        mesh = lumpy_mesh(6, 6)
+        huge = np.array([[-1e3, -1e3, -20.0], [1e3, -1e3, -20.0], [0.0, 1e3, -20.0]])
+        mesh = TriMesh(np.vstack([mesh.vertices, huge]),
+                       np.vstack([mesh.faces, np.arange(3) + mesh.vertices.shape[0]]))
+        rng = np.random.default_rng(12)
+        origins = np.column_stack([rng.uniform(-5.0, 30.0, (50, 2)), np.full(50, 10.0)])
+        down = np.array([0.1, 0.05, -1.0])
+        faces_per_chunk = []
+        original = geometry._first_minimum
+
+        def recording(tree, points, radii, score):
+            def counted(qidx, fidx):
+                faces_per_chunk.append(fidx.shape[0])
+                return score(qidx, fidx)
+            return original(tree, points, radii, counted)
+
+        monkeypatch.setattr(geometry, "_MAX_PAIRS", 7 * mesh.faces.shape[0])
+        monkeypatch.setattr(geometry, "_first_minimum", recording)
+        faces = assert_casts_match_oracle(mesh, origins, down)
+        assert faces_per_chunk == [7 * mesh.faces.shape[0]] * 7 + [mesh.faces.shape[0]]
+        assert np.any(faces == mesh.faces.shape[0] - 1) and np.any(faces < mesh.faces.shape[0] - 1)
+
+    def test_closest_points_unchanged_by_chunks(self, monkeypatch):
+        mesh = lumpy_mesh()
+        queries = np.random.default_rng(13).uniform(-10.0, 50.0, (200, 3))
+        whole = mesh.closest_points(queries)
+        monkeypatch.setattr(geometry, "_MAX_PAIRS", 3 * mesh.faces.shape[0])
+        for got, want in zip(mesh.closest_points(queries), whole):
+            assert np.array_equal(got, want)

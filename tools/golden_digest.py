@@ -9,6 +9,7 @@ Runs, at master seed N (default 1), the scenarios
   demo-compare     `palpmap compare` on the same bundle
   artery-compare   `palpmap compare` on the artery phantom (1.5 mm grid)
   scaled-run       `palpmap run`, noise-free, budget 300, 0.5 mm grid
+  ground-truth     `palpmap ground-truth --spacing 1` on the make_demo phantom
 
 with the palpmap in this checkout's `src/`, and prints one line per file
 they wrote, inputs included: `<sha256>  <scenario>/<path>`, sorted.
@@ -73,12 +74,19 @@ def _artery(directory: Path, seed: int) -> Path:
     return path
 
 
-# name: (palpmap command, writer of the scenario's inputs)
+def _ground_truth(directory: Path, seed: int) -> list:
+    """The make_demo bundle; the map it writes does not depend on the seed."""
+    write_demo(directory)
+    return [directory / "phantom.json", "--spacing", "1", "--out", directory / "out"]
+
+
+# name: (palpmap command, writer of the scenario's inputs returning the command's arguments)
 SCENARIOS = {
-    "demo-run": ("run", _demo),
-    "demo-compare": ("compare", _demo),
-    "artery-compare": ("compare", _artery),
-    "scaled-run": ("run", _scaled),
+    "demo-run": ("run", lambda directory, seed: [_demo(directory, seed)]),
+    "demo-compare": ("compare", lambda directory, seed: [_demo(directory, seed)]),
+    "artery-compare": ("compare", lambda directory, seed: [_artery(directory, seed)]),
+    "scaled-run": ("run", lambda directory, seed: [_scaled(directory, seed)]),
+    "ground-truth": ("ground-truth", _ground_truth),
 }
 
 
@@ -177,9 +185,9 @@ def main(argv=None) -> int:
     with contextlib.ExitStack() as stack:
         workdir = args.workdir or Path(stack.enter_context(tempfile.TemporaryDirectory()))
         for name, (command, write_inputs) in SCENARIOS.items():
-            config = write_inputs(workdir / name, args.seed)
+            arguments = write_inputs(workdir / name, args.seed)
             with contextlib.redirect_stdout(io.StringIO()):
-                status = palpmap_main([command, str(config)])
+                status = palpmap_main([command, *map(str, arguments)])
             if status != 0:
                 print(f"{name}: palpmap {command} exited {status}", file=sys.stderr)
                 return status
