@@ -38,7 +38,8 @@ def expected_improvement(mean, std, incumbent_value: float):
     """Expected improvement of a Gaussian belief over the incumbent.
 
     (mu - best) * Phi(z) + sigma * phi(z) with z = (mu - best) / sigma for
-    sigma > 0, and exactly 0 where sigma == 0. Accepts scalars or arrays.
+    sigma > 0, and exactly 0 where sigma == 0. Returns an array of the
+    inputs' broadcast shape; for scalar inputs, a float64 scalar.
     """
     mu = np.asarray(mean, dtype=float)
     sigma = np.asarray(std, dtype=float)
@@ -53,10 +54,7 @@ def expected_improvement(mean, std, incumbent_value: float):
     z = imp / safe
     pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
     ei = np.where(positive, imp * ndtr(z) + sigma * pdf, 0.0)
-    ei = np.maximum(ei, 0.0)  # guard the far-negative-z float cancellation
-    if np.isscalar(mean) or (isinstance(mean, np.ndarray) and mean.ndim == 0):
-        return float(ei)
-    return ei
+    return np.maximum(ei, 0.0)  # guard the far-negative-z float cancellation
 
 
 def select_next(prediction: Prediction, grid, visited: Iterable[int],

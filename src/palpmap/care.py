@@ -1,15 +1,18 @@
 """Contact-based stiffness estimation and complementary model-update registration.
 
 Raw probe measurements (tool-frame position, normal force magnitude, sensed
-surface normal) are grouped into compatible sets, each set yields a local
-stiffness estimate from a force-vs-depth line fit, and the sets drive an
-iterative closest-point style registration: the low-force reference point of
-each set is matched to the mesh, pushed inward along the surface normal by the
-predicted indentation force/stiffness, and the pose takes one linearised
-point-to-plane Gauss-Newton step towards those targets (Chen & Medioni 1992;
-Rusinkiewicz & Levoy 2001). A seed stops as soon as its objective stops
-falling, its step becomes negligible, or it reaches the iteration cap. Every
-iterate is scored at one site: a batched round over the seeds.
+surface normal) are grouped into compatible sets; the `SetCollector` alone
+gives each set its number (its creation slot, fixed for life), its reference
+(the first member of least force) and its location (the reference's x-y).
+Each set yields a local stiffness estimate from a force-vs-depth line fit,
+and the sets drive an iterative closest-point style registration: the
+reference point of each set is matched to the mesh, pushed inward along the
+surface normal by the predicted indentation force/stiffness, and the pose
+takes one linearised point-to-plane Gauss-Newton step towards those targets
+(Chen & Medioni 1992; Rusinkiewicz & Levoy 2001). A seed stops as soon as its
+objective stops falling, its step becomes negligible, or it reaches the
+iteration cap. Every iterate is scored at one site: a batched round over the
+seeds.
 """
 
 from __future__ import annotations
@@ -68,7 +71,11 @@ class ProbeMeasurement:
 
 @dataclass(frozen=True)
 class CompatibleSet:
-    """Indices of measurements judged to probe the same surface patch."""
+    """Indices of measurements judged to probe the same surface patch.
+
+    `index` is the set's creation order among all groups of its
+    `SetCollector`, singletons included; it never changes as the set grows.
+    """
 
     index: int
     member_indices: Tuple[int, ...]
@@ -91,22 +98,15 @@ class CompatibleSet:
 
 @dataclass(frozen=True)
 class StiffnessSample:
-    """Local stiffness estimate attached to a surface location."""
+    """Local stiffness estimate of set `set_index`, located at the set's `location`."""
 
-    location: np.ndarray
     stiffness: float
     set_index: int
     degenerate: bool = False
 
     def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float)
-        if loc.shape != (2,):
-            raise InvalidInputError("sample location must have shape (2,)")
         if not (np.isfinite(self.stiffness) and self.stiffness > 0.0):
             raise InvalidInputError("stiffness must be > 0")
-        loc = loc.copy()
-        loc.flags.writeable = False
-        object.__setattr__(self, "location", loc)
 
 
 def default_seed_transforms(count: int = 10, max_translation: float = 10.0,
@@ -170,17 +170,20 @@ class SetCollector:
     The anchor is the set's first measurement. Grouping depends only on the
     measurement prefix, so adding measurements never reshuffles earlier sets.
 
-    Each slot keeps the `CompatibleSet` it last built. `add` drops the cache
-    of the slot it touched, and `sets` rebuilds only such slots and those whose
-    output index moved (an earlier singleton became a set); every other set is
-    returned as the same object as before.
+    Each group owns a slot, numbered in creation order, and the slot number
+    is the set's `index` for life. `add` keeps each slot's reference, the
+    first member of least force, and its x-y. Each slot keeps the
+    `CompatibleSet` it last built; `add` drops the cache of the slot it
+    touched, so `sets` rebuilds only those and returns every other set as
+    the same object as before.
     """
 
     def __init__(self, config: CMUConfig):
         self._config = config
         self._count = 0
         self._members: List[List[int]] = []
-        self._forces: List[List[float]] = []
+        self._references: List[int] = []
+        self._locations: List[np.ndarray] = []
         self._built: List[Optional[CompatibleSet]] = []
         # per-slot geometry and force range, one row each, grown when a slot opens
         self._anchors = np.zeros((0, 3))
@@ -213,8 +216,10 @@ class SetCollector:
 
         if hit >= 0:
             self._members[hit].append(idx)
-            self._forces[hit].append(force)
-            self._fmin[hit] = min(self._fmin[hit], force)
+            if force < self._fmin[hit]:  # strictly lower: the first least force stays
+                self._references[hit] = idx
+                self._locations[hit] = pos[:2]
+                self._fmin[hit] = force
             self._fmax[hit] = max(self._fmax[hit], force)
             self._built[hit] = None
             return hit
@@ -222,31 +227,27 @@ class SetCollector:
         self._anchors = np.vstack([self._anchors, pos])
         self._normals = np.vstack([self._normals, nrm])
         self._members.append([idx])
-        self._forces.append([force])
+        self._references.append(idx)
+        self._locations.append(pos[:2])
         self._built.append(None)
         self._fmin = np.append(self._fmin, force)
         self._fmax = np.append(self._fmax, force)
         return len(self._members) - 1
 
-    def sets(self, measurements: Sequence[ProbeMeasurement]) -> List[CompatibleSet]:
-        """Finished sets with >= 2 members; singletons are discarded.
-
-        `measurements` must be the measurements passed to `add`, in order.
-        """
+    def sets(self) -> List[CompatibleSet]:
+        """Finished sets with >= 2 members, in slot order; singletons are left out."""
         out: List[CompatibleSet] = []
-        for slot, (members, forces) in enumerate(zip(self._members, self._forces)):
+        for slot, members in enumerate(self._members):
             if len(members) < 2:
                 continue
-            built = self._built[slot]
-            if built is None or built.index != len(out):
-                ref = members[int(np.argmin(forces))]
-                built = self._built[slot] = CompatibleSet(
-                    index=len(out),
+            if self._built[slot] is None:
+                self._built[slot] = CompatibleSet(
+                    index=slot,
                     member_indices=tuple(members),
-                    reference_index=ref,
-                    location=measurements[ref].position[:2],
+                    reference_index=self._references[slot],
+                    location=self._locations[slot],
                 )
-            out.append(built)
+            out.append(self._built[slot])
         return out
 
 
@@ -256,7 +257,7 @@ def collect_sets(measurements: Sequence[ProbeMeasurement],
     collector = SetCollector(config)
     for m in measurements:
         collector.add(m)
-    return collector.sets(measurements)
+    return collector.sets()
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +285,7 @@ def estimate_stiffness(cset: CompatibleSet,
         slope = float(np.dot(d_centered, forces - forces.mean())
                       / np.dot(d_centered, d_centered))
     degenerate = slope < _MIN_STIFFNESS
-    return StiffnessSample(location=cset.location,
-                           stiffness=max(slope, _MIN_STIFFNESS),
+    return StiffnessSample(stiffness=max(slope, _MIN_STIFFNESS),
                            set_index=cset.index,
                            degenerate=degenerate)
 

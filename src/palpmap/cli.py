@@ -2,13 +2,15 @@
 
 The closed loop: probe the 19 startup targets, then for each budgeted step
 update the compatible sets with the new measurements, estimate stiffness for
-the sets that are new or changed (the others keep their samples),
+the sets that are new or grew (a set keeps its number for life, so its
+members alone identify its sample; the others keep their samples),
 re-register the probed points to the mesh, refit the GP in the tool frame
 (its Cholesky factor grows by block append from the previous update's when
 inputs were only appended, and from an empty one otherwise), predict over
 the ROI grid (whitening the grid rows of appended inputs, or of all inputs
 onto empty rows after a fit from scratch), and let the sampling policy pick
-the next target. The reuse of sets and samples is bit-identical to
+the next target: EI, or the uniform lattice in one batch, as
+`config.strategy` names. The reuse of sets and samples is bit-identical to
 recomputing them; a GP factor grown from the previous one equals a fit from
 scratch at the same jitter to rounding (see `gp`).
 
@@ -187,7 +189,6 @@ class RunArtifacts:
     """Everything the closed loop produced, for `evaluate`, writers and tests."""
 
     config: ExperimentConfig
-    strategy: str
     phantom: PhantomSpec
     grid: np.ndarray
     prediction: Prediction
@@ -219,16 +220,12 @@ def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
     return values
 
 
-def execute_experiment(config: ExperimentConfig,
-                       strategy: Optional[str] = None) -> RunArtifacts:
-    """Run the closed loop through its final update and return its state.
+def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
+    """Run the closed loop of `config.strategy` to its final update; return its state.
 
     Nothing is scored (see `evaluate`) and nothing is written.
     """
     t_start = time.perf_counter()
-    strategy = strategy or config.strategy
-    if strategy not in _STRATEGIES:
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
     phantom = load_phantom(config.phantom_path)
     # distinct tags give independent streams of the one master seed
     rng_explore = np.random.default_rng([config.master_seed, 0])
@@ -254,32 +251,31 @@ def execute_experiment(config: ExperimentConfig,
 
     configured = config.cmu.seed_transforms
     warm_start: Optional[RigidTransform] = None  # the previous update's winner
-    # the previous update's samples by (index, members, reference) of their
-    # set, its GP fit and its grid rows: what a probe leaves unchanged is
-    # reused, not recomputed
-    known: Dict[tuple, StiffnessSample] = {}
+    # the previous update's samples by the members of their set (which fix
+    # its number, reference and location), its GP fit and its grid rows:
+    # what a probe leaves unchanged is reused, not recomputed
+    known: Dict[Tuple[int, ...], StiffnessSample] = {}
     fitted: Optional[GPModel] = None
     cross = CrossCovariance()
 
     def update(seeds: Tuple[RigidTransform, ...]):
         nonlocal warm_start, known, fitted
-        sets = collector.sets(measurements)
-        keys = [(cset.index, cset.member_indices, cset.reference_index) for cset in sets]
-        samples = [known[key] if key in known else estimate_stiffness(cset, measurements)
-                   for key, cset in zip(keys, sets)]
-        known = dict(zip(keys, samples))
+        sets = collector.sets()
+        samples = [known.get(cset.member_indices) or estimate_stiffness(cset, measurements)
+                   for cset in sets]
+        known = {cset.member_indices: sample for cset, sample in zip(sets, samples)}
         cmu_cfg = dataclasses.replace(config.cmu, seed_transforms=seeds)
         registration = cmu_register(sets, samples, phantom.mesh, measurements, cmu_cfg)
         warm_start = registration.transform
-        valid = [m for m in samples if not m.degenerate]
-        training = TrainingSet([m.location for m in valid],
-                               [m.stiffness for m in valid])
+        valid = [(cset, m) for cset, m in zip(sets, samples) if not m.degenerate]
+        training = TrainingSet([cset.location for cset, _ in valid],
+                               [m.stiffness for _, m in valid])
         model = fitted = gp_fit(training, config.kernel, previous=fitted)
         prediction = gp_predict(model, grid, cross)
         trace.append((len(targets), registration))
         return sets, samples, training, model, prediction
 
-    if strategy == "ei":
+    if config.strategy == "ei":
         for step in range(1, config.budget + 1):
             # the first update searches every configured seed, later ones
             # start from the previous winner alone
@@ -303,8 +299,8 @@ def execute_experiment(config: ExperimentConfig,
     ei_map = expected_improvement(prediction.mean, prediction.std,
                                   float(training.outputs.max()))
     return RunArtifacts(
-        config=config, strategy=strategy, phantom=phantom, grid=grid,
-        prediction=prediction, ei_map=np.asarray(ei_map), sets=sets, samples=samples,
+        config=config, phantom=phantom, grid=grid, prediction=prediction,
+        ei_map=ei_map, sets=sets, samples=samples,
         measurements=measurements, probe_targets=targets, trace=trace,
         gp_jitter_used=model.jitter_used, seconds=time.perf_counter() - t_start,
     )
@@ -340,7 +336,7 @@ def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
         diff = mean - gt
         flat = np.std(gt) < 1e-15 or np.std(mean) < 1e-15
         reports.append(ExperimentReport(
-            strategy=art.strategy, probe_count=len(art.probe_targets),
+            strategy=art.config.strategy, probe_count=len(art.probe_targets),
             true_transform=truth, estimated_transform=estimate,
             translation_error_mm=tuple(abs(float(e - t)) for e, t
                                        in zip(estimate.translation, truth.translation)),
@@ -457,11 +453,12 @@ def compare_strategies(config: ExperimentConfig) -> List[ExperimentReport]:
     comparison.json at the top level holds the map RMSE over the whole grid
     and over the top-decile-stiffness region. Returns the reports, EI first.
     """
-    runs = [execute_experiment(config, strategy=strategy) for strategy in _STRATEGIES]
+    runs = [execute_experiment(dataclasses.replace(config, strategy=strategy))
+            for strategy in _STRATEGIES]
     reports = evaluate(runs)
     out = Path(config.output_dir)
     for art, report in zip(runs, reports):
-        write_run_outputs(art, report, out / art.strategy)
+        write_run_outputs(art, report, out / report.strategy)
     summary = {
         "master_seed": int(config.master_seed),
         "budget": int(config.budget),

@@ -327,12 +327,7 @@ class TriMesh:
             corners = self._vertices[self._faces]
             centroids = corners.mean(axis=1)
             radii = np.linalg.norm(corners - centroids[:, None, :], axis=2).max(axis=1)
-            self._accel = (
-                cKDTree(self._vertices),
-                cKDTree(centroids),
-                centroids,
-                float(radii.max()),
-            )
+            self._accel = (cKDTree(centroids), centroids, float(radii.max()))
         return self._accel
 
     def closest_points(self, queries) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -342,13 +337,14 @@ class TriMesh:
         Ties between faces resolve to the lowest face index.
         """
         q = _as_points(queries, "queries")
-        vertex_tree, centroid_tree, _, max_radius = self._ensure_accel()
+        centroid_tree, _, max_radius = self._ensure_accel()
 
-        upper, _ = vertex_tree.query(q)
-        # Any face holding a point closer than `upper` has its centroid within
-        # upper + r_f of the query, so this ball is an exact candidate filter;
-        # the relative slack keeps it so where rounding of a far query's
-        # distances exceeds any absolute one.
+        # A centroid lies on its own face, so the nearest one bounds the
+        # closest distance from above. Any face holding a point closer than
+        # `upper` has its centroid within upper + r_f of the query, so this
+        # ball is an exact candidate filter; the relative slack keeps it so
+        # where rounding of a far query's distances exceeds any absolute one.
+        upper, _ = centroid_tree.query(q)
         radii = (upper + max_radius) * (1.0 + 1e-9) + 1e-9
         if not np.all(radii <= _MAX_QUERY_DISTANCE):
             raise InvalidInputError("queries lie too far from the mesh: their squared "
@@ -387,7 +383,7 @@ class TriMesh:
             raise InvalidInputError("direction must be non-zero")
         d = d / norm
 
-        _, _, centroids, max_radius = self._ensure_accel()
+        _, centroids, max_radius = self._ensure_accel()
         if self._rays is None or self._rays[0] != tuple(d):
             v0, v1, v2 = self._vertices[self._faces].transpose(1, 0, 2)
             e1, e2 = v1 - v0, v2 - v0

@@ -16,7 +16,7 @@ def write_demo(directory) -> Path:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     spec = multimodal_phantom()
-    save_phantom(spec, out / "phantom.json", mesh_filename="mesh.obj")
+    save_phantom(spec, out / "phantom.json")
     config = {
         "phantom": "phantom.json",
         "roi": {"xmin": 0.0, "xmax": 40.0, "ymin": 0.0, "ymax": 40.0,

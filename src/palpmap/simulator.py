@@ -369,21 +369,15 @@ _ARTERY_KNOLLS = (
 )
 
 
-def multimodal_phantom(center_offset: Tuple[float, float] = (0.0, 0.0),
-                       true_transform: Optional[RigidTransform] = None) -> PhantomSpec:
-    """Curved surface with three stiff inclusions.
-
-    `center_offset` shifts every inclusion center (used to derive a perturbed
-    variant of the same phantom).
-    """
+def multimodal_phantom(true_transform: Optional[RigidTransform] = None) -> PhantomSpec:
+    """Curved surface with three stiff inclusions."""
     if true_transform is None:
         true_transform = make_transform(5.0, 10.0, -15.0, 11.46, -11.46, 5.73)
     mesh = _demo_surface(-40.0, 90.0, -35.0, 95.0, _MULTIMODAL_KNOLLS)
-    dx, dy = float(center_offset[0]), float(center_offset[1])
     bumps = (
-        StiffnessBump(center=(12.0 + dx, 25.0 + dy), amplitude=2.0, radius=4.0),
-        StiffnessBump(center=(28.0 + dx, 45.0 + dy), amplitude=1.5, radius=5.0),
-        StiffnessBump(center=(33.0 + dx, 20.0 + dy), amplitude=2.5, radius=3.5),
+        StiffnessBump(center=(12.0, 25.0), amplitude=2.0, radius=4.0),
+        StiffnessBump(center=(28.0, 45.0), amplitude=1.5, radius=5.0),
+        StiffnessBump(center=(33.0, 20.0), amplitude=2.5, radius=3.5),
     )
     return PhantomSpec(mesh=mesh, baseline_stiffness=1.0, bumps=bumps,
                        artery=None, true_transform=true_transform)
@@ -434,16 +428,16 @@ PHANTOM_SCHEMA = {
 }
 
 
-def save_phantom(spec: PhantomSpec, path, mesh_filename: str = "mesh.obj"):
-    """Write the phantom JSON and its mesh (OBJ) next to it."""
+def save_phantom(spec: PhantomSpec, path):
+    """Write the phantom JSON and its mesh, `mesh.obj`, next to it."""
     path = Path(path)
-    spec.mesh.save_obj(path.parent / mesh_filename)
+    spec.mesh.save_obj(path.parent / "mesh.obj")
 
     def fields(obj, section: str) -> dict:
         return {key: getattr(obj, name) for key, name in PHANTOM_SCHEMA[section][1].items()}
 
     doc = {
-        "mesh": mesh_filename, **fields(spec, "phantom"),
+        "mesh": "mesh.obj", **fields(spec, "phantom"),
         "bumps": [fields(b, "bumps") for b in spec.bumps],
         "artery": None if spec.artery is None else fields(spec.artery, "artery"),
         "true_transform": transform_to_json(spec.true_transform),

@@ -51,6 +51,39 @@ def closest_point_brute(vertices, faces, q):
     return best_p, best_f, best_d
 
 
+def closest_points_every_face(mesh, queries):
+    """Per query, every face scored with the per-pair arithmetic of
+    `TriMesh.closest_points` (the region walk and the squared distance); the
+    first minimum wins, so the lowest face index wins ties.
+
+    This checks the candidate filter only: `closest_points` scores just the
+    faces in its ball and must return the same (points, normals,
+    face_indices, distances) bit for bit.
+    """
+    from palpmap.geometry import _closest_on_triangles
+
+    q = np.asarray(queries, dtype=float)
+    n_faces = mesh.faces.shape[0]
+    corners = mesh.vertices[mesh.faces]
+    best = np.empty(q.shape[0])
+    faces = np.empty(q.shape[0], dtype=np.int64)
+    points = np.empty((q.shape[0], 3))
+    chunk = max(1, 200_000 // n_faces)
+    for lo in range(0, q.shape[0], chunk):
+        qc = q[lo:lo + chunk]
+        qidx = np.repeat(np.arange(qc.shape[0]), n_faces)
+        c = corners[np.tile(np.arange(n_faces), qc.shape[0])]
+        pts = _closest_on_triangles(c[:, 0], c[:, 1], c[:, 2], qc[qidx])
+        diff = pts - qc[qidx]
+        d2 = np.einsum("ij,ij->i", diff, diff).reshape(qc.shape[0], n_faces)
+        idx = np.argmin(d2, axis=1)
+        rows = np.arange(qc.shape[0])
+        best[lo:lo + chunk] = d2[rows, idx]
+        faces[lo:lo + chunk] = idx
+        points[lo:lo + chunk] = pts.reshape(qc.shape[0], n_faces, 3)[rows, idx]
+    return points, mesh.face_normals[faces], faces, np.sqrt(best)
+
+
 def raycasts_brute(mesh, origins, direction):
     """Möller-Trumbore against every face of `mesh`, in chunks of origins.
 

@@ -130,7 +130,7 @@ class TestGrouping:
         collector = SetCollector(config)
         for m in ms:
             collector.add(m)
-        incremental = collector.sets(ms)
+        incremental = collector.sets()
         batch = collect_sets(ms, config)
         assert len(incremental) == len(batch)
         for a, b in zip(incremental, batch):
@@ -138,20 +138,22 @@ class TestGrouping:
             assert a.reference_index == b.reference_index
 
     def test_sets_rebuilt_only_when_changed(self):
-        """After every add the cached sets equal a fresh grouping, and a set
-        whose slot was not touched and whose index did not move is reused."""
+        """After every add the cached sets equal a fresh grouping, every set
+        keeps its slot number for life, and a set whose slot was not touched
+        is reused."""
         config = CMUConfig()
         script = (column(0.0, 0.0, steps=3)           # set 0
                   + [meas(10.0, 0.0, 0.0, 1.0)]       # a singleton slot
                   + column(20.0, 0.0, steps=3)        # set 1
                   + [meas(0.0, 0.1, 0.0, 0.1)]        # lowest force of set 0: reference moves
-                  + [meas(10.0, 0.1, -0.3, 2.0)])     # singleton becomes a set, set 1 -> 2
+                  + [meas(10.0, 0.1, -0.3, 2.0)])     # singleton slot 1 becomes a set
         collector = SetCollector(config)
-        previous = []
+        history = [[]]
         reused = 0
         for n, m in enumerate(script, start=1):
             collector.add(m)
-            current = collector.sets(script[:n])
+            previous = history[-1]
+            current = collector.sets()
             fresh = collect_sets(script[:n], config)
             assert len(current) == len(fresh)
             for a, b in zip(current, fresh):
@@ -162,11 +164,15 @@ class TestGrouping:
                         == (a.index, a.member_indices, a.reference_index)]
                 assert (same and same[0] is a) or not any(p is a for p in previous)
                 reused += bool(same)
-            previous = current
+            history.append(current)
         assert reused > 0
-        assert [s.member_indices for s in previous] == [(0, 1, 2, 7), (3, 8), (4, 5, 6)]
-        assert previous[0].reference_index == 7
-        assert np.array_equal(previous[0].location, [0.0, 0.1])
+        final, before = history[-1], history[-2]
+        assert [s.member_indices for s in final] == [(0, 1, 2, 7), (3, 8), (4, 5, 6)]
+        assert final[0].reference_index == 7
+        assert np.array_equal(final[0].location, [0.0, 0.1])
+        # the singleton became a set ahead of set 2, which kept its number and object
+        assert [s.index for s in before] == [0, 2] and [s.index for s in final] == [0, 1, 2]
+        assert final[2] is before[1]
 
     def test_set_validation(self):
         with pytest.raises(InvalidInputError):

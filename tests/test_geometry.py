@@ -11,10 +11,12 @@ from palpmap.geometry import (RigidTransform, TriMesh, load_mesh,
                               make_transform, rigid_fit_svd, rms_error)
 from palpmap.make_demo import write_demo
 from palpmap.simulator import (ROI, artery_phantom, initial_samples, load_phantom,
-                               prediction_grid, tool_rays, uniform_lattice)
+                               multimodal_phantom, prediction_grid, tool_rays,
+                               uniform_lattice)
 
 from _oracles import (closest_point_brute, closest_point_on_triangle,
-                      euler_from_rotation, raycasts_brute, rotation_from_euler)
+                      closest_points_every_face, euler_from_rotation, raycasts_brute,
+                      rotation_from_euler)
 
 
 def random_transform(rng, max_t=50.0, max_deg=179.0):
@@ -164,6 +166,24 @@ def lumpy_mesh(nx=9, ny=9):
     return make_surface_mesh(0.0, 4.0 * nx, 0.0, 4.0 * ny, 4.0, height)
 
 
+def huge_face_mesh():
+    """A 6x6 lumpy mesh plus one 2,000 mm triangle below it (the last face)."""
+    mesh = lumpy_mesh(6, 6)
+    huge = np.array([[-1e3, -1e3, -20.0], [1e3, -1e3, -20.0], [0.0, 1e3, -20.0]])
+    return TriMesh(np.vstack([mesh.vertices, huge]),
+                   np.vstack([mesh.faces, np.arange(3) + mesh.vertices.shape[0]]))
+
+
+def exact_tie_mesh():
+    """Mirror-image triangles: IEEE negation is exact, so a query on the
+    mirror plane x = 0 is bit-identically far from both faces."""
+    verts = np.array([
+        [-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [-1.0, 1.0, 0.0],
+        [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+    ])
+    return TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+
+
 class TestTriMesh:
     def test_validation(self):
         verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
@@ -220,15 +240,7 @@ class TestTriMesh:
             mesh.closest_points(np.array([[1e160, 0.0, 0.0]]))
 
     def test_exact_tie_picks_lowest_face(self):
-        # mirror-image triangles: IEEE negation is exact, so a query on the
-        # mirror plane yields bit-identical distances to both faces
-        verts = np.array([
-            [-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [-1.0, 1.0, 0.0],
-            [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0],
-        ])
-        mesh = TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
-        q = np.array([[0.0, 0.2, 1.0]])
-        _, _, fidx, _ = mesh.closest_points(q)
+        _, _, fidx, _ = exact_tie_mesh().closest_points(np.array([[0.0, 0.2, 1.0]]))
         assert fidx[0] == 0
 
     def test_closest_point_single(self):
@@ -426,10 +438,7 @@ class TestRaycastIndex:
 
     def test_chunks_bound_the_pairs(self, monkeypatch):
         """One huge face makes every face a candidate of every ray."""
-        mesh = lumpy_mesh(6, 6)
-        huge = np.array([[-1e3, -1e3, -20.0], [1e3, -1e3, -20.0], [0.0, 1e3, -20.0]])
-        mesh = TriMesh(np.vstack([mesh.vertices, huge]),
-                       np.vstack([mesh.faces, np.arange(3) + mesh.vertices.shape[0]]))
+        mesh = huge_face_mesh()
         rng = np.random.default_rng(12)
         origins = np.column_stack([rng.uniform(-5.0, 30.0, (50, 2)), np.full(50, 10.0)])
         down = np.array([0.1, 0.05, -1.0])
@@ -455,3 +464,45 @@ class TestRaycastIndex:
         monkeypatch.setattr(geometry, "_MAX_PAIRS", 3 * mesh.faces.shape[0])
         for got, want in zip(mesh.closest_points(queries), whole):
             assert np.array_equal(got, want)
+
+
+def assert_closest_match_oracle(mesh, queries):
+    got = mesh.closest_points(queries)
+    want = closest_points_every_face(mesh, queries)
+    for name, g, w in zip(("points", "normals", "faces", "distances"), got, want):
+        assert np.array_equal(g, w), name
+    return got
+
+
+class TestClosestPointFilter:
+    """`closest_points` scores only the faces in the ball its nearest
+    centroid bounds, and must equal scoring every face bit for bit."""
+
+    def test_lumpy_mesh(self):
+        queries = np.random.default_rng(21).uniform([-5, -5, -8], [41, 41, 10], (300, 3))
+        assert_closest_match_oracle(lumpy_mesh(), queries)
+
+    @pytest.mark.parametrize("phantom", [multimodal_phantom, artery_phantom])
+    def test_phantom_near_surface(self, phantom):
+        mesh = phantom().mesh
+        rng = np.random.default_rng(22)
+        centroids = mesh.vertices[mesh.faces].mean(axis=1)
+        picks = rng.choice(centroids.shape[0], 400, replace=False)
+        queries = centroids[picks] + rng.normal(0.0, 1.5, (400, 3))
+        assert_closest_match_oracle(mesh, queries)
+
+    @pytest.mark.parametrize("offset", [1e20, 1e100])
+    def test_far_queries(self, offset):
+        directions = np.random.default_rng(1).normal(size=(6, 3))
+        queries = offset * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        assert_closest_match_oracle(lumpy_mesh(), queries)
+
+    def test_huge_face(self):
+        queries = np.random.default_rng(23).uniform([-40, -40, -30], [60, 60, 15], (200, 3))
+        _, _, faces, _ = assert_closest_match_oracle(huge_face_mesh(), queries)
+        assert np.any(faces == faces.max()) and np.any(faces < faces.max())
+
+    def test_exact_tie(self):
+        queries = np.array([[0.0, 0.2, 1.0], [0.0, 0.0, -3.0], [0.0, 0.9, 0.5]])
+        _, _, faces, _ = assert_closest_match_oracle(exact_tie_mesh(), queries)
+        assert faces.tolist() == [0, 0, 0]

@@ -44,10 +44,10 @@ CALLERS = sorted(path for folder in ("src", "tests", "bench", "tools")
                  for path in (ROOT / folder).rglob("*.py"))
 
 
-def _definitions(path: Path):
-    """(line, name) of each module-level def, class and assigned name."""
+def _definitions(statements):
+    """(line, name) of each def, class and assigned name among `statements`."""
     found = []
-    for node in ast.parse(path.read_text()).body:
+    for node in statements:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.append((node.lineno, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -78,5 +78,37 @@ def test_no_unreferenced_definitions():
     package, its tests, the benchmark or the tools."""
     referenced = set().union(*(_references(path) for path in CALLERS))
     unreferenced = [f"{path.name}:{line} {name}" for path in SOURCES
-                    for line, name in _definitions(path) if name not in referenced]
+                    for line, name in _definitions(ast.parse(path.read_text()).body)
+                    if name not in referenced]
     assert unreferenced == []
+
+
+def _reads_outside_definitions(path: Path):
+    """Names `path` reads as bare names or as attributes (`care._MIN_STIFFNESS`),
+    leaving out each module-level statement's reads of the names it defines."""
+    names = set()
+    for statement in ast.parse(path.read_text()).body:
+        own = {name for _, name in _definitions([statement])}
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name not in own:
+                names.add(name)
+    return names
+
+
+def test_private_definitions_are_read_in_the_package():
+    """Every private module-level function, class and constant is read in the
+    package outside its own definition; tests, the benchmark and the tools do
+    not count, so a deletion cannot leave a dead helper behind."""
+    package = sorted((ROOT / "src" / "palpmap").glob("*.py"))
+    read = set().union(*(_reads_outside_definitions(path) for path in package))
+    dead = [f"{path.name}:{line} {name}" for path in package
+            for line, name in _definitions(ast.parse(path.read_text()).body)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert dead == []
+

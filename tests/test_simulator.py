@@ -363,10 +363,3 @@ class TestPresets:
         pts = rng.uniform(-30, 80, (500, 2))
         for spec in (multimodal_phantom(), artery_phantom()):
             assert np.all(stiffness_field(spec, pts) > 0.0)
-
-    def test_center_offset_shifts_bumps(self):
-        base = multimodal_phantom()
-        shifted = multimodal_phantom(center_offset=(1.5, -1.0))
-        for a, b in zip(base.bumps, shifted.bumps):
-            assert b.center[0] == pytest.approx(a.center[0] + 1.5)
-            assert b.center[1] == pytest.approx(a.center[1] - 1.0)
