@@ -374,26 +374,22 @@ def _write_stiffness_map(art: RunArtifacts, path: Path):
 
 
 def _write_probe_log(art: RunArtifacts, path: Path):
-    stiffness_by_measurement: Dict[int, float] = {}
-    for cset, sample in zip(art.sets, art.samples):
-        if sample.degenerate:
-            continue
-        for member in cset.member_indices:
-            stiffness_by_measurement[member] = sample.stiffness
+    # each row gets its own measurement's set's stiffness: NaN for a
+    # measurement in no set or in a degenerate one
+    stiffness = {member: sample.stiffness for cset, sample in zip(art.sets, art.samples)
+                 if not sample.degenerate for member in cset.member_indices}
 
     increment = art.config.probe.depth_increment
     steps = art.config.probe.steps
     lines = ["probe_index,target_x_mm,target_y_mm,sample_index,depth_mm,"
              "force_n,stiffness_n_per_mm"]
     for index, target in enumerate(art.probe_targets):
-        start = index * steps
-        stiffness = stiffness_by_measurement.get(start, float("nan"))
         for k in range(steps):
-            m = art.measurements[start + k]
+            row = index * steps + k
             lines.append(",".join([
                 str(index), _fmt(target[0]), _fmt(target[1]),
-                str(k + 1), _fmt((k + 1) * increment), _fmt(m.force),
-                _fmt(stiffness),
+                str(k + 1), _fmt((k + 1) * increment), _fmt(art.measurements[row].force),
+                _fmt(stiffness.get(row, float("nan"))),
             ]))
     path.write_text("\n".join(lines) + "\n")
 

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palpmap import cli
+from palpmap.care import CMUConfig, ProbeMeasurement, collect_sets, estimate_stiffness
 from palpmap.cli import CONFIG_SCHEMA, load_config, main
 from palpmap.errors import ConfigError, InvalidInputError
 from palpmap.geometry import load_mesh, make_transform
 from palpmap.make_demo import write_demo
 from palpmap.schema import schema_default
-from palpmap.simulator import (PhantomSpec, StiffnessBump, load_phantom, make_surface_mesh,
-                               save_phantom)
+from palpmap.simulator import (PhantomSpec, ProbeConfig, StiffnessBump, load_phantom,
+                               make_surface_mesh, save_phantom)
 
 
 def small_phantom(path_dir):
@@ -499,6 +501,32 @@ class TestRunCommand:
 
         stdout = capsys.readouterr().out
         assert "probes: 23" in stdout
+
+    def test_probe_log_rows_carry_their_own_sets_stiffness(self, tmp_path):
+        """Probe 0 is split across two sets; probe 1 ends its third set and
+        also holds a singleton and a degenerate set."""
+        up = np.array([0.0, 0.0, 1.0])
+        rows = [((0.0, -0.5), 1.0), ((0.0, -1.0), 2.0),   # set 0: slope 2
+                ((5.0, -1.5), 3.0), ((5.0, -2.0), 4.5),   # set 1: slope 3
+                ((5.0, -2.5), 6.0),                       # ... set 1 again
+                ((20.0, -0.5), 1.0),                      # a singleton
+                ((40.0, -1.0), 1.0), ((40.0, -1.0), 2.0)]  # zero depth span
+        measurements = [ProbeMeasurement(np.array([x, 0.0, z]), force, up)
+                        for (x, z), force in rows]
+        sets = collect_sets(measurements, CMUConfig())
+        samples = [estimate_stiffness(cset, measurements) for cset in sets]
+        assert [s.member_indices for s in sets] == [(0, 1), (2, 3, 4), (6, 7)]
+        assert [s.degenerate for s in samples] == [False, False, True]
+        art = types.SimpleNamespace(
+            config=types.SimpleNamespace(probe=ProbeConfig(depth_increment=0.5, max_depth=2.0)),
+            sets=sets, samples=samples, measurements=measurements,
+            probe_targets=[np.zeros(2), np.array([5.0, 0.0])])
+        cli._write_probe_log(art, tmp_path / "probe_log.csv")
+        lines = (tmp_path / "probe_log.csv").read_text().splitlines()[1:]
+        stiffness = [float(line.split(",")[-1]) for line in lines]
+        nan = float("nan")
+        assert stiffness == pytest.approx([2.0, 2.0, 3.0, 3.0, 3.0, nan, nan, nan],
+                                          nan_ok=True)
 
     def test_run_deterministic_bytes(self, tmp_path):
         small_phantom(tmp_path)
