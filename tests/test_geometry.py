@@ -174,14 +174,14 @@ def huge_face_mesh():
                    np.vstack([mesh.faces, np.arange(3) + mesh.vertices.shape[0]]))
 
 
-def exact_tie_mesh():
-    """Mirror-image triangles: IEEE negation is exact, so a query on the
-    mirror plane x = 0 is bit-identically far from both faces."""
-    verts = np.array([
-        [-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [-1.0, 1.0, 0.0],
-        [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0],
-    ])
-    return TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+def assert_closest_match_oracle(mesh, queries):
+    """`closest_points` scores only the faces in the ball its nearest centroid
+    bounds, and must equal scoring every face bit for bit."""
+    got = mesh.closest_points(queries)
+    want = closest_points_every_face(mesh, queries)
+    for name, g, w in zip(("points", "normals", "faces", "distances"), got, want):
+        assert np.array_equal(g, w), name
+    return got
 
 
 class TestTriMesh:
@@ -203,7 +203,7 @@ class TestTriMesh:
         mesh = lumpy_mesh()
         rng = np.random.default_rng(21)
         queries = rng.uniform([-5, -5, -8], [41, 41, 10], (200, 3))
-        pts, normals, fidx, dists = mesh.closest_points(queries)
+        pts, normals, fidx, dists = assert_closest_match_oracle(mesh, queries)
         for q, p, f, d in zip(queries, pts, fidx, dists):
             _, _, od = closest_point_brute(mesh.vertices, mesh.faces, q)
             assert abs(d - od) < 1e-9
@@ -225,7 +225,7 @@ class TestTriMesh:
         mesh = lumpy_mesh()
         directions = np.random.default_rng(1).normal(size=(6, 3))
         queries = offset * directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        pts, _, fidx, dists = mesh.closest_points(queries)
+        pts, _, fidx, dists = assert_closest_match_oracle(mesh, queries)
         for q, p, f, d in zip(queries, pts, fidx, dists):
             _, _, od = closest_point_brute(mesh.vertices, mesh.faces, q)
             assert abs(d - od) <= 1e-12 * od
@@ -240,8 +240,31 @@ class TestTriMesh:
             mesh.closest_points(np.array([[1e160, 0.0, 0.0]]))
 
     def test_exact_tie_picks_lowest_face(self):
-        _, _, fidx, _ = exact_tie_mesh().closest_points(np.array([[0.0, 0.2, 1.0]]))
-        assert fidx[0] == 0
+        # mirror-image triangles: IEEE negation is exact, so a query on the
+        # mirror plane yields bit-identical distances to both faces
+        verts = np.array([
+            [-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [-1.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+        ])
+        mesh = TriMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
+        q = np.array([[0.0, 0.2, 1.0], [0.0, 0.0, -3.0], [0.0, 0.9, 0.5]])
+        _, _, fidx, _ = assert_closest_match_oracle(mesh, q)
+        assert fidx.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("phantom", [multimodal_phantom, artery_phantom])
+    def test_phantom_near_surface_queries_match_every_face(self, phantom):
+        mesh = phantom().mesh
+        rng = np.random.default_rng(22)
+        centroids = mesh.vertices[mesh.faces].mean(axis=1)
+        picks = rng.choice(centroids.shape[0], 400, replace=False)
+        assert_closest_match_oracle(mesh, centroids[picks] + rng.normal(0.0, 1.5, (400, 3)))
+
+    def test_huge_face_queries_match_every_face(self):
+        mesh = huge_face_mesh()
+        queries = np.random.default_rng(23).uniform([-40, -40, -30], [60, 60, 15], (200, 3))
+        _, _, faces, _ = assert_closest_match_oracle(mesh, queries)
+        huge = mesh.faces.shape[0] - 1
+        assert np.any(faces == huge) and np.any(faces < huge)
 
     def test_closest_point_single(self):
         mesh = lumpy_mesh()
@@ -464,45 +487,3 @@ class TestRaycastIndex:
         monkeypatch.setattr(geometry, "_MAX_PAIRS", 3 * mesh.faces.shape[0])
         for got, want in zip(mesh.closest_points(queries), whole):
             assert np.array_equal(got, want)
-
-
-def assert_closest_match_oracle(mesh, queries):
-    got = mesh.closest_points(queries)
-    want = closest_points_every_face(mesh, queries)
-    for name, g, w in zip(("points", "normals", "faces", "distances"), got, want):
-        assert np.array_equal(g, w), name
-    return got
-
-
-class TestClosestPointFilter:
-    """`closest_points` scores only the faces in the ball its nearest
-    centroid bounds, and must equal scoring every face bit for bit."""
-
-    def test_lumpy_mesh(self):
-        queries = np.random.default_rng(21).uniform([-5, -5, -8], [41, 41, 10], (300, 3))
-        assert_closest_match_oracle(lumpy_mesh(), queries)
-
-    @pytest.mark.parametrize("phantom", [multimodal_phantom, artery_phantom])
-    def test_phantom_near_surface(self, phantom):
-        mesh = phantom().mesh
-        rng = np.random.default_rng(22)
-        centroids = mesh.vertices[mesh.faces].mean(axis=1)
-        picks = rng.choice(centroids.shape[0], 400, replace=False)
-        queries = centroids[picks] + rng.normal(0.0, 1.5, (400, 3))
-        assert_closest_match_oracle(mesh, queries)
-
-    @pytest.mark.parametrize("offset", [1e20, 1e100])
-    def test_far_queries(self, offset):
-        directions = np.random.default_rng(1).normal(size=(6, 3))
-        queries = offset * directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        assert_closest_match_oracle(lumpy_mesh(), queries)
-
-    def test_huge_face(self):
-        queries = np.random.default_rng(23).uniform([-40, -40, -30], [60, 60, 15], (200, 3))
-        _, _, faces, _ = assert_closest_match_oracle(huge_face_mesh(), queries)
-        assert np.any(faces == faces.max()) and np.any(faces < faces.max())
-
-    def test_exact_tie(self):
-        queries = np.array([[0.0, 0.2, 1.0], [0.0, 0.0, -3.0], [0.0, 0.9, 0.5]])
-        _, _, faces, _ = assert_closest_match_oracle(exact_tie_mesh(), queries)
-        assert faces.tolist() == [0, 0, 0]

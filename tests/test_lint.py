@@ -111,4 +111,3 @@ def test_private_definitions_are_read_in_the_package():
             for line, name in _definitions(ast.parse(path.read_text()).body)
             if name.startswith("_") and not name.startswith("__") and name not in read]
     assert dead == []
-
