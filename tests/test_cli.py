@@ -503,8 +503,8 @@ class TestRunCommand:
         assert "probes: 23" in stdout
 
     def test_probe_log_rows_carry_their_own_sets_stiffness(self, tmp_path):
-        """Probe 0 is split across two sets; probe 1 ends its third set and
-        also holds a singleton and a degenerate set."""
+        """Probe 0 is split across two sets; probe 1 holds the last member of
+        the second set, a singleton and a degenerate set."""
         up = np.array([0.0, 0.0, 1.0])
         rows = [((0.0, -0.5), 1.0), ((0.0, -1.0), 2.0),   # set 0: slope 2
                 ((5.0, -1.5), 3.0), ((5.0, -2.0), 4.5),   # set 1: slope 3

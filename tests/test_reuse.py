@@ -82,8 +82,9 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
     original_kernel = gp.kernel_matrix
 
     def replay(*args, **kwargs):
-        replayed.extend(script[0])
-        return script.pop(0)
+        sensed = script.pop(0)
+        replayed.extend(sensed)
+        return sensed
 
     def sets(self):
         out = original_sets(self)
