@@ -4,22 +4,23 @@ Raw probe measurements (tool-frame position, normal force magnitude, sensed
 surface normal) are grouped into compatible sets; the `SetCollector` alone
 gives each set its number (its creation slot, fixed for life), its reference
 (the first member of least force) and its location (the reference's x-y).
-Each set yields a local stiffness estimate from a force-vs-depth line fit,
-and the sets drive an iterative closest-point style registration: the
-reference point of each set is matched to the mesh, pushed inward along the
-surface normal by the predicted indentation force/stiffness, and the pose
-takes one linearised point-to-plane Gauss-Newton step towards those targets
-(Chen & Medioni 1992; Rusinkiewicz & Levoy 2001). A seed stops as soon as its
-objective stops falling, its step becomes negligible, or it reaches the
-iteration cap. Every iterate is scored at one site: a batched round over the
-seeds.
+Each set yields a local stiffness estimate from a force-vs-depth line fit, a
+`StiffnessSample` that carries its set. The samples drive an iterative
+closest-point style registration from the seed transforms each call names:
+the reference point of each sample's set is matched to the mesh, pushed
+inward along the surface normal by the predicted indentation force/stiffness,
+and the pose takes one linearised point-to-plane Gauss-Newton step towards
+those targets (Chen & Medioni 1992; Rusinkiewicz & Levoy 2001). A seed stops
+as soon as its objective stops falling, its step becomes negligible, or it
+reaches the iteration cap. Every iterate is scored at one site: a batched
+round over the seeds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,10 +99,10 @@ class CompatibleSet:
 
 @dataclass(frozen=True)
 class StiffnessSample:
-    """Local stiffness estimate of set `set_index`, located at the set's `location`."""
+    """Local stiffness estimate of the set `cset`, located at the set's `location`."""
 
     stiffness: float
-    set_index: int
+    cset: CompatibleSet
     degenerate: bool = False
 
     def __post_init__(self):
@@ -131,15 +132,13 @@ def default_seed_transforms(count: int = 10, max_translation: float = 10.0,
 
 @dataclass(frozen=True)
 class CMUConfig:
-    """Grouping thresholds and registration loop controls."""
+    """Grouping thresholds and registration loop controls; each registration names its seeds."""
 
     tangent_distance: float = 1.0       # mm
     normal_angle_deg: float = 10.0
     min_force_difference: float = 0.05  # N
     max_iterations: int = 50  # per seed; a seed that reaches it has not converged
     convergence_tolerance: float = 1e-3  # mm, max reference-point displacement
-    seed_transforms: Tuple[RigidTransform, ...] = field(
-        default_factory=default_seed_transforms)
 
     def __post_init__(self):
         if self.tangent_distance <= 0.0 or self.normal_angle_deg <= 0.0:
@@ -150,9 +149,6 @@ class CMUConfig:
             raise InvalidInputError("max_iterations must be a positive integer")
         if self.convergence_tolerance <= 0.0:
             raise InvalidInputError("convergence_tolerance must be > 0")
-        if len(self.seed_transforms) < 1:
-            raise InvalidInputError("at least one seed transform is required")
-        object.__setattr__(self, "seed_transforms", tuple(self.seed_transforms))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ def estimate_stiffness(cset: CompatibleSet,
                       / np.dot(d_centered, d_centered))
     degenerate = slope < _MIN_STIFFNESS
     return StiffnessSample(stiffness=max(slope, _MIN_STIFFNESS),
-                           set_index=cset.index,
+                           cset=cset,
                            degenerate=degenerate)
 
 
@@ -318,20 +314,15 @@ class RegistrationResult:
     per_seed: Tuple[SeedOutcome, ...]
 
 
-def _registration_arrays(sets: Sequence[CompatibleSet],
-                         samples: Sequence[StiffnessSample],
+def _registration_arrays(samples: Sequence[StiffnessSample],
                          measurements: Sequence[ProbeMeasurement]):
-    if len(sets) != len(samples):
-        raise InvalidInputError("sets and stiffness samples must align")
     points = []
     forces = []
     stiffness = []
-    for cset, sample in zip(sets, samples):
-        if sample.set_index != cset.index:
-            raise InvalidInputError("stiffness sample does not match its set")
+    for sample in samples:
         if sample.degenerate:
             continue
-        ref = measurements[cset.reference_index]
+        ref = measurements[sample.cset.reference_index]
         points.append(ref.position)
         forces.append(ref.force)
         stiffness.append(sample.stiffness)
@@ -368,13 +359,15 @@ def _point_to_plane_step(moved: np.ndarray, normals: np.ndarray,
     return rot, centroid + step[3:] - rot @ centroid
 
 
-def cmu_register(sets: Sequence[CompatibleSet],
-                 samples: Sequence[StiffnessSample],
+def cmu_register(samples: Sequence[StiffnessSample],
                  mesh: TriMesh,
                  measurements: Sequence[ProbeMeasurement],
+                 seeds: Sequence[RigidTransform],
                  config: CMUConfig) -> RegistrationResult:
     """Multi-seed registration of probed reference points to the mesh.
 
+    The reference points are those of the non-degenerate samples' sets, and
+    one search starts from each of `seeds`; `per_seed` keeps their order.
     Each iteration maps the reference points through the current transform,
     finds mesh closest points, offsets them inward along the face normal by
     force/stiffness, and takes one point-to-plane Gauss-Newton step towards
@@ -391,13 +384,15 @@ def cmu_register(sets: Sequence[CompatibleSet],
     closest-point query, every seed whose current iterate has no score yet; a
     seed that settled or reached the cap is scored in the next round too, but
     takes no further step. Per-seed iterates are unaffected by the batching.
-    Raises DegenerateGeometryError when the reference points are collinear.
+    Raises InvalidInputError when `seeds` is empty and DegenerateGeometryError
+    when the reference points are collinear.
     """
-    points, forces, stiffness = _registration_arrays(sets, samples, measurements)
+    if len(seeds) < 1:
+        raise InvalidInputError("at least one seed transform is required")
+    points, forces, stiffness = _registration_arrays(samples, measurements)
     check_not_collinear(points)
     offsets = forces / stiffness
 
-    seeds = config.seed_transforms
     n_seeds = len(seeds)
     n_pts = points.shape[0]
     current: List[RigidTransform] = list(seeds)

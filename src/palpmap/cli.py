@@ -47,20 +47,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .acquisition import SamplingPolicy, expected_improvement, select_next
-from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
-                   SetCollector, StiffnessSample, default_seed_transforms,
-                   estimate_stiffness, cmu_register)
+from .care import (CMUConfig, ProbeMeasurement, RegistrationResult, SetCollector,
+                   StiffnessSample, default_seed_transforms, estimate_stiffness,
+                   cmu_register)
 from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
                      OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import (CrossCovariance, GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
                  gp_predict)
 from .schema import REQUIRED, build, read, read_document, reject_unknown
-from .simulator import (NoiseSpec, PhantomSpec, ProbeConfig, ROI, grid_shape,
-                        initial_samples, load_phantom, prediction_grid, probe,
+from .simulator import (MAX_GRID_NODES, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
+                        grid_shape, initial_samples, load_phantom, prediction_grid, probe,
                         stiffness_field, tool_rays, transform_to_json, uniform_lattice)
 
 _STRATEGIES = ("ei", "uniform")
+# Largest budget a config may ask for: EI probes each grid node at most once, and
+# `uniform` lays out its whole lattice of `budget` targets before the first probe.
+MAX_BUDGET = MAX_GRID_NODES
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,7 @@ class ExperimentConfig:
     kernel: KernelParams
     policy: SamplingPolicy
     cmu: CMUConfig
+    seed_transforms: Tuple[RigidTransform, ...]  # the restart table the `cmu` keys build
     budget: int
     strategy: str
     output_dir: Path
@@ -124,19 +128,20 @@ def load_config(path) -> ExperimentConfig:
     for key in ("budget", "master_seed"):
         if top[key] < 0:
             raise ConfigError(f"'{key}' must be >= 0")
+    if top["budget"] > MAX_BUDGET:
+        raise ConfigError(f"'budget' must be at most {MAX_BUDGET:,}")
 
     built = {}
     for section, target, keys in CONFIG_SCHEMA:
-        # CMUConfig takes its seed transforms from the cmu row above it
-        given = {"seed_transforms": built[default_seed_transforms]} if target is CMUConfig else {}
         raw = read(data, "", section, dict, {})
         allowed = set().union(*(row[2] for row in CONFIG_SCHEMA if row[0] == section))
-        built[target] = build(target, keys, raw, section, allowed, **given)
+        built[target] = build(target, keys, raw, section, allowed)
 
     return ExperimentConfig(
         phantom_path=path.parent / top["phantom"], roi=built[ROI], probe=built[ProbeConfig],
         noise=built[NoiseSpec], kernel=built[KernelParams], policy=built[SamplingPolicy],
-        cmu=built[CMUConfig], budget=top["budget"], strategy=top["strategy"],
+        cmu=built[CMUConfig], seed_transforms=built[default_seed_transforms],
+        budget=top["budget"], strategy=top["strategy"],
         output_dir=path.parent / top["output_dir"], master_seed=top["master_seed"],
     )
 
@@ -193,8 +198,7 @@ class RunArtifacts:
     grid: np.ndarray
     prediction: Prediction
     ei_map: np.ndarray
-    sets: List[CompatibleSet]
-    samples: List[StiffnessSample]
+    samples: List[StiffnessSample]  # the final update's, one per set; each carries its set
     measurements: List[ProbeMeasurement]
     # one per probe; probe i sensed measurements [i * steps, (i + 1) * steps)
     probe_targets: List[np.ndarray]
@@ -249,7 +253,7 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
     for target in initial_samples(config.roi):
         do_probe(target)
 
-    configured = config.cmu.seed_transforms
+    configured = config.seed_transforms
     warm_start: Optional[RigidTransform] = None  # the previous update's winner
     # the previous update's samples by the members of their set (which fix
     # its number, reference and location), its GP fit and its grid rows:
@@ -260,27 +264,25 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
 
     def update(seeds: Tuple[RigidTransform, ...]):
         nonlocal warm_start, known, fitted
-        sets = collector.sets()
         samples = [known.get(cset.member_indices) or estimate_stiffness(cset, measurements)
-                   for cset in sets]
-        known = {cset.member_indices: sample for cset, sample in zip(sets, samples)}
-        cmu_cfg = dataclasses.replace(config.cmu, seed_transforms=seeds)
-        registration = cmu_register(sets, samples, phantom.mesh, measurements, cmu_cfg)
+                   for cset in collector.sets()]
+        known = {s.cset.member_indices: s for s in samples}
+        registration = cmu_register(samples, phantom.mesh, measurements, seeds, config.cmu)
         warm_start = registration.transform
-        valid = [(cset, m) for cset, m in zip(sets, samples) if not m.degenerate]
-        training = TrainingSet([cset.location for cset, _ in valid],
-                               [m.stiffness for _, m in valid])
+        valid = [s for s in samples if not s.degenerate]
+        training = TrainingSet([s.cset.location for s in valid],
+                               [s.stiffness for s in valid])
         model = fitted = gp_fit(training, config.kernel, previous=fitted)
         prediction = gp_predict(model, grid, cross)
         trace.append((len(targets), registration))
-        return sets, samples, training, model, prediction
+        return samples, training, model, prediction
 
     if config.strategy == "ei":
         for step in range(1, config.budget + 1):
             # the first update searches every configured seed, later ones
             # start from the previous winner alone
             seeds = configured if warm_start is None else (warm_start,)
-            _, _, training, _, prediction = update(seeds)
+            _, training, _, prediction = update(seeds)
             try:
                 idx = select_next(prediction, grid, visited,
                                   float(training.outputs.max()), step,
@@ -295,13 +297,13 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
 
     # the final update searches every configured seed plus the previous winner
     seeds = configured if warm_start is None else configured + (warm_start,)
-    sets, samples, training, model, prediction = update(seeds)
+    samples, training, model, prediction = update(seeds)
     ei_map = expected_improvement(prediction.mean, prediction.std,
                                   float(training.outputs.max()))
     return RunArtifacts(
         config=config, phantom=phantom, grid=grid, prediction=prediction,
-        ei_map=ei_map, sets=sets, samples=samples,
-        measurements=measurements, probe_targets=targets, trace=trace,
+        ei_map=ei_map, samples=samples, measurements=measurements,
+        probe_targets=targets, trace=trace,
         gp_jitter_used=model.jitter_used, seconds=time.perf_counter() - t_start,
     )
 
@@ -329,8 +331,8 @@ def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
         _, registration = art.trace[-1]
         truth, estimate = art.phantom.true_transform, registration.transform
         reference_points = np.asarray([
-            art.measurements[cset.reference_index].position
-            for cset, sample in zip(art.sets, art.samples) if not sample.degenerate
+            art.measurements[s.cset.reference_index].position
+            for s in art.samples if not s.degenerate
         ])
         mean = art.prediction.mean[good]
         diff = mean - gt
@@ -362,48 +364,49 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, header: str, rows):
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+
+
 def _write_stiffness_map(art: RunArtifacts, path: Path):
-    lines = ["x_mm,y_mm,mean,std,ei"]
-    std = art.prediction.std
-    for i, (x, y) in enumerate(art.grid):
-        lines.append(",".join([
-            _fmt(x), _fmt(y), _fmt(art.prediction.mean[i]), _fmt(std[i]),
-            _fmt(art.ei_map[i]),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+    mean, std = art.prediction.mean, art.prediction.std
+    rows = [[_fmt(x), _fmt(y), _fmt(mean[i]), _fmt(std[i]), _fmt(art.ei_map[i])]
+            for i, (x, y) in enumerate(art.grid)]
+    _write_csv(path, "x_mm,y_mm,mean,std,ei", rows)
 
 
 def _write_probe_log(art: RunArtifacts, path: Path):
     # each row gets its own measurement's set's stiffness: NaN for a
     # measurement in no set or in a degenerate one
-    stiffness = {member: sample.stiffness for cset, sample in zip(art.sets, art.samples)
-                 if not sample.degenerate for member in cset.member_indices}
+    stiffness = {member: s.stiffness for s in art.samples
+                 if not s.degenerate for member in s.cset.member_indices}
 
     increment = art.config.probe.depth_increment
     steps = art.config.probe.steps
-    lines = ["probe_index,target_x_mm,target_y_mm,sample_index,depth_mm,"
-             "force_n,stiffness_n_per_mm"]
+    rows = []
     for index, target in enumerate(art.probe_targets):
         for k in range(steps):
             row = index * steps + k
-            lines.append(",".join([
+            rows.append([
                 str(index), _fmt(target[0]), _fmt(target[1]),
                 str(k + 1), _fmt((k + 1) * increment), _fmt(art.measurements[row].force),
                 _fmt(stiffness.get(row, float("nan"))),
-            ]))
-    path.write_text("\n".join(lines) + "\n")
+            ])
+    _write_csv(path, "probe_index,target_x_mm,target_y_mm,sample_index,depth_mm,"
+                     "force_n,stiffness_n_per_mm", rows)
 
 
 def _write_registration_trace(art: RunArtifacts, path: Path):
-    lines = ["probes_used,iterations,objective,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,rz_deg"]
+    rows = []
     for probes_used, reg in art.trace:
         rx, ry, rz = reg.transform.euler_deg()
         tx, ty, tz = reg.transform.translation
-        lines.append(",".join([
+        rows.append([
             str(probes_used), str(reg.iterations), _fmt(reg.objective),
             _fmt(tx), _fmt(ty), _fmt(tz), _fmt(rx), _fmt(ry), _fmt(rz),
-        ]))
-    path.write_text("\n".join(lines) + "\n")
+        ])
+    _write_csv(path, "probes_used,iterations,objective,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,rz_deg",
+               rows)
 
 
 def _pgm_bytes(values: np.ndarray) -> bytes:
@@ -521,10 +524,8 @@ def _cmd_ground_truth(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["x_mm,y_mm,stiffness_n_per_mm"]
-    for (x, y), v in zip(grid, values):
-        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}")
-    (out / "ground_truth_map.csv").write_text("\n".join(lines) + "\n")
+    rows = [[_fmt(x), _fmt(y), _fmt(v)] for (x, y), v in zip(grid, values)]
+    _write_csv(out / "ground_truth_map.csv", "x_mm,y_mm,stiffness_n_per_mm", rows)
 
     nx, ny = grid_shape(roi)
     (out / "ground_truth.pgm").write_bytes(_pgm_bytes(values.reshape(ny, nx)))

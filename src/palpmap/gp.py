@@ -168,21 +168,20 @@ def _appended_factor(lower: np.ndarray, old: np.ndarray, new: np.ndarray,
 
 
 def gp_fit(training: TrainingSet, params: KernelParams,
-           mean_offset: Optional[float] = None,
            previous: Optional[GPModel] = None) -> GPModel:
     """Factorize the kernel matrix and precompute prediction weights.
 
-    `mean_offset` defaults to the training-output mean; pass 0.0 to fit a
-    zero-mean prior directly. The factor grows from the `previous` fit's, at
-    its `jitter_used`, when the parameters are equal and its inputs are a
-    prefix of these, and from an empty factor at `params.jitter` otherwise or
-    when that fails; only the latter escalates the jitter.
+    The prior mean, `mean_offset`, is the training-output mean. The factor
+    grows from the `previous` fit's, at its `jitter_used`, when the
+    parameters are equal and its inputs are a prefix of these, and from an
+    empty factor at `params.jitter` otherwise or when that fails; only the
+    latter escalates the jitter.
     """
     if not isinstance(training, TrainingSet):
         raise InvalidInputError("training must be a TrainingSet")
     x = training.inputs
     y = training.outputs
-    offset = float(y.mean()) if mean_offset is None else float(mean_offset)
+    offset = float(y.mean())
 
     jitter = params.jitter
     lower = None

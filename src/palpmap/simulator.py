@@ -327,15 +327,18 @@ def make_surface_mesh(xmin: float, xmax: float, ymin: float, ymax: float,
     return TriMesh(vertices, np.asarray(faces))
 
 
-def _demo_surface(xmin, xmax, ymin, ymax, knolls,
-                  tilt=(0.05, -0.035), spacing=4.0) -> TriMesh:
+_DEMO_TILT = (0.05, -0.035)  # base slope of the demo terrain along x and y
+_DEMO_SPACING = 4.0  # mm between the demo terrain's mesh vertices
+
+
+def _demo_surface(xmin, xmax, ymin, ymax, knolls) -> TriMesh:
     """Smooth terrain: a tilted base plus Gaussian knolls.
 
     The knolls are scattered with uneven heights and widths so the surface
     has no rotational or translational near-symmetry; rigid registration
     against it then has one sharp optimum.
     """
-    gx, gy = tilt
+    gx, gy = _DEMO_TILT
 
     def height(x, y):
         z = gx * x + gy * y
@@ -344,7 +347,7 @@ def _demo_surface(xmin, xmax, ymin, ymax, knolls,
                 -((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * radius ** 2))
         return z
 
-    return make_surface_mesh(xmin, xmax, ymin, ymax, spacing, height)
+    return make_surface_mesh(xmin, xmax, ymin, ymax, _DEMO_SPACING, height)
 
 
 # (center_x, center_y, height, radius); heights in mm, mixed signs

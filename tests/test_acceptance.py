@@ -16,7 +16,7 @@ import pytest
 from palpmap.acquisition import expected_improvement
 from palpmap.care import CompatibleSet, ProbeMeasurement, estimate_stiffness
 from palpmap.cli import compare_strategies, evaluate, execute_experiment, load_config, main
-from palpmap.geometry import TriMesh, make_transform, rigid_fit_svd
+from palpmap.geometry import make_transform, rigid_fit_svd
 from palpmap.gp import KernelParams, TrainingSet, gp_fit, gp_predict
 from palpmap.simulator import (NoiseSpec, artery_phantom, make_surface_mesh,
                                multimodal_phantom, save_phantom)
@@ -151,10 +151,13 @@ def test_criterion_4_gp_posterior():
     var_min = float(np.min(everywhere.variance))
     var_max = float(np.max(everywhere.variance))
 
-    single = gp_fit(TrainingSet(np.array([[0.0, 0.0]]), np.array([2.0])),
-                    KernelParams(jitter=0.0), mean_offset=0.0)
-    at_ls = gp_predict(single, np.array([[3.0, 0.0]]))
-    mean_err = abs(float(at_ls.mean[0]) - 2.0 * np.exp(-0.5))
+    # y=2 at the origin and y=0 20 length scales away, whose correlations are
+    # below 1e-78: one length scale from the origin the mean is the offset 1
+    # plus exp(-1/2) times the origin's residual 1
+    pair = gp_fit(TrainingSet(np.array([[0.0, 0.0], [60.0, 0.0]]), np.array([2.0, 0.0])),
+                  KernelParams(jitter=0.0))
+    at_ls = gp_predict(pair, np.array([[3.0, 0.0]]))
+    mean_err = abs(float(at_ls.mean[0]) - (1.0 + np.exp(-0.5)))
     var_err = abs(float(at_ls.variance[0]) - (1.0 - np.exp(-1.0)))
 
     ok = (interp_err <= 1e-6 and train_var <= 1e-6
@@ -163,7 +166,7 @@ def test_criterion_4_gp_posterior():
     verdict(4, ok,
             f"interp_err={interp_err:.2e} train_var={train_var:.2e} "
             f"var_range=[{var_min:.2e},{var_max:.6f}] "
-            f"single_point_err=({mean_err:.2e},{var_err:.2e})")
+            f"closed_form_err=({mean_err:.2e},{var_err:.2e})")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from palpmap.simulator import (NoiseSpec, PhantomSpec, ProbeConfig,
 from _oracles import slope_least_squares
 
 UP = np.array([0.0, 0.0, 1.0])
+SEEDS = default_seed_transforms()  # the default config's restart table
 
 
 def meas(x, y, z, force, normal=UP):
@@ -293,12 +294,12 @@ class TestRegistration:
         config = dataclasses.replace(CMUConfig(), max_iterations=500)
         sets = collect_sets(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
-        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert np.all(np.abs(result.transform.translation - truth.translation)
                       < 0.1)
         angles = np.array(result.transform.euler_deg()) - np.array(truth.euler_deg())
         assert np.all(np.abs(angles) < 0.15)
-        assert len(result.per_seed) == len(config.seed_transforms)
+        assert len(result.per_seed) == len(SEEDS)
 
     def test_recovers_known_transform_at_default_cap(self):
         truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
@@ -307,7 +308,7 @@ class TestRegistration:
         assert config.max_iterations == 50
         sets = collect_sets(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
-        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert np.all(np.abs(result.transform.translation - truth.translation)
                       < 0.01)
         angles = np.array(result.transform.euler_deg()) - np.array(truth.euler_deg())
@@ -322,7 +323,7 @@ class TestRegistration:
         config = dataclasses.replace(CMUConfig(), max_iterations=1)
         sets = collect_sets(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
-        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert not result.converged
         for outcome in result.per_seed:
             assert outcome.iterations == 1
@@ -337,11 +338,10 @@ class TestRegistration:
         config = dataclasses.replace(CMUConfig(), max_iterations=6)
         sets = collect_sets(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
-        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert {outcome.converged for outcome in result.per_seed} == {True, False}
-        for seed, outcome in zip(config.seed_transforms, result.per_seed):
-            alone = cmu_register(sets, samples, spec.mesh, measurements,
-                                 dataclasses.replace(config, seed_transforms=(seed,)))
+        for seed, outcome in zip(SEEDS, result.per_seed):
+            alone = cmu_register(samples, spec.mesh, measurements, (seed,), config)
             single = alone.per_seed[0]
             assert np.array_equal(outcome.transform.rotation, single.transform.rotation)
             assert np.array_equal(outcome.transform.translation,
@@ -361,7 +361,7 @@ class TestRegistration:
         assert len(sets) == 4
         samples = [estimate_stiffness(s, measurements) for s in sets]
         with pytest.raises(DegenerateGeometryError):
-            cmu_register(sets, samples, spec.mesh, measurements, config)
+            cmu_register(samples, spec.mesh, measurements, SEEDS, config)
 
     def test_no_seed_worse_than_start(self):
         truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
@@ -369,13 +369,13 @@ class TestRegistration:
         config = CMUConfig()
         sets = collect_sets(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
-        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
 
         refs = np.array([measurements[s.reference_index].position for s in sets])
         forces = np.array([measurements[s.reference_index].force for s in sets])
         stiffness = np.array([smp.stiffness for smp in samples])
         offsets = forces / stiffness
-        for seed, outcome in zip(config.seed_transforms, result.per_seed):
+        for seed, outcome in zip(SEEDS, result.per_seed):
             moved = seed.apply(refs)
             surf, normals, _, _ = spec.mesh.closest_points(moved)
             targets = surf - normals * offsets[:, None]
@@ -388,7 +388,7 @@ class TestRegistration:
         config = CMUConfig()
         sets = collect_sets(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
-        result = cmu_register(sets, samples, spec.mesh, measurements, config)
+        result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert result.objective == min(o.objective for o in result.per_seed)
 
     def test_insufficient_sets(self):
@@ -398,14 +398,13 @@ class TestRegistration:
         sets = collect_sets(measurements, config)[:2]
         samples = [estimate_stiffness(s, measurements) for s in sets]
         with pytest.raises(InsufficientDataError):
-            cmu_register(sets, samples, spec.mesh, measurements, config)
+            cmu_register(samples, spec.mesh, measurements, SEEDS, config)
 
-    def test_misaligned_samples_rejected(self):
+    def test_no_seeds_rejected(self):
         truth = make_transform(0, 0, 0, 0, 0, 0)
         spec, measurements = probed_phantom(truth)
         config = CMUConfig()
-        sets = collect_sets(measurements, config)
-        samples = [estimate_stiffness(s, measurements) for s in sets]
-        with pytest.raises(InvalidInputError):
-            cmu_register(sets, samples[1:] + samples[:1], spec.mesh,
-                         measurements, config)
+        samples = [estimate_stiffness(s, measurements)
+                   for s in collect_sets(measurements, config)]
+        with pytest.raises(InvalidInputError, match="at least one seed"):
+            cmu_register(samples, spec.mesh, measurements, (), config)

@@ -64,7 +64,7 @@ class TestLoadConfig:
         assert cfg.kernel.length_scale == 3.0
         assert cfg.policy.exploration_period == 5
         assert cfg.cmu.tangent_distance == 1.0
-        assert len(cfg.cmu.seed_transforms) == 11
+        assert len(cfg.seed_transforms) == 11
         assert cfg.probe.depth_increment == 0.3
         assert cfg.noise.position_sigma == 0.0
 
@@ -96,6 +96,17 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, budget=-1))
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, budget=2.5))
+
+    def test_budget_cap(self, tmp_path, capsys):
+        """A budget past the grid-node cap is refused before any lattice is laid out."""
+        small_phantom(tmp_path)
+        assert load_config(write_config(tmp_path, budget=1_000_000)).budget == 1_000_000
+        config = write_config(tmp_path, strategy="uniform", budget=10 ** 12)
+        with pytest.raises(ConfigError):
+            load_config(config)
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["config error: 'budget' must be at most 1,000,000"]
 
     def test_roi_required(self, tmp_path):
         small_phantom(tmp_path)
@@ -519,7 +530,7 @@ class TestRunCommand:
         assert [s.degenerate for s in samples] == [False, False, True]
         art = types.SimpleNamespace(
             config=types.SimpleNamespace(probe=ProbeConfig(depth_increment=0.5, max_depth=2.0)),
-            sets=sets, samples=samples, measurements=measurements,
+            samples=samples, measurements=measurements,
             probe_targets=[np.zeros(2), np.array([5.0, 0.0])])
         cli._write_probe_log(art, tmp_path / "probe_log.csv")
         lines = (tmp_path / "probe_log.csv").read_text().splitlines()[1:]
@@ -550,7 +561,7 @@ class TestRunCommand:
         roi = {"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0, "spacing": 1.0}
         config = load_config(write_config(tmp_path, roi=roi, budget=30))
         trace = cli.execute_experiment(config).trace
-        configured = len(config.cmu.seed_transforms)
+        configured = len(config.seed_transforms)
         assert len(trace) == 30 + 1
         first, *in_loop, final = [len(reg.per_seed) for _, reg in trace]
         assert first == configured

@@ -8,8 +8,8 @@ from scipy.linalg import solve_triangular
 
 from palpmap.errors import (InvalidInputError,
                             NumericalConditioningError)
-from palpmap.gp import (CrossCovariance, GPModel, KernelParams, TrainingSet, gp_fit,
-                        gp_predict, kernel_matrix)
+from palpmap.gp import (CrossCovariance, KernelParams, TrainingSet, gp_fit, gp_predict,
+                        kernel_matrix)
 
 from _oracles import gp_posterior_reference
 
@@ -101,13 +101,15 @@ class TestPosterior:
         assert np.all(pred.variance <= 1.0 + model.jitter_used)
 
     def test_single_point_closed_form(self):
-        # one observation y=2 at the origin, query at distance ell:
-        # correlation exp(-1/2), offset forced to zero
-        ts = TrainingSet(np.array([[0.0, 0.0]]), np.array([2.0]))
-        model = gp_fit(ts, KernelParams(sigma_f=1.0, length_scale=3.0, jitter=0.0),
-                       mean_offset=0.0)
+        # y=2 at the origin and y=0 60 mm (20 ell) away, query at distance ell
+        # from the origin: correlation exp(-1/2) with the origin and below
+        # 1e-78 with the far point, whose correlation with the origin is below
+        # 1e-86. The offset is the output mean 1, so the origin's residual 1
+        # is weighted by exp(-1/2).
+        ts = TrainingSet(np.array([[0.0, 0.0], [60.0, 0.0]]), np.array([2.0, 0.0]))
+        model = gp_fit(ts, KernelParams(sigma_f=1.0, length_scale=3.0, jitter=0.0))
         pred = gp_predict(model, np.array([[3.0, 0.0]]))
-        assert pred.mean[0] == pytest.approx(2.0 * np.exp(-0.5), abs=1e-9)
+        assert pred.mean[0] == pytest.approx(1.0 + np.exp(-0.5), abs=1e-9)
         assert pred.variance[0] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
 
     def test_matches_dense_solve_oracle(self):

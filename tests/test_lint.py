@@ -7,6 +7,10 @@ import pytest
 
 SOURCES = sorted(path for path in (Path(__file__).parents[1] / "src" / "palpmap").glob("*.py")
                  if path.name != "__init__.py")
+# files checked for unused imports: the package, its tests and the tools; bench/
+# is left out, so that its files change only with the benchmark
+LINTED = SOURCES + sorted(path for folder in ("tests", "tools")
+                          for path in (Path(__file__).parents[1] / folder).glob("*.py"))
 
 
 def _unused_imports(path: Path):
@@ -33,7 +37,7 @@ def _unused_imports(path: Path):
     return [(line, name) for line, name in imported if name not in read]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+@pytest.mark.parametrize("path", LINTED, ids=[path.name for path in LINTED])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 

@@ -58,7 +58,7 @@ def _same_set(a, b):
 
 
 def _same_sample(a, b):
-    return (a.stiffness == b.stiffness and a.set_index == b.set_index
+    return (a.stiffness == b.stiffness and a.cset is b.cset
             and a.degenerate == b.degenerate)
 
 
@@ -100,12 +100,14 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
         estimated.append(cset)
         return original_estimate(cset, measurements)
 
-    def register(sets, samples, mesh, measurements, config):
-        for cset, sample in zip(sets, samples):
+    def register(samples, mesh, measurements, seeds, config):
+        # one sample per set of this update, in slot order, each for its set
+        assert len(samples) == len(history[-1])
+        for sample, cset in zip(samples, history[-1]):
             assert _same_sample(sample, estimate_stiffness(cset, measurements))
-        return original_register(sets, samples, mesh, measurements, config)
+        return original_register(samples, mesh, measurements, seeds, config)
 
-    def fit(training, params, mean_offset=None, previous=None):
+    def fit(training, params, previous=None):
         columns = []
 
         def kernel(params, a, b):
@@ -114,7 +116,7 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(gp, "kernel_matrix", kernel)
-            model = original_fit(training, params, mean_offset, previous)
+            model = original_fit(training, params, previous)
         if max(columns) < len(training):  # the kernel only against appended inputs
             extended.append(len(training) - len(previous.training))
         return model
