@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.special import ndtr
@@ -20,7 +19,7 @@ class SamplingPolicy:
     """Exploration cadence for the selection loop.
 
     Every `exploration_period`-th probe is a pure exploration step that picks
-    a uniformly random unvisited node whose predictive standard deviation is
+    a uniformly random unprobed node whose predictive standard deviation is
     at least `uncertainty_fraction` of the prior standard deviation.
     """
 
@@ -57,14 +56,15 @@ def expected_improvement(mean, std, incumbent_value: float):
     return np.maximum(ei, 0.0)  # guard the far-negative-z float cancellation
 
 
-def select_next(prediction: Prediction, grid, visited: Iterable[int],
+def select_next(prediction: Prediction, grid, probed: np.ndarray,
                 incumbent_value: float, probe_count: int, policy: SamplingPolicy,
                 rng: np.random.Generator, prior_variance: float = 1.0) -> int:
     """Pick the next grid index to probe.
 
-    EI argmax over unvisited nodes (ties to the lowest index), except that
-    when `probe_count` is a positive multiple of the exploration period a
-    uniformly random unvisited node with std >= uncertainty_fraction *
+    `probed` is a boolean mask over the grid, True at the nodes already
+    probed. EI argmax over unprobed nodes (ties to the lowest index), except
+    that when `probe_count` is a positive multiple of the exploration period
+    a uniformly random unprobed node with std >= uncertainty_fraction *
     sqrt(prior_variance) is taken instead (max-variance node if none qualify).
     `incumbent_value` is the best output observed so far, the EI baseline.
     """
@@ -76,25 +76,23 @@ def select_next(prediction: Prediction, grid, visited: Iterable[int],
         raise InvalidInputError("prediction length must match the grid")
     if prior_variance <= 0.0:
         raise InvalidInputError("prior_variance must be > 0")
+    probed = np.asarray(probed)
+    if probed.dtype != bool or probed.shape != (n,):
+        raise InvalidInputError("probed must be a boolean mask over the grid")
 
-    mask = np.ones(n, dtype=bool)
-    for idx in visited:
-        if not 0 <= idx < n:
-            raise InvalidInputError(f"visited index {idx} out of range")
-        mask[idx] = False
-    unvisited = np.flatnonzero(mask)
-    if unvisited.size == 0:
+    unprobed = np.flatnonzero(~probed)
+    if unprobed.size == 0:
         raise ExplorationExhaustedError("all grid nodes have been probed")
 
     if probe_count > 0 and probe_count % policy.exploration_period == 0:
-        std = np.sqrt(prediction.variance[unvisited])
+        std = np.sqrt(prediction.variance[unprobed])
         threshold = policy.uncertainty_fraction * math.sqrt(prior_variance)
-        candidates = unvisited[std >= threshold]
+        candidates = unprobed[std >= threshold]
         if candidates.size:
             return int(candidates[rng.integers(candidates.size)])
-        return int(unvisited[np.argmax(prediction.variance[unvisited])])
+        return int(unprobed[np.argmax(prediction.variance[unprobed])])
 
-    ei = expected_improvement(prediction.mean[unvisited],
-                              np.sqrt(prediction.variance[unvisited]),
+    ei = expected_improvement(prediction.mean[unprobed],
+                              np.sqrt(prediction.variance[unprobed]),
                               incumbent_value)
-    return int(unvisited[np.argmax(ei)])
+    return int(unprobed[np.argmax(ei)])

@@ -2,8 +2,8 @@
 
 Raw probe measurements (tool-frame position, normal force magnitude, sensed
 surface normal) are grouped into compatible sets; the `SetCollector` alone
-gives each set its number (its creation slot, fixed for life), its reference
-(the first member of least force) and its location (the reference's x-y).
+keeps the measurement log and gives each set its reference (the first member
+of least force), whose x-y is the set's location.
 Each set yields a local stiffness estimate from a force-vs-depth line fit, a
 `StiffnessSample` that carries its set. The samples drive an iterative
 closest-point style registration from the seed transforms each call names:
@@ -72,13 +72,8 @@ class ProbeMeasurement:
 
 @dataclass(frozen=True)
 class CompatibleSet:
-    """Indices of measurements judged to probe the same surface patch.
+    """Indices of measurements judged to probe the same surface patch."""
 
-    `index` is the set's creation order among all groups of its
-    `SetCollector`, singletons included; it never changes as the set grows.
-    """
-
-    index: int
     member_indices: Tuple[int, ...]
     reference_index: int  # member with the minimum force
     location: np.ndarray  # tool-frame x-y of the reference measurement
@@ -141,8 +136,11 @@ class CMUConfig:
     convergence_tolerance: float = 1e-3  # mm, max reference-point displacement
 
     def __post_init__(self):
-        if self.tangent_distance <= 0.0 or self.normal_angle_deg <= 0.0:
-            raise InvalidInputError("grouping thresholds must be > 0")
+        if not (self.tangent_distance > 0.0
+                and 0.0 < self.tangent_distance * self.tangent_distance < math.inf):
+            raise InvalidInputError("tangent_distance must be > 0 with a positive finite square")
+        if self.normal_angle_deg <= 0.0:
+            raise InvalidInputError("normal_angle_deg must be > 0")
         if self.min_force_difference <= 0.0:
             raise InvalidInputError("min_force_difference must be > 0")
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
@@ -166,20 +164,19 @@ class SetCollector:
     The anchor is the set's first measurement. Grouping depends only on the
     measurement prefix, so adding measurements never reshuffles earlier sets.
 
-    Each group owns a slot, numbered in creation order, and the slot number
-    is the set's `index` for life. `add` keeps each slot's reference, the
-    first member of least force, and its x-y. Each slot keeps the
-    `CompatibleSet` it last built; `add` drops the cache of the slot it
+    `measurements` is the log `add` appends to, in arrival order; member and
+    reference indices point into it. Each group owns a slot in creation
+    order, which keeps its reference, the first member of least force, and
+    the `CompatibleSet` it last built; `add` drops the cache of the slot it
     touched, so `sets` rebuilds only those and returns every other set as
     the same object as before.
     """
 
     def __init__(self, config: CMUConfig):
         self._config = config
-        self._count = 0
+        self.measurements: List[ProbeMeasurement] = []
         self._members: List[List[int]] = []
         self._references: List[int] = []
-        self._locations: List[np.ndarray] = []
         self._built: List[Optional[CompatibleSet]] = []
         # per-slot geometry and force range, one row each, grown when a slot opens
         self._anchors = np.zeros((0, 3))
@@ -188,10 +185,10 @@ class SetCollector:
         self._fmax = np.zeros(0)
         self._cos_limit = math.cos(math.radians(config.normal_angle_deg))
 
-    def add(self, measurement: ProbeMeasurement) -> int:
-        """Insert one measurement; returns the set slot it joined."""
-        idx = self._count
-        self._count += 1
+    def add(self, measurement: ProbeMeasurement):
+        """Append one measurement to the log and group it."""
+        idx = len(self.measurements)
+        self.measurements.append(measurement)
         pos = measurement.position
         nrm = measurement.sensed_normal
         force = measurement.force
@@ -214,21 +211,18 @@ class SetCollector:
             self._members[hit].append(idx)
             if force < self._fmin[hit]:  # strictly lower: the first least force stays
                 self._references[hit] = idx
-                self._locations[hit] = pos[:2]
                 self._fmin[hit] = force
             self._fmax[hit] = max(self._fmax[hit], force)
             self._built[hit] = None
-            return hit
+            return
 
         self._anchors = np.vstack([self._anchors, pos])
         self._normals = np.vstack([self._normals, nrm])
         self._members.append([idx])
         self._references.append(idx)
-        self._locations.append(pos[:2])
         self._built.append(None)
         self._fmin = np.append(self._fmin, force)
         self._fmax = np.append(self._fmax, force)
-        return len(self._members) - 1
 
     def sets(self) -> List[CompatibleSet]:
         """Finished sets with >= 2 members, in slot order; singletons are left out."""
@@ -237,11 +231,11 @@ class SetCollector:
             if len(members) < 2:
                 continue
             if self._built[slot] is None:
+                reference = self._references[slot]
                 self._built[slot] = CompatibleSet(
-                    index=slot,
                     member_indices=tuple(members),
-                    reference_index=self._references[slot],
-                    location=self._locations[slot],
+                    reference_index=reference,
+                    location=self.measurements[reference].position[:2],
                 )
             out.append(self._built[slot])
         return out

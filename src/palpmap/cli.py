@@ -2,8 +2,8 @@
 
 The closed loop: probe the 19 startup targets, then for each budgeted step
 update the compatible sets with the new measurements, estimate stiffness for
-the sets that are new or grew (a set keeps its number for life, so its
-members alone identify its sample; the others keep their samples),
+the sets that are new or grew (a set's members fix its reference, so they
+alone identify its sample; the others keep their samples),
 re-register the probed points to the mesh, refit the GP in the tool frame
 (its Cholesky factor grows by block append from the previous update's when
 inputs were only appended, and from an empty one otherwise), predict over
@@ -208,11 +208,6 @@ class RunArtifacts:
     seconds: float  # the loop's wall clock
 
 
-def _mark_visited(grid: np.ndarray, target, visited: set):
-    hits = np.flatnonzero(np.all(np.abs(grid - np.asarray(target)) <= 1e-9, axis=1))
-    visited.update(int(i) for i in hits)
-
-
 def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
     """True stiffness seen through a noise-free probe at each grid node (NaN = miss)."""
     origins, direction = tool_rays(spec, grid)
@@ -236,19 +231,17 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
     rng_noise = np.random.default_rng([config.master_seed, 1])
 
     grid = prediction_grid(config.roi)
-    visited: set = set()
-    measurements: List[ProbeMeasurement] = []
+    probed = np.zeros(grid.shape[0], dtype=bool)  # True at the grid nodes already probed
     targets: List[np.ndarray] = []
-    collector = SetCollector(config.cmu)
+    collector = SetCollector(config.cmu)  # owns the measurement log
+    measurements = collector.measurements
     trace: List[Tuple[int, RegistrationResult]] = []
 
     def do_probe(target):
-        sensed = probe(phantom, target, config.probe, config.noise, rng_noise)
-        measurements.extend(sensed)
-        for m in sensed:
+        for m in probe(phantom, target, config.probe, config.noise, rng_noise):
             collector.add(m)
         targets.append(np.asarray(target, dtype=float))
-        _mark_visited(grid, target, visited)
+        probed[np.all(np.abs(grid - np.asarray(target)) <= 1e-9, axis=1)] = True
 
     for target in initial_samples(config.roi):
         do_probe(target)
@@ -256,7 +249,7 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
     configured = config.seed_transforms
     warm_start: Optional[RigidTransform] = None  # the previous update's winner
     # the previous update's samples by the members of their set (which fix
-    # its number, reference and location), its GP fit and its grid rows:
+    # its reference and location), its GP fit and its grid rows:
     # what a probe leaves unchanged is reused, not recomputed
     known: Dict[Tuple[int, ...], StiffnessSample] = {}
     fitted: Optional[GPModel] = None
@@ -284,7 +277,7 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
             seeds = configured if warm_start is None else (warm_start,)
             _, training, _, prediction = update(seeds)
             try:
-                idx = select_next(prediction, grid, visited,
+                idx = select_next(prediction, grid, probed,
                                   float(training.outputs.max()), step,
                                   config.policy, rng_explore,
                                   prior_variance=config.kernel.sigma_f)

@@ -376,8 +376,10 @@ class TriMesh:
         d = np.asarray(direction, dtype=float)
         if o.ndim != 2 or o.shape[1] != 3 or d.shape != (3,):
             raise InvalidInputError("origins must have shape (n, 3), direction (3,)")
-        if not np.all(np.abs(o) < 1e307):  # NaN fails too; projections stay finite
-            raise InvalidInputError("origins must be finite and below 1e307 in magnitude")
+        # NaN fails too; the k-d tree's squared distances stay finite
+        if not np.all(np.abs(o) <= _MAX_QUERY_DISTANCE):
+            raise InvalidInputError(f"origins must be finite and at most "
+                                    f"{_MAX_QUERY_DISTANCE:.3g} in magnitude")
         norm = np.linalg.norm(d)
         if not np.isfinite(norm) or norm == 0.0:
             raise InvalidInputError("direction must be non-zero")

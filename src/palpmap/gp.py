@@ -45,8 +45,8 @@ class KernelParams:
     def __post_init__(self):
         if not (np.isfinite(self.sigma_f) and self.sigma_f > 0.0):
             raise InvalidInputError("sigma_f must be > 0")
-        if not (np.isfinite(self.length_scale) and self.length_scale > 0.0):
-            raise InvalidInputError("length_scale must be > 0")
+        if not (self.length_scale > 0.0 and 0.0 < self.length_scale * self.length_scale < np.inf):
+            raise InvalidInputError("length_scale must be > 0 with a positive finite square")
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
             raise InvalidInputError("jitter must be >= 0")
 

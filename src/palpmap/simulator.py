@@ -47,8 +47,8 @@ class StiffnessBump:
             raise InvalidInputError("bump center must be a 2D point")
         if self.amplitude < 0.0:
             raise InvalidInputError("bump amplitude must be >= 0")
-        if self.radius <= 0.0:
-            raise InvalidInputError("bump radius must be > 0")
+        if not (self.radius > 0.0 and 0.0 < self.radius * self.radius < math.inf):
+            raise InvalidInputError("bump radius must be > 0 with a positive finite square")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
 
@@ -64,8 +64,8 @@ class ArteryRidge:
         pts = tuple((float(p[0]), float(p[1])) for p in self.polyline)
         if len(pts) < 2:
             raise InvalidInputError("artery polyline needs at least 2 points")
-        if self.half_width <= 0.0:
-            raise InvalidInputError("artery half_width must be > 0")
+        if not (self.half_width > 0.0 and 0.0 < self.half_width * self.half_width < math.inf):
+            raise InvalidInputError("artery half_width must be > 0 with a positive finite square")
         if self.amplitude < 0.0:
             raise InvalidInputError("artery amplitude must be >= 0")
         object.__setattr__(self, "polyline", pts)
@@ -372,10 +372,11 @@ _ARTERY_KNOLLS = (
 )
 
 
-def multimodal_phantom(true_transform: Optional[RigidTransform] = None) -> PhantomSpec:
+_MULTIMODAL_TRUE_TRANSFORM = make_transform(5.0, 10.0, -15.0, 11.46, -11.46, 5.73)
+
+
+def multimodal_phantom() -> PhantomSpec:
     """Curved surface with three stiff inclusions."""
-    if true_transform is None:
-        true_transform = make_transform(5.0, 10.0, -15.0, 11.46, -11.46, 5.73)
     mesh = _demo_surface(-40.0, 90.0, -35.0, 95.0, _MULTIMODAL_KNOLLS)
     bumps = (
         StiffnessBump(center=(12.0, 25.0), amplitude=2.0, radius=4.0),
@@ -383,21 +384,18 @@ def multimodal_phantom(true_transform: Optional[RigidTransform] = None) -> Phant
         StiffnessBump(center=(33.0, 20.0), amplitude=2.5, radius=3.5),
     )
     return PhantomSpec(mesh=mesh, baseline_stiffness=1.0, bumps=bumps,
-                       artery=None, true_transform=true_transform)
+                       artery=None, true_transform=_MULTIMODAL_TRUE_TRANSFORM)
 
 
-def artery_phantom(true_transform: Optional[RigidTransform] = None) -> PhantomSpec:
-    """Gently curved surface with a buried vessel ridge crossing the workspace."""
-    if true_transform is None:
-        true_transform = RigidTransform.identity()
+def artery_phantom() -> PhantomSpec:
+    """Gently curved surface with a buried vessel ridge; the true transform is the identity."""
     mesh = _demo_surface(-35.5, 95.5, -35.5, 95.5, _ARTERY_KNOLLS)
     artery = ArteryRidge(
         polyline=((10.0, 14.0), (22.0, 22.0), (34.0, 26.0), (44.0, 36.0)),
         half_width=2.5,
         amplitude=2.5,
     )
-    return PhantomSpec(mesh=mesh, baseline_stiffness=1.0, bumps=(),
-                       artery=artery, true_transform=true_transform)
+    return PhantomSpec(mesh=mesh, baseline_stiffness=1.0, bumps=(), artery=artery)
 
 
 # ---------------------------------------------------------------------------

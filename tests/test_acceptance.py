@@ -263,7 +263,7 @@ def _column_set(depths, forces):
                            sensed_normal=np.array([0.0, 0.0, 1.0]))
           for d, f in zip(depths, forces)]
     ref = int(np.argmin(forces))
-    cset = CompatibleSet(index=0, member_indices=tuple(range(len(ms))),
+    cset = CompatibleSet(member_indices=tuple(range(len(ms))),
                          reference_index=ref, location=ms[ref].position[:2])
     return cset, ms
 

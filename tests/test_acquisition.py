@@ -85,12 +85,18 @@ def incumbent():
     return 1.0
 
 
+def probed(n, *nodes):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(nodes)] = True
+    return mask
+
+
 class TestSelectNext:
     def test_ei_argmax(self):
         grid = flat_grid(5)
         mean = np.array([0.0, 0.5, 2.0, 0.5, 0.0])
         var = np.full(5, 0.25)
-        pick = select_next(Prediction(mean, var), grid, set(), incumbent(),
+        pick = select_next(Prediction(mean, var), grid, probed(5), incumbent(),
                            probe_count=1, policy=SamplingPolicy(),
                            rng=np.random.default_rng(0))
         assert pick == 2
@@ -99,7 +105,7 @@ class TestSelectNext:
         grid = flat_grid(4)
         mean = np.array([2.0, 2.0, 2.0, 0.0])
         var = np.array([0.25, 0.25, 0.25, 0.25])
-        pick = select_next(Prediction(mean, var), grid, set(), incumbent(),
+        pick = select_next(Prediction(mean, var), grid, probed(4), incumbent(),
                            probe_count=1, policy=SamplingPolicy(),
                            rng=np.random.default_rng(0))
         assert pick == 0
@@ -108,7 +114,7 @@ class TestSelectNext:
         grid = flat_grid(4)
         mean = np.array([2.0, 2.0, 2.0, 0.0])
         var = np.full(4, 0.25)
-        pick = select_next(Prediction(mean, var), grid, {0, 1}, incumbent(),
+        pick = select_next(Prediction(mean, var), grid, probed(4, 0, 1), incumbent(),
                            probe_count=1, policy=SamplingPolicy(),
                            rng=np.random.default_rng(0))
         assert pick == 2
@@ -118,7 +124,7 @@ class TestSelectNext:
         mean = np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])
         var = np.array([1.0, 1.0, 0.01, 1.0, 1.0, 1.0])
         policy = SamplingPolicy(exploration_period=5)
-        picks = {select_next(Prediction(mean, var), grid, set(), incumbent(),
+        picks = {select_next(Prediction(mean, var), grid, probed(6), incumbent(),
                              probe_count=5, policy=policy,
                              rng=np.random.default_rng(s))
                  for s in range(16)}
@@ -130,7 +136,7 @@ class TestSelectNext:
         grid = flat_grid(4)
         mean = np.array([0.0, 3.0, 0.0, 0.0])
         var = np.full(4, 0.25)
-        pick = select_next(Prediction(mean, var), grid, set(), incumbent(),
+        pick = select_next(Prediction(mean, var), grid, probed(4), incumbent(),
                            probe_count=0, policy=SamplingPolicy(),
                            rng=np.random.default_rng(0))
         assert pick == 1
@@ -139,7 +145,7 @@ class TestSelectNext:
         grid = flat_grid(4)
         mean = np.zeros(4)
         var = np.array([0.1, 0.3, 0.2, 0.05])  # all std below 0.9*sqrt(1)
-        pick = select_next(Prediction(mean, var), grid, set(), incumbent(),
+        pick = select_next(Prediction(mean, var), grid, probed(4), incumbent(),
                            probe_count=5, policy=SamplingPolicy(),
                            rng=np.random.default_rng(0), prior_variance=1.0)
         assert pick == 1
@@ -148,22 +154,24 @@ class TestSelectNext:
         grid = flat_grid(3)
         pred = Prediction(np.zeros(3), np.ones(3))
         with pytest.raises(ExplorationExhaustedError):
-            select_next(pred, grid, {0, 1, 2}, incumbent(), probe_count=1,
+            select_next(pred, grid, probed(3, 0, 1, 2), incumbent(), probe_count=1,
                         policy=SamplingPolicy(), rng=np.random.default_rng(0))
 
     def test_shape_mismatch(self):
         grid = flat_grid(3)
         pred = Prediction(np.zeros(4), np.ones(4))
         with pytest.raises(InvalidInputError):
-            select_next(pred, grid, set(), incumbent(), probe_count=1,
+            select_next(pred, grid, probed(3), incumbent(), probe_count=1,
                         policy=SamplingPolicy(), rng=np.random.default_rng(0))
 
-    def test_bad_visited_index(self):
+    def test_bad_probed_mask(self):
         grid = flat_grid(3)
         pred = Prediction(np.zeros(3), np.ones(3))
-        with pytest.raises(InvalidInputError):
-            select_next(pred, grid, {7}, incumbent(), probe_count=1,
-                        policy=SamplingPolicy(), rng=np.random.default_rng(0))
+        # a mask of the wrong length, of the wrong dtype, and a list of indices
+        for mask in (probed(4), np.zeros(3), [0, 1, 2]):
+            with pytest.raises(InvalidInputError):
+                select_next(pred, grid, mask, incumbent(), probe_count=1,
+                            policy=SamplingPolicy(), rng=np.random.default_rng(0))
 
     def test_policy_validation(self):
         with pytest.raises(InvalidInputError):

@@ -139,9 +139,8 @@ class TestGrouping:
             assert a.reference_index == b.reference_index
 
     def test_sets_rebuilt_only_when_changed(self):
-        """After every add the cached sets equal a fresh grouping, every set
-        keeps its slot number for life, and a set whose slot was not touched
-        is reused."""
+        """After every add the cached sets equal a fresh grouping, in slot
+        order, and a set whose slot was not touched is reused."""
         config = CMUConfig()
         script = (column(0.0, 0.0, steps=3)           # set 0
                   + [meas(10.0, 0.0, 0.0, 1.0)]       # a singleton slot
@@ -158,11 +157,11 @@ class TestGrouping:
             fresh = collect_sets(script[:n], config)
             assert len(current) == len(fresh)
             for a, b in zip(current, fresh):
-                assert (a.index, a.member_indices, a.reference_index) == \
-                    (b.index, b.member_indices, b.reference_index)
+                assert (a.member_indices, a.reference_index) == \
+                    (b.member_indices, b.reference_index)
                 assert np.array_equal(a.location, b.location)
-                same = [p for p in previous if (p.index, p.member_indices, p.reference_index)
-                        == (a.index, a.member_indices, a.reference_index)]
+                same = [p for p in previous if (p.member_indices, p.reference_index)
+                        == (a.member_indices, a.reference_index)]
                 assert (same and same[0] is a) or not any(p is a for p in previous)
                 reused += bool(same)
             history.append(current)
@@ -171,16 +170,16 @@ class TestGrouping:
         assert [s.member_indices for s in final] == [(0, 1, 2, 7), (3, 8), (4, 5, 6)]
         assert final[0].reference_index == 7
         assert np.array_equal(final[0].location, [0.0, 0.1])
-        # the singleton became a set ahead of set 2, which kept its number and object
-        assert [s.index for s in before] == [0, 2] and [s.index for s in final] == [0, 1, 2]
+        # the singleton's slot became a set ahead of the later set, which kept its object
+        assert [s.member_indices for s in before] == [(0, 1, 2, 7), (4, 5, 6)]
         assert final[2] is before[1]
 
     def test_set_validation(self):
         with pytest.raises(InvalidInputError):
-            CompatibleSet(index=0, member_indices=(3,), reference_index=3,
+            CompatibleSet(member_indices=(3,), reference_index=3,
                           location=np.zeros(2))
         with pytest.raises(InvalidInputError):
-            CompatibleSet(index=0, member_indices=(1, 2), reference_index=5,
+            CompatibleSet(member_indices=(1, 2), reference_index=5,
                           location=np.zeros(2))
 
 
@@ -188,7 +187,7 @@ class TestStiffnessEstimate:
     def build(self, depths, forces):
         ms = [meas(0, 0, -d, f) for d, f in zip(depths, forces)]
         ref = int(np.argmin(forces))
-        cset = CompatibleSet(index=0, member_indices=tuple(range(len(ms))),
+        cset = CompatibleSet(member_indices=tuple(range(len(ms))),
                              reference_index=ref,
                              location=ms[ref].position[:2])
         return cset, ms
@@ -234,7 +233,7 @@ class TestStiffnessEstimate:
 
     def test_zero_depth_span_degenerate(self):
         ms = [meas(0, 0, -0.3, 0.5), meas(0, 0, -0.3, 1.0)]
-        cset = CompatibleSet(index=0, member_indices=(0, 1), reference_index=0,
+        cset = CompatibleSet(member_indices=(0, 1), reference_index=0,
                              location=np.zeros(2))
         sample = estimate_stiffness(cset, ms)
         assert sample.degenerate and sample.stiffness == 1e-6

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from palpmap.errors import ConfigError, InvalidInputError
 from palpmap.geometry import load_mesh, make_transform
 from palpmap.make_demo import write_demo
 from palpmap.schema import schema_default
-from palpmap.simulator import (PhantomSpec, ProbeConfig, StiffnessBump, load_phantom,
-                               make_surface_mesh, save_phantom)
+from palpmap.simulator import (PHANTOM_SCHEMA, PhantomSpec, ProbeConfig, StiffnessBump,
+                               load_phantom, make_surface_mesh, save_phantom)
 
 
 def small_phantom(path_dir):
@@ -379,6 +380,99 @@ def test_mutated_mesh_files_never_raise(tmp_path_factory, data):
         at = data.draw(st.integers(0, len(text) - 1))
         (directory / name).write_bytes(text[:at] + b"\xff" + text[at + 1:])
     assert _run_exits_cleanly(directory)
+
+
+def _section(docs, document, section):
+    """The object of `docs[document]` that holds the keys of schema section `section`."""
+    doc = docs[document]
+    if document == "config.json":
+        return doc.setdefault(section, {})
+    if section == "phantom":
+        return doc
+    if section == "bumps":
+        return doc["bumps"][0]
+    return doc[section]
+
+
+def _float_fields():
+    """(document, section, key, default) of every float or float-tuple schema field."""
+    rows = [("config.json", section, target, keys) for section, target, keys in CONFIG_SCHEMA]
+    rows += [("phantom.json", section, target, keys)
+             for section, (target, keys) in PHANTOM_SCHEMA.items()]
+
+    def holds_float(hint):
+        return hint is float or any(holds_float(arg) for arg in typing.get_args(hint))
+
+    return [(document, section, key, schema_default(target, name))
+            for document, section, target, keys in rows
+            for key, name in keys.items() if holds_float(typing.get_type_hints(target)[name])]
+
+
+def _filled(value, number):
+    """`value` with every entry, nested ones included, set to `number`."""
+    if isinstance(value, (list, tuple)):
+        return [_filled(item, number) for item in value]
+    return number
+
+
+def test_extreme_schema_floats_exit_cleanly(tmp_path, capsys):
+    """Every float field of the config and phantom schemas at 1e300, then at
+    1e-300: `run` returns 0, 2 or 3 and writes at most one non-warning line."""
+    fields = _float_fields()
+    assert len(fields) == 28
+    for document, section, key, default in fields:
+        for number in (1e300, 1e-300):
+            docs = _documents(tmp_path)
+            holder = _section(docs, document, section)
+            holder[key] = _filled(holder.get(key, default), number)
+            _write_documents(tmp_path, docs)
+            code = main(["run", str(tmp_path / "config.json")])
+            err = [line for line in capsys.readouterr().err.splitlines()
+                   if not line.startswith("warning:")]
+            assert code in (0, 2, 3) and len(err) <= 1, (section, key, number, code, err)
+
+
+# a length whose square overflows or underflows: (document, section, key, value)
+LENGTH_CASES = [
+    ("config.json", "kernel", "length_scale_mm", 1e300),
+    ("config.json", "kernel", "length_scale_mm", 1e-300),
+    ("config.json", "cmu", "tangent_distance_mm", 1e300),
+    ("phantom.json", "bumps", "radius", 1e300),
+    ("phantom.json", "artery", "half_width", 1e300),
+]
+
+
+@pytest.mark.parametrize("document,section,key,value", LENGTH_CASES,
+                         ids=[f"{row[2]}-{row[3]:g}" for row in LENGTH_CASES])
+def test_length_with_no_finite_square_is_config_error(tmp_path, capsys,
+                                                      document, section, key, value):
+    docs = _documents(tmp_path)
+    _section(docs, document, section)[key] = value
+    _write_documents(tmp_path, docs)
+    assert main(["run", str(tmp_path / "config.json")]) == 2
+    if document == "phantom.json":
+        assert main(["ground-truth", str(tmp_path / "phantom.json"),
+                     "--out", str(tmp_path / "gt")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("config error: ") and key.removesuffix("_mm") in line
+                       and "with a positive finite square" in line for line in err)
+    assert len(err) == (2 if document == "phantom.json" else 1)
+
+
+@pytest.mark.parametrize("document", ["config.json", "phantom.json"])
+def test_ray_origins_past_the_query_bound_are_errors(tmp_path, capsys, document):
+    """A ROI or a true transform far out puts the probe rays' origins past
+    what the ray cast's k-d tree can measure: one error line, exit 3."""
+    docs = _documents(tmp_path)
+    if document == "config.json":
+        docs[document]["roi"] = {"xmin": -1e300, "xmax": 1e300, "ymin": 0.0, "ymax": 12.0,
+                                 "spacing": 1e299}
+    else:
+        docs[document]["true_transform"]["translation_mm"] = [1e300, 0.0, 0.0]
+    _write_documents(tmp_path, docs)
+    assert main(["run", str(tmp_path / "config.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: origins must be finite and at most 6.7e+153 in magnitude"]
 
 
 # names bench/tracing.py and bench/run.py patch on palpmap.cli; the engine

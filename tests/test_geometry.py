@@ -351,10 +351,13 @@ class TestTriMesh:
 
     def test_raycasts_reject_non_finite_origins(self):
         mesh = lumpy_mesh()
-        for bad in (np.nan, np.inf, 2e307):
-            with pytest.raises(InvalidInputError, match="finite and below 1e307"):
+        for bad in (np.nan, np.inf, 2e307, 1e306, 1e155):
+            with pytest.raises(InvalidInputError, match="finite and at most 6.7e\\+153"):
                 mesh.raycasts(np.array([[1.0, 1.0, 5.0], [bad, 1.0, 5.0]]),
                               np.array([0.0, 0, -1]))
+        # origins at the bound still pass the k-d tree of projected centroids
+        _, faces = mesh.raycasts(np.full((1, 3), 6.7e153), np.array([1.0, 1, -1]))
+        assert faces[0] == -1
 
     def test_obj_roundtrip(self, tmp_path):
         mesh = lumpy_mesh(4, 4)

@@ -52,7 +52,7 @@ def _record(config, monkeypatch):
 
 
 def _same_set(a, b):
-    return (a.index == b.index and a.member_indices == b.member_indices
+    return (a.member_indices == b.member_indices
             and a.reference_index == b.reference_index
             and np.array_equal(a.location, b.location))
 
