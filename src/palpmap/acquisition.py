@@ -50,8 +50,9 @@ def expected_improvement(mean, std, incumbent_value: float):
     imp = mu - incumbent_value
     positive = sigma > 0.0
     safe = np.where(positive, sigma, 1.0)
-    z = imp / safe
-    pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
+    with np.errstate(over="ignore"):  # a z whose square overflows has pdf 0, the limit
+        z = imp / safe
+        pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
     ei = np.where(positive, imp * ndtr(z) + sigma * pdf, 0.0)
     return np.maximum(ei, 0.0)  # guard the far-negative-z float cancellation
 

@@ -70,9 +70,13 @@ class ProbeMeasurement:
         object.__setattr__(self, "sensed_normal", nrm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibleSet:
-    """Indices of measurements judged to probe the same surface patch."""
+    """Indices of measurements judged to probe the same surface patch.
+
+    Equality and hashing are by identity: `SetCollector.sets` returns a new
+    set only when its slot gains a member.
+    """
 
     member_indices: Tuple[int, ...]
     reference_index: int  # member with the minimum force

@@ -47,11 +47,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .acquisition import SamplingPolicy, expected_improvement, select_next
-from .care import (CMUConfig, ProbeMeasurement, RegistrationResult, SetCollector,
-                   StiffnessSample, default_seed_transforms, estimate_stiffness,
-                   cmu_register)
+from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
+                   SetCollector, StiffnessSample, default_seed_transforms,
+                   estimate_stiffness, cmu_register)
 from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
-                     OutOfWorkspaceError, PalpmapError)
+                     NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import (CrossCovariance, GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
                  gp_predict)
@@ -248,18 +248,18 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
 
     configured = config.seed_transforms
     warm_start: Optional[RigidTransform] = None  # the previous update's winner
-    # the previous update's samples by the members of their set (which fix
-    # its reference and location), its GP fit and its grid rows:
-    # what a probe leaves unchanged is reused, not recomputed
-    known: Dict[Tuple[int, ...], StiffnessSample] = {}
+    # the previous update's samples by their set, which the collector keeps
+    # until the set gains a member, its GP fit and its grid rows: what a
+    # probe leaves unchanged is reused, not recomputed
+    known: Dict[CompatibleSet, StiffnessSample] = {}
     fitted: Optional[GPModel] = None
     cross = CrossCovariance()
 
     def update(seeds: Tuple[RigidTransform, ...]):
         nonlocal warm_start, known, fitted
-        samples = [known.get(cset.member_indices) or estimate_stiffness(cset, measurements)
+        samples = [known.get(cset) or estimate_stiffness(cset, measurements)
                    for cset in collector.sets()]
-        known = {s.cset.member_indices: s for s in samples}
+        known = {s.cset: s for s in samples}
         registration = cmu_register(samples, phantom.mesh, measurements, seeds, config.cmu)
         warm_start = registration.transform
         valid = [s for s in samples if not s.degenerate]
@@ -328,8 +328,18 @@ def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
             for s in art.samples if not s.degenerate
         ])
         mean = art.prediction.mean[good]
-        diff = mean - gt
-        flat = np.std(gt) < 1e-15 or np.std(mean) < 1e-15
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
+            diff = mean - gt
+            flat = np.std(gt) < 1e-15 or np.std(mean) < 1e-15
+            scores = dict(
+                rms_mm=rms_error(estimate, truth, reference_points),
+                map_rmse=float(np.sqrt(np.mean(diff * diff))),
+                map_pearson=0.0 if flat else float(np.corrcoef(mean, gt)[0, 1]),
+                top_decile_rmse=float(np.sqrt(np.mean(diff[top] * diff[top]))))
+        for name, value in scores.items():
+            if not np.isfinite(value):
+                raise NumericalConditioningError(
+                    f"the {art.config.strategy} run's {name} is {value}, not finite")
         reports.append(ExperimentReport(
             strategy=art.config.strategy, probe_count=len(art.probe_targets),
             true_transform=truth, estimated_transform=estimate,
@@ -337,14 +347,9 @@ def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
                                        in zip(estimate.translation, truth.translation)),
             rotation_error_deg=tuple(abs((a - b + 180.0) % 360.0 - 180.0) for a, b
                                      in zip(estimate.euler_deg(), truth.euler_deg())),
-            rms_mm=rms_error(estimate, truth, reference_points),
             registration_objective=float(registration.objective),
-            map_rmse=float(np.sqrt(np.mean(diff * diff))),
-            map_pearson=0.0 if flat else float(np.corrcoef(mean, gt)[0, 1]),
             wall_clock_seconds=art.seconds, registration_converged=registration.converged,
-            gp_jitter_used=art.gp_jitter_used,
-            top_decile_rmse=float(np.sqrt(np.mean(diff[top] * diff[top]))),
-            top_decile_threshold=threshold,
+            gp_jitter_used=art.gp_jitter_used, top_decile_threshold=threshold, **scores,
         ))
     return reports
 
@@ -507,6 +512,9 @@ def _cmd_ground_truth(args) -> int:
     # the tool frame, as in the run outputs: grid (x, y) label tool-frame rays
     tool = spec.true_transform.inverse().apply(spec.mesh.vertices)
     lo, hi = tool.min(axis=0), tool.max(axis=0)
+    if not np.all(hi[:2] > lo[:2]):
+        raise ConfigError(f"{args.phantom}: phantom.true_transform leaves the mesh no "
+                          "tool-frame x-y extent")
     try:
         roi = ROI(xmin=float(lo[0]), xmax=float(hi[0]),
                   ymin=float(lo[1]), ymax=float(hi[1]), spacing=args.spacing)

@@ -14,7 +14,7 @@ class DegenerateGeometryError(PalpmapError):
 
 
 class NumericalConditioningError(PalpmapError):
-    """A factorization failed even after jitter escalation."""
+    """A factorization failed even after jitter escalation, or a score overflowed."""
 
 
 class InsufficientDataError(PalpmapError):

@@ -18,6 +18,9 @@ ones: an uncached prediction is a cached one that starts from empty rows. A
 factor grown from a previous one equals a fit from scratch at the same
 jitter to rounding; a fit from scratch is the same with or without
 `previous`.
+
+Inputs are (n, 2) arrays. Coincident training inputs stay separate rows,
+repeated observations on the jitter diagonal (Rasmussen & Williams 2006, Sec. 2.2).
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, NumericalConditioningError
-
-_DUPLICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,6 @@ class KernelParams:
 
 def _as_inputs(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1 and arr.shape[0] == 2:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError(f"{name} must have shape (n, 2), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -69,61 +68,34 @@ def kernel_matrix(params: KernelParams, a, b) -> np.ndarray:
     return params.sigma_f * np.exp(-d2 / (2.0 * params.length_scale ** 2))
 
 
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
-    """Paired 2D inputs and scalar outputs, with near-duplicate inputs merged.
+    """Paired 2D inputs and scalar outputs, stored as read-only copies.
 
-    Inputs closer than 1e-9 are collapsed to the first occurrence and their
-    outputs averaged.
+    Coincident inputs are kept as separate rows, repeated observations of one
+    location; equality and hashing are by identity.
     """
 
-    def __init__(self, inputs, outputs):
-        pts = _as_inputs(inputs, "inputs")
-        ys = np.asarray(outputs, dtype=float).reshape(-1)
+    inputs: np.ndarray
+    outputs: np.ndarray
+
+    def __post_init__(self):
+        pts = _as_inputs(self.inputs, "inputs")
+        ys = np.asarray(self.outputs, dtype=float).reshape(-1)
         if ys.shape[0] != pts.shape[0]:
             raise InvalidInputError("inputs and outputs must have equal length")
         if pts.shape[0] < 1:
             raise InvalidInputError("training set must be non-empty")
         if not np.all(np.isfinite(ys)):
             raise InvalidInputError("outputs contain non-finite values")
-
-        if pts.shape[0] > 1:
-            d2 = cdist(pts, pts, metric="sqeuclidean")
-            np.fill_diagonal(d2, np.inf)
-            if d2.min() <= _DUPLICATE_TOL ** 2:
-                pts, ys = _merge_duplicates(pts, ys)
-
-        pts = pts.copy()
-        ys = ys.copy()
+        pts, ys = pts.copy(), ys.copy()
         pts.flags.writeable = False
         ys.flags.writeable = False
-        self._inputs = pts
-        self._outputs = ys
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return self._inputs
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self._outputs
+        object.__setattr__(self, "inputs", pts)
+        object.__setattr__(self, "outputs", ys)
 
     def __len__(self) -> int:
-        return self._inputs.shape[0]
-
-
-def _merge_duplicates(pts: np.ndarray, ys: np.ndarray):
-    kept: list[int] = []
-    groups: list[list[int]] = []
-    for i in range(pts.shape[0]):
-        for slot, j in enumerate(kept):
-            if np.linalg.norm(pts[i] - pts[j]) <= _DUPLICATE_TOL:
-                groups[slot].append(i)
-                break
-        else:
-            kept.append(i)
-            groups.append([i])
-    merged_y = np.array([ys[g].mean() for g in groups])
-    return pts[kept], merged_y
+        return self.inputs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -276,13 +248,8 @@ def gp_predict(model: GPModel, queries,
     rows when it can (see `CrossCovariance`); without one, the prediction
     goes through a new cache, whose rows start empty.
     """
-    q = _as_inputs(queries, "queries") if np.asarray(queries).size else \
-        np.zeros((0, 2))
-    if q.shape[0] == 0:
-        return Prediction(np.zeros(0), np.zeros(0))
+    q = _as_inputs(queries, "queries")
     if cache is None:
         cache = CrossCovariance()
     mean, sumsq = cache._extend(model, q)
-    params = model.params
-    var = np.clip(params.sigma_f - sumsq, 0.0, params.sigma_f + model.jitter_used)
-    return Prediction(mean, var)
+    return Prediction(mean, np.maximum(model.params.sigma_f - sumsq, 0.0))

@@ -415,9 +415,14 @@ def _filled(value, number):
     return number
 
 
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_extreme_schema_floats_exit_cleanly(tmp_path, capsys):
     """Every float field of the config and phantom schemas at 1e300, then at
-    1e-300: `run` returns 0, 2 or 3 and writes at most one non-warning line."""
+    1e-300: `run` returns 0, 2 or 3, writes at most one non-warning line, and
+    every JSON file it wrote is strict JSON, without NaN or Infinity."""
     fields = _float_fields()
     assert len(fields) == 28
     for document, section, key, default in fields:
@@ -430,6 +435,32 @@ def test_extreme_schema_floats_exit_cleanly(tmp_path, capsys):
             err = [line for line in capsys.readouterr().err.splitlines()
                    if not line.startswith("warning:")]
             assert code in (0, 2, 3) and len(err) <= 1, (section, key, number, code, err)
+            for written in (tmp_path / "out").rglob("*.json"):
+                json.loads(written.read_text(), parse_constant=_strict_constant)
+
+
+# a stiffness scale whose map is finite but whose squared error overflows:
+# (document, section, key)
+OVERFLOWING_SCORES = [
+    ("config.json", "noise", "force_sigma_n"),
+    ("phantom.json", "phantom", "baseline_stiffness"),
+    ("phantom.json", "bumps", "amplitude"),
+    ("phantom.json", "artery", "amplitude"),
+]
+
+
+@pytest.mark.parametrize("document,section,key", OVERFLOWING_SCORES,
+                         ids=[".".join(row[1:]) for row in OVERFLOWING_SCORES])
+def test_overflowing_score_is_numerical_error(tmp_path, capsys, recwarn, document, section,
+                                              key):
+    docs = _documents(tmp_path)
+    _section(docs, document, section)[key] = 1e300
+    _write_documents(tmp_path, docs)
+    assert main(["run", str(tmp_path / "config.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the ei run's map_rmse is "), err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert [str(w.message) for w in recwarn] == []  # no numpy warning reaches stderr
 
 
 # a length whose square overflows or underflows: (document, section, key, value)
@@ -788,6 +819,18 @@ class TestOtherCommands:
     def test_ground_truth_bad_spacing(self, tmp_path):
         phantom = small_phantom(tmp_path)
         assert main(["ground-truth", str(phantom), "--spacing", "0"]) == 2
+
+    def test_ground_truth_collapsed_phantom_blames_the_transform(self, tmp_path, capsys):
+        phantom = small_phantom(tmp_path)
+        doc = json.loads(phantom.read_text())
+        doc["true_transform"]["translation_mm"] = [1e300, 0.0, 0.0]
+        phantom.write_text(json.dumps(doc))
+        for spacing in ("1", "1e-9"):
+            assert main(["ground-truth", str(phantom), "--spacing", spacing,
+                         "--out", str(tmp_path / "gt")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: "), err
+            assert "true_transform" in err[0] and "--spacing" not in err[0]
 
 
 class TestMakeDemo:

@@ -23,11 +23,11 @@ def small_training(rng, n=12):
 class TestKernel:
     def test_diagonal_value(self):
         p = KernelParams()
-        assert kernel_matrix(p, np.zeros(2), np.zeros(2))[0, 0] == pytest.approx(1.0)
+        assert kernel_matrix(p, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == pytest.approx(1.0)
 
     def test_length_scale_distance(self):
         p = KernelParams(sigma_f=1.0, length_scale=3.0)
-        v = kernel_matrix(p, np.zeros(2), np.array([3.0, 0.0]))[0, 0]
+        v = kernel_matrix(p, np.zeros((1, 2)), np.array([[3.0, 0.0]]))[0, 0]
         assert v == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_matrix_symmetry(self):
@@ -55,19 +55,25 @@ class TestTrainingSet:
         with pytest.raises(InvalidInputError):
             TrainingSet(np.zeros((3, 2)), np.zeros(4))
 
-    def test_merges_exact_duplicates(self):
-        x = np.array([[1.0, 1.0], [5.0, 5.0], [1.0, 1.0]])
-        y = np.array([2.0, 7.0, 4.0])
-        ts = TrainingSet(x, y)
-        assert ts.inputs.shape == (2, 2)
-        i = int(np.flatnonzero(ts.inputs[:, 0] == 1.0)[0])
-        assert ts.outputs[i] == pytest.approx(3.0)
-
-    def test_merges_near_duplicates(self):
-        x = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
-        ts = TrainingSet(x, np.array([1.0, 3.0]))
-        assert ts.inputs.shape == (1, 2)
-        assert ts.outputs[0] == pytest.approx(2.0)
+    def test_coincident_inputs_are_repeated_observations(self):
+        """Two outputs at one input stay two rows: the mean there is their
+        average, a factor grown onto the coincident input equals a fit from
+        scratch to rounding, and at jitter 0 the fit escalates, not raises."""
+        x = np.array([[5.0, 5.0], [40.0, 3.0], [5.0, 5.0]])
+        y = np.array([1.0, 4.0, 2.0])
+        params = KernelParams()
+        training = TrainingSet(x, y)
+        assert len(training) == 3
+        previous = gp_fit(TrainingSet(x[:2], y[:2]), params)
+        model, kept = _fit_keeping(training, params, previous)
+        assert kept and model.jitter_used == params.jitter
+        fresh = gp_fit(training, params)
+        assert np.allclose(model.chol_lower, fresh.chol_lower, rtol=1e-9, atol=1e-9)
+        pred = gp_predict(model, x[:1])
+        assert abs(pred.mean[0] - 1.5) < 1e-6
+        assert 0.0 <= pred.variance[0] < 1e-8
+        zero = gp_fit(training, KernelParams(jitter=0.0))
+        assert zero.jitter_used == pytest.approx(1e-8)
 
     def test_keeps_distinct(self):
         x = np.array([[0.0, 0.0], [1e-6, 0.0]])
