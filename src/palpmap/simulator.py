@@ -98,7 +98,8 @@ def _segment_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
         else:
             t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
             proj = a + t[:, None] * ab
-        best = np.minimum(best, np.linalg.norm(points - proj, axis=1))
+        with np.errstate(over="ignore"):  # a distance that overflows is inf, the limit
+            best = np.minimum(best, np.linalg.norm(points - proj, axis=1))
     return best
 
 
@@ -110,7 +111,8 @@ def stiffness_field(spec: PhantomSpec, points) -> np.ndarray:
 
     out = np.full(pts.shape[0], float(spec.baseline_stiffness))
     for bump in spec.bumps:
-        d2 = np.sum((pts - np.asarray(bump.center)) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # a distance that overflows is inf: a term of 0
+            d2 = np.sum((pts - np.asarray(bump.center)) ** 2, axis=1)
         out += bump.amplitude * np.exp(-d2 / (2.0 * bump.radius ** 2))
     if spec.artery is not None:
         art = spec.artery

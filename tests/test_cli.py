@@ -439,6 +439,20 @@ def test_extreme_schema_floats_exit_cleanly(tmp_path, capsys):
                 json.loads(written.read_text(), parse_constant=_strict_constant)
 
 
+def test_far_bump_and_artery_run_without_warnings(tmp_path, capsys, recwarn):
+    """A bump center and an artery polyline at 1e300: their distances overflow
+    to inf, whose stiffness term is 0, so the run exits 0 and numpy prints no
+    warning."""
+    docs = _documents(tmp_path)
+    phantom = docs["phantom.json"]
+    phantom["bumps"][0]["center"] = _filled(phantom["bumps"][0]["center"], 1e300)
+    phantom["artery"]["polyline"] = _filled(phantom["artery"]["polyline"], 1e300)
+    _write_documents(tmp_path, docs)
+    assert main(["run", str(tmp_path / "config.json")]) == 0
+    capsys.readouterr()
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
 # a stiffness scale whose map is finite but whose squared error overflows:
 # (document, section, key)
 OVERFLOWING_SCORES = [

@@ -4,7 +4,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_triangular
 
 from palpmap.errors import (InvalidInputError,
                             NumericalConditioningError)
@@ -268,34 +267,65 @@ class TestCrossCovariance:
         cache = CrossCovariance()
         model = gp_fit(TrainingSet(x[:8], y[:8]), params)
         gp_predict(model, grid, cache)
+        # room for 16 rows: the kept 8 moved one ulp, so that a row whitened
+        # again would lose it, and the rest NaN, so that a row written shows
+        for name in ("_block", "_whitened"):
+            rows = np.full((16, len(grid)), np.nan)
+            rows[:8] = getattr(cache, name)[:8]
+            setattr(cache, name, rows)
+        cache._whitened[:8] = np.nextafter(cache._whitened[:8], np.inf)
+        kept = cache._whitened[:8].copy()
         grown = gp_fit(TrainingSet(x, y), params, previous=model)
-        columns, rows = [], []
+        columns = []
 
         def kernel(params, a, b):
             columns.append(len(b))
             return kernel_matrix(params, a, b)
 
-        def solve(a, b, **kwargs):
-            rows.append(np.shape(b)[0])
-            return solve_triangular(a, b, **kwargs)
-
         monkeypatch.setattr("palpmap.gp.kernel_matrix", kernel)
-        monkeypatch.setattr("palpmap.gp.solve_triangular", solve)
         pred = gp_predict(grown, grid, cache)
-        assert columns == [4] and rows == [4]
+        assert columns == [4]
+        assert np.array_equal(cache._whitened[:8], kept)
+        assert np.all(np.isfinite(cache._whitened[8:12]))
+        assert np.all(np.isnan(cache._whitened[12:])) and np.all(np.isnan(cache._block[12:]))
         assert np.array_equal(cache._block[:12], kernel_matrix(params, grid, x).T)
         cold = gp_predict(grown, grid)
         assert np.allclose(pred.mean, cold.mean, rtol=1e-9, atol=1e-9)
         assert np.allclose(pred.variance, cold.variance, rtol=1e-9, atol=1e-9)
         columns.clear()
-        rows.clear()
-        gp_predict(grown, grid, cache)  # the same inputs: nothing evaluated
-        assert columns == [] and rows == []
+        before = cache._whitened.copy()
+        gp_predict(grown, grid, cache)  # the same inputs: nothing evaluated or written
+        assert columns == []
+        assert np.array_equal(cache._whitened, before, equal_nan=True)
         refit = gp_fit(TrainingSet(x[::-1], y[::-1]), params)
         columns.clear()
-        rows.clear()
         gp_predict(refit, grid, cache)
-        assert columns == [12] and rows == [12]
+        assert columns == [12]
+        alone = CrossCovariance()  # a start over whitens all 12 rows, as a new cache does
+        gp_predict(refit, grid, alone)
+        assert np.array_equal(cache._whitened[:12], alone._whitened[:12])
+
+    def test_many_appends_do_not_drift(self):
+        """60 single-input appends and then one of 3 inputs, each whitened row by
+        row onto the rows before: every prediction stays the cold one."""
+        rng = np.random.default_rng(15)
+        axis = np.linspace(-5, 45, 45)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)  # 2,025 nodes
+        x = rng.uniform(0, 40, (64, 2))
+        y = np.sin(x[:, 0] / 5.0) + np.cos(x[:, 1] / 9.0)
+        params = KernelParams()
+        cache = CrossCovariance()
+        model = gp_fit(TrainingSet(x[:1], y[:1]), params)
+        gp_predict(model, grid, cache)
+        for n in list(range(2, 62)) + [64]:
+            training = TrainingSet(x[:n], y[:n])
+            model, kept = _fit_keeping(training, params, model)
+            assert kept
+            pred = gp_predict(model, grid, cache)
+            cold = gp_predict(gp_fit(training, params), grid)
+            assert np.allclose(pred.mean, cold.mean, rtol=1e-9, atol=1e-9)
+            assert np.allclose(pred.variance, cold.variance, rtol=1e-9, atol=1e-9)
+            _assert_matches_oracle(model, grid, pred)
 
     def test_resets_when_the_whitened_factor_changes(self):
         rng = np.random.default_rng(14)
