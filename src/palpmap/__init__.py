@@ -1,9 +1,10 @@
 """Stiffness mapping and surface registration for simulated robotic palpation."""
 
 from .acquisition import SamplingPolicy, expected_improvement, select_next
-from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
-                   SeedOutcome, SetCollector, StiffnessSample, cmu_register,
-                   collect_sets, default_seed_transforms, estimate_stiffness)
+from .care import (CarriedNeighbourhoods, CMUConfig, CompatibleSet, ProbeMeasurement,
+                   RegistrationResult, SeedOutcome, SetCollector, StiffnessSample,
+                   cmu_register, collect_sets, default_seed_transforms,
+                   estimate_stiffness)
 from .cli import (ExperimentConfig, ExperimentReport, RunArtifacts,
                   compare_strategies, evaluate, execute_experiment, load_config,
                   main, run_experiment, write_run_outputs)
@@ -11,8 +12,8 @@ from .errors import (ConfigError, DegenerateGeometryError,
                      ExplorationExhaustedError, InsufficientDataError,
                      InvalidInputError, NumericalConditioningError,
                      OutOfWorkspaceError, PalpmapError)
-from .geometry import (RigidTransform, TriMesh, load_mesh, make_transform,
-                       rigid_fit_svd, rms_error)
+from .geometry import (Neighbourhoods, RigidTransform, TriMesh, load_mesh,
+                       make_transform, rigid_fit_svd, rms_error)
 from .gp import (GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
                  gp_predict, kernel_matrix)
 from .simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
@@ -24,10 +25,10 @@ from .simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArteryRidge", "CMUConfig", "CompatibleSet", "ConfigError",
+    "ArteryRidge", "CarriedNeighbourhoods", "CMUConfig", "CompatibleSet", "ConfigError",
     "DegenerateGeometryError", "ExperimentConfig", "ExperimentReport",
     "ExplorationExhaustedError", "GPModel", "InsufficientDataError",
-    "InvalidInputError", "KernelParams", "NoiseSpec",
+    "InvalidInputError", "KernelParams", "Neighbourhoods", "NoiseSpec",
     "NumericalConditioningError", "OutOfWorkspaceError", "PalpmapError",
     "PhantomSpec", "Prediction", "ProbeConfig", "ProbeMeasurement", "ROI",
     "RegistrationResult", "RigidTransform", "RunArtifacts", "SamplingPolicy",

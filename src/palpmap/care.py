@@ -14,6 +14,15 @@ those targets (Chen & Medioni 1992; Rusinkiewicz & Levoy 2001). A seed stops
 as soon as its objective stops falling, its step becomes negligible, or it
 reaches the iteration cap. Every iterate is scored at one site: a batched
 round over the seeds.
+
+Each closest-point row carries its neighbourhood from one round to the next,
+and a `CarriedNeighbourhoods` hands the winning seed's to the next
+registration, keyed by reference measurement index. A row that moved less
+than its certificate allows is re-scored only on the faces its last query
+proved near. The certificate is the triangle inequality (Greenspan & Godin
+2001), and those faces go through the same per-pair arithmetic and first
+minimum as a tree search, so the result is exact: bit for bit what scoring
+every face gives, carrier or not.
 """
 
 from __future__ import annotations
@@ -21,12 +30,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .geometry import (RigidTransform, TriMesh, check_not_collinear,
+from .geometry import (Neighbourhoods, RigidTransform, TriMesh, check_not_collinear,
                        make_transform)
 # unused here, but bench/tracing.py wraps care.rigid_fit_svd by name
 from .geometry import rigid_fit_svd  # noqa: F401
@@ -314,20 +323,46 @@ class RegistrationResult:
 
 def _registration_arrays(samples: Sequence[StiffnessSample],
                          measurements: Sequence[ProbeMeasurement]):
-    points = []
-    forces = []
-    stiffness = []
-    for sample in samples:
-        if sample.degenerate:
-            continue
-        ref = measurements[sample.cset.reference_index]
-        points.append(ref.position)
-        forces.append(ref.force)
-        stiffness.append(sample.stiffness)
-    if len(points) < 3:
+    valid = [s for s in samples if not s.degenerate]
+    if len(valid) < 3:
         raise InsufficientDataError(
-            f"registration needs >= 3 sets with valid stiffness, got {len(points)}")
-    return np.asarray(points), np.asarray(forces), np.asarray(stiffness)
+            f"registration needs >= 3 sets with valid stiffness, got {len(valid)}")
+    references = [s.cset.reference_index for s in valid]
+    points = np.asarray([measurements[r].position for r in references])
+    forces = np.asarray([measurements[r].force for r in references])
+    return references, points, forces, np.asarray([s.stiffness for s in valid])
+
+
+class CarriedNeighbourhoods:
+    """Closest-point neighbourhoods that one registration hands to the next.
+
+    `cmu_register` keeps here its winning seed's best-iterate neighbourhoods
+    (see `TriMesh.closest_points`), keyed by each row's reference measurement
+    index, and offers them to its next call's first round. The measurement
+    log only grows, so a reference seen before is the same point, and a warm
+    start from the previous winner re-scores it on the faces its last query
+    proved near. Every offered row is certified anew against its own query,
+    so what is carried changes the work, never a result. Handed another
+    mesh, the carrier starts over.
+    """
+
+    def __init__(self):
+        self._hood: Optional[Neighbourhoods] = None
+        self._rows: Dict[int, int] = {}
+
+    def near(self, mesh: TriMesh, references: Sequence[int]):
+        """(neighbourhoods, rows) for `references` on `mesh`, row -1 where
+        none is carried; None when nothing is carried for `mesh`."""
+        if self._hood is None or self._hood.mesh is not mesh:
+            self._hood, self._rows = None, {}
+            return None
+        return self._hood, np.array([self._rows.get(r, -1) for r in references],
+                                    dtype=np.int64)
+
+    def keep(self, references: Sequence[int], hood: Neighbourhoods, first: int):
+        """Carry rows first, first + 1, ... of `hood` for `references`, in order."""
+        self._hood = hood
+        self._rows = {r: first + j for j, r in enumerate(references)}
 
 
 def _rotation_from_vector(omega: np.ndarray) -> np.ndarray:
@@ -361,7 +396,8 @@ def cmu_register(samples: Sequence[StiffnessSample],
                  mesh: TriMesh,
                  measurements: Sequence[ProbeMeasurement],
                  seeds: Sequence[RigidTransform],
-                 config: CMUConfig) -> RegistrationResult:
+                 config: CMUConfig,
+                 carried: Optional[CarriedNeighbourhoods] = None) -> RegistrationResult:
     """Multi-seed registration of probed reference points to the mesh.
 
     The reference points are those of the non-degenerate samples' sets, and
@@ -382,12 +418,22 @@ def cmu_register(samples: Sequence[StiffnessSample],
     closest-point query, every seed whose current iterate has no score yet; a
     seed that settled or reached the cap is scored in the next round too, but
     takes no further step. Per-seed iterates are unaffected by the batching.
+
+    Each round offers every seed's rows the neighbourhoods of its previous
+    round (see `TriMesh.closest_points`): a point that moved less than its
+    certificate allows is re-scored on the few faces its last query proved
+    near, not searched from the k-d tree. `carried`, when given, offers the
+    first round the previous call's winning neighbourhoods and keeps this
+    call's. A row is certified only where the triangle inequality proves its
+    closest face among the faces it scores, and those go through the same
+    arithmetic and first minimum as a tree search, so every closest point,
+    and so the result, is bit for bit what a search of every face gives.
     Raises InvalidInputError when `seeds` is empty and DegenerateGeometryError
     when the reference points are collinear.
     """
     if len(seeds) < 1:
         raise InvalidInputError("at least one seed transform is required")
-    points, forces, stiffness = _registration_arrays(samples, measurements)
+    references, points, forces, stiffness = _registration_arrays(samples, measurements)
     check_not_collinear(points)
     offsets = forces / stiffness
 
@@ -396,17 +442,25 @@ def cmu_register(samples: Sequence[StiffnessSample],
     current: List[RigidTransform] = list(seeds)
     best_transform: List[RigidTransform] = list(seeds)
     best_obj = [math.inf] * n_seeds
+    # each best iterate's neighbourhoods and its first row in them
+    best_near: List[Tuple[Optional[Neighbourhoods], int]] = [(None, 0)] * n_seeds
     iterations = [0] * n_seeds
     converged = [True] * n_seeds
     stopped = [False] * n_seeds  # settled or capped: scored once more, never stepped
     unscored = list(range(n_seeds))  # seeds whose current iterate has no score yet
+    # the neighbourhoods the next round is offered, and per seed its points' rows
+    offered = carried.near(mesh, references) if carried is not None else None
+    hood, rows = offered or (None, None)
+    seed_rows = [rows] * n_seeds
 
     while unscored:
         stacked = np.concatenate([current[i].apply(points) for i in unscored])
-        surf, normals, _, _ = mesh.closest_points(stacked)
+        near = None if hood is None else (hood, np.concatenate([seed_rows[i] for i in unscored]))
+        surf, normals, _, _, hood = mesh.closest_points(stacked, near)
         next_round = []
         for row, i in enumerate(unscored):
             block = slice(row * n_pts, (row + 1) * n_pts)
+            seed_rows[i] = np.arange(block.start, block.stop)
             moved = stacked[block]
             targets = surf[block] - normals[block] * offsets[:, None]
             objective = float(np.linalg.norm(targets - moved, axis=1).sum())
@@ -414,6 +468,7 @@ def cmu_register(samples: Sequence[StiffnessSample],
                 continue  # the objective stopped falling: the best iterate stands
             best_obj[i] = objective
             best_transform[i] = current[i]
+            best_near[i] = (hood, block.start)
             if stopped[i]:
                 continue
             rot, shift = _point_to_plane_step(moved, normals[block], targets)
@@ -433,6 +488,8 @@ def cmu_register(samples: Sequence[StiffnessSample],
                      for i in range(n_seeds))
     winner = min(range(n_seeds), key=lambda i: outcomes[i].objective)
     best = outcomes[winner]
+    if carried is not None:
+        carried.keep(references, *best_near[winner])
     return RegistrationResult(transform=best.transform, objective=best.objective,
                               iterations=best.iterations, converged=best.converged,
                               per_seed=outcomes)

@@ -23,7 +23,10 @@ Registration has one seeding policy. The first update searches from every
 configured seed; each later update in the loop starts from the previous
 winner alone; the final update searches from every configured seed plus the
 previous winner. The GP, EI and the map work in tool-frame locations, so
-registration feeds only the next warm start and the final report.
+registration feeds only the next warm start and the final report. Each
+registration also hands its winner's closest-point neighbourhoods to the
+next through one `CarriedNeighbourhoods` per run, which saves k-d tree
+searches and changes no result (see `care`).
 
 Config documents are read through one table, `CONFIG_SCHEMA`, which maps each
 section's keys to the parameters of the dataclass they build; `schema` reads
@@ -47,9 +50,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .acquisition import SamplingPolicy, expected_improvement, select_next
-from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
-                   SetCollector, StiffnessSample, default_seed_transforms,
-                   estimate_stiffness, cmu_register)
+from .care import (CarriedNeighbourhoods, CMUConfig, CompatibleSet, ProbeMeasurement,
+                   RegistrationResult, SetCollector, StiffnessSample,
+                   default_seed_transforms, estimate_stiffness, cmu_register)
 from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
                      NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
@@ -254,13 +257,15 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
     known: Dict[CompatibleSet, StiffnessSample] = {}
     fitted: Optional[GPModel] = None
     cross = CrossCovariance()
+    carried = CarriedNeighbourhoods()  # the last winner's closest-point neighbourhoods
 
     def update(seeds: Tuple[RigidTransform, ...]):
         nonlocal warm_start, known, fitted
         samples = [known.get(cset) or estimate_stiffness(cset, measurements)
                    for cset in collector.sets()]
         known = {s.cset: s for s in samples}
-        registration = cmu_register(samples, phantom.mesh, measurements, seeds, config.cmu)
+        registration = cmu_register(samples, phantom.mesh, measurements, seeds, config.cmu,
+                                    carried)
         warm_start = registration.transform
         valid = [s for s in samples if not s.degenerate]
         training = TrainingSet([s.cset.location for s in valid],

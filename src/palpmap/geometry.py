@@ -31,6 +31,10 @@ _ORTHONORMAL_TOL = 1e-9
 
 # (query, face) pairs one candidate chunk may hold: ~100 MB per (pairs, 3) array
 _MAX_PAIRS = 4_000_000
+# Most faces a closest-point row carries as its neighbourhood: 99.8% of the
+# workloads' balls hold fewer, and a mesh with one oversized face, whose balls
+# hold every face, carries none
+_MAX_CARRIED = 64
 
 
 def _as_points(value, name: str) -> np.ndarray:
@@ -232,35 +236,65 @@ def _closest_on_triangles(a, b, c, p) -> np.ndarray:
     return out
 
 
-def _first_minimum(tree: cKDTree, points: np.ndarray, radii: np.ndarray, score):
-    """Per point, the (point, item) pair of its ball with the lowest score.
+def _slack(length):
+    """`length` grown past the rounding of the distances it bounds; the
+    relative part covers far queries, whose rounding exceeds any absolute one."""
+    return length * (1.0 + 1e-9) + 1e-9
 
-    score(qidx, fidx) returns (values (p,), rows (p, 3)) for the pairs, which
-    run item-ascending per point, so ties go to the lowest item. Returns the
-    winners' (values (n,), items (n,), rows (n, 3)); a point with no pair
-    scoring below inf gets (inf, -1, NaN). Points go in chunks of
-    _MAX_PAIRS // items, so that a chunk holds at most _MAX_PAIRS pairs.
+
+def _segments(starts, lens):
+    """Flat indices of the runs [starts[i], starts[i] + lens[i]), laid end to end."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if ends.shape[0] else 0) + np.repeat(starts - ends + lens, lens)
+
+
+def _ball_lists(tree: cKDTree, points: np.ndarray, radii: np.ndarray):
+    """Per point, the tree's items within its radius, ascending: (lens, items)."""
+    lists = tree.query_ball_point(points, radii, return_sorted=True)
+    lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    return lens, np.concatenate([np.zeros(0, dtype=np.int64)]
+                                + [np.asarray(l, dtype=np.int64) for l in lists])
+
+
+def _first_minimum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Per run of `lens` consecutive values, the index of its first least one.
+
+    A run that is empty or holds nothing below inf gets -1. Callers lay each
+    point's candidates out item-ascending, so ties go to the lowest item, and
+    pass at most _MAX_PAIRS values at a time.
     """
-    best = np.full(points.shape[0], np.inf)
-    items = np.full(points.shape[0], -1, dtype=np.int64)
-    rows = np.full((points.shape[0], 3), np.nan)
-    chunk = max(1, _MAX_PAIRS // tree.n)
-    for lo in range(0, points.shape[0], chunk):
-        lists = tree.query_ball_point(points[lo:lo + chunk], radii[lo:lo + chunk],
-                                      return_sorted=True)
-        lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        fidx = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists])
-        values, pair_rows = score(lo + np.repeat(np.arange(len(lists)), lens), fidx)
-        starts = np.cumsum(lens) - lens
-        some = np.flatnonzero(lens)
-        least = np.minimum.reduceat(values, starts[some])
-        order = np.where(values == np.repeat(least, lens[some]),
-                         np.arange(values.shape[0]), values.shape[0])
-        found = np.isfinite(least)
-        first = np.minimum.reduceat(order, starts[some])[found]
-        won = lo + some[found]
-        best[won], items[won], rows[won] = least[found], fidx[first], pair_rows[first]
-    return best, items, rows
+    first = np.full(lens.shape[0], -1, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    some = np.flatnonzero(lens)
+    least = np.minimum.reduceat(values, starts[some])
+    order = np.where(values == np.repeat(least, lens[some]),
+                     np.arange(values.shape[0]), values.shape[0])
+    found = np.isfinite(least)
+    first[some[found]] = np.minimum.reduceat(order, starts[some])[found]
+    return first
+
+
+@dataclass(frozen=True, eq=False)
+class Neighbourhoods:
+    """What scoring each closest-point row proved about the faces near it.
+
+    Row i was scored at `anchors[i]` and found its closest face at
+    `distances[i]`. Every face within `radii[i]` of the anchor (its
+    nearest-centroid distance) was in the row's candidate ball, and the row
+    carries that ball: faces[starts[i]:starts[i] + lens[i]], ascending, with
+    their squared anchor distances in `sq_distances`. A row whose ball held
+    more than _MAX_CARRIED faces carries none, and its radius is -inf. The
+    face indices are into `mesh`.
+    """
+
+    mesh: "TriMesh"
+    anchors: np.ndarray
+    distances: np.ndarray
+    radii: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+    faces: np.ndarray
+    sq_distances: np.ndarray
 
 
 class TriMesh:
@@ -330,11 +364,24 @@ class TriMesh:
             self._accel = (cKDTree(centroids), centroids, float(radii.max()))
         return self._accel
 
-    def closest_points(self, queries) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def closest_points(self, queries, near=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                         np.ndarray, Neighbourhoods]:
         """Batch closest-point query.
 
-        Returns (points (n,3), normals (n,3), face_indices (n,), distances (n,)).
-        Ties between faces resolve to the lowest face index.
+        Returns (points (n,3), normals (n,3), face_indices (n,), distances (n,),
+        neighbourhoods), the last with one row per query (see
+        `Neighbourhoods`). Ties between faces resolve to the lowest face index.
+
+        `near` = (neighbourhoods, rows), from an earlier call on this mesh,
+        offers query i row rows[i] of them (-1 for none). Say the query lies
+        delta from that row's anchor, whose closest distance is d. Any face
+        closer to the query than the anchor's closest face lies within
+        d + 2 delta of the anchor (triangle inequality), so where that reach,
+        with the ball's rounding slack, is within the row's radius, the row
+        is certified: it scores only its carried faces within reach, and
+        keeps its anchor's neighbourhood. Every other row scores the faces of
+        its k-d tree ball. Both go through one per-pair arithmetic and one
+        first minimum, so the results equal scoring every face bit for bit.
         """
         q = _as_points(queries, "queries")
         centroid_tree, _, max_radius = self._ensure_accel()
@@ -342,13 +389,28 @@ class TriMesh:
         # A centroid lies on its own face, so the nearest one bounds the
         # closest distance from above. Any face holding a point closer than
         # `upper` has its centroid within upper + r_f of the query, so this
-        # ball is an exact candidate filter; the relative slack keeps it so
-        # where rounding of a far query's distances exceeds any absolute one.
+        # ball is an exact candidate filter; every face within `upper` of the
+        # query is in it.
         upper, _ = centroid_tree.query(q)
-        radii = (upper + max_radius) * (1.0 + 1e-9) + 1e-9
-        if not np.all(radii <= _MAX_QUERY_DISTANCE):
+        ball = _slack(upper + max_radius)
+        if not np.all(ball <= _MAX_QUERY_DISTANCE):
             raise InvalidInputError("queries lie too far from the mesh: their squared "
                                     "distances overflow")
+
+        n = q.shape[0]
+        hood, rows = near if near is not None else (self._no_neighbourhoods(), np.full(n, -1))
+        rows = np.asarray(rows)
+        if hood.mesh is not self or np.shape(rows) != (n,):
+            raise InvalidInputError("near must hold this mesh's neighbourhoods and one "
+                                    "row per query")
+        reach = np.full(n, np.nan)  # a certified row's reach, NaN elsewhere
+        offered = np.flatnonzero(rows >= 0)
+        k = rows[offered]
+        with np.errstate(over="ignore"):  # anchors of a mesh wider than the float range
+            delta = np.linalg.norm(q[offered] - hood.anchors[k], axis=1)
+        bound = _slack(hood.distances[k] + 2.0 * delta)
+        reach[offered] = np.where(bound <= hood.radii[k], bound, np.nan)
+        certified = ~np.isnan(reach)
 
         def squared_distance(qidx, fidx):
             corners = self._vertices[self._faces[fidx]]
@@ -356,8 +418,62 @@ class TriMesh:
             diff = pts - q[qidx]
             return np.einsum("ij,ij->i", diff, diff), pts
 
-        best, faces, points = _first_minimum(centroid_tree, q, radii, squared_distance)
-        return points, self._face_normals[faces], faces, np.sqrt(best)
+        best = np.full(n, np.inf)
+        faces = np.full(n, -1, dtype=np.int64)
+        points = np.full((n, 3), np.nan)
+        none = np.zeros(0, dtype=np.int64)
+        balls = [(none, none, none, np.zeros(0))]  # tree rows, kept lens, faces, squares
+        chunk = max(1, _MAX_PAIRS // self._faces.shape[0])
+        for lo in range(0, n, chunk):
+            span = np.arange(lo, min(lo + chunk, n))
+            warm, cold = span[certified[span]], span[~certified[span]]
+            # a certified row's candidates: its carried faces within reach
+            k = rows[warm]
+            carried = _segments(hood.starts[k], hood.lens[k])
+            within = hood.sq_distances[carried] <= np.repeat(reach[warm] ** 2, hood.lens[k])
+            warm_lens = np.bincount(np.repeat(np.arange(warm.size), hood.lens[k])[within],
+                                    minlength=warm.size)
+            cold_lens, cold_faces = _ball_lists(centroid_tree, q[cold], ball[cold])
+            order = np.concatenate([warm, cold])
+            lens = np.concatenate([warm_lens, cold_lens])
+            fidx = np.concatenate([hood.faces[carried[within]], cold_faces])
+            values, pair_points = squared_distance(np.repeat(order, lens), fidx)
+            first = _first_minimum(values, lens)
+            won = first >= 0
+            best[order[won]] = values[first[won]]
+            faces[order[won]] = fidx[first[won]]
+            points[order[won]] = pair_points[first[won]]
+            small = cold_lens <= _MAX_CARRIED
+            kept = np.repeat(small, cold_lens)
+            balls.append((cold, np.where(small, cold_lens, 0), cold_faces[kept],
+                          values[within.sum():][kept]))
+
+        # a tree row is anchored at its query with the ball it scored, or with
+        # none past _MAX_CARRIED faces; a certified row keeps the one offered
+        cold, cold_lens, cold_faces, cold_sq = (np.concatenate(part) for part in zip(*balls))
+        warm = np.flatnonzero(certified)
+        k = rows[warm]
+        anchors, distances, radii = q.copy(), np.sqrt(best), upper.copy()
+        radii[cold[cold_lens == 0]] = -np.inf
+        anchors[warm], distances[warm], radii[warm] = (hood.anchors[k], hood.distances[k],
+                                                       hood.radii[k])
+        lens = np.zeros(n, dtype=np.int64)
+        lens[cold], lens[warm] = cold_lens, hood.lens[k]
+        starts = np.cumsum(lens) - lens
+        carried_faces = np.empty(lens.sum(), dtype=np.int64)
+        sq_distances = np.empty(lens.sum())
+        into = _segments(starts[cold], cold_lens)
+        carried_faces[into], sq_distances[into] = cold_faces, cold_sq
+        into, out_of = _segments(starts[warm], lens[warm]), _segments(hood.starts[k], lens[warm])
+        carried_faces[into], sq_distances[into] = hood.faces[out_of], hood.sq_distances[out_of]
+        return (points, self._face_normals[faces], faces, np.sqrt(best),
+                Neighbourhoods(self, anchors, distances, radii, starts, lens, carried_faces,
+                               sq_distances))
+
+    def _no_neighbourhoods(self) -> Neighbourhoods:
+        none = np.zeros(0, dtype=np.int64)
+        return Neighbourhoods(self, np.zeros((0, 3)), np.zeros(0), np.zeros(0), none, none,
+                              none, np.zeros(0))
 
     # -- ray casting ----------------------------------------------------
 
@@ -410,7 +526,17 @@ class TriMesh:
         # the eps tests admit each triangle scaled by 1 + 3 eps about its
         # centroid; the slack covers that and the projections' rounding
         radii = np.full(o.shape[0], max_radius * (1.0 + 1e-6) + 1e-9)
-        _, faces, points = _first_minimum(tree, o @ basis.T, radii, hits)
+        projected = o @ basis.T
+        points = np.full((o.shape[0], 3), np.nan)
+        faces = np.full(o.shape[0], -1, dtype=np.int64)
+        chunk = max(1, _MAX_PAIRS // self._faces.shape[0])
+        for lo in range(0, o.shape[0], chunk):
+            lens, fidx = _ball_lists(tree, projected[lo:lo + chunk], radii[lo:lo + chunk])
+            t, pair_points = hits(lo + np.repeat(np.arange(lens.shape[0]), lens), fidx)
+            first = _first_minimum(t, lens)
+            won = np.flatnonzero(first >= 0)
+            faces[lo + won] = fidx[first[won]]
+            points[lo + won] = pair_points[first[won]]
         return points, faces
 
     # -- serialization ----------------------------------------------------

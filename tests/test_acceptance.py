@@ -243,7 +243,7 @@ def test_criterion_7_closest_point():
     assert mesh.faces.shape[0] == 500
     rng = np.random.default_rng(14)
     queries = rng.uniform([-5.0, -5.0, -10.0], [55.0, 25.0, 15.0], (1000, 3))
-    _, _, _, dists = mesh.closest_points(queries)
+    dists = mesh.closest_points(queries)[3]
     worst = 0.0
     for q, d in zip(queries, dists):
         _, _, od = closest_point_brute(mesh.vertices, mesh.faces, q)

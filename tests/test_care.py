@@ -376,7 +376,7 @@ class TestRegistration:
         offsets = forces / stiffness
         for seed, outcome in zip(SEEDS, result.per_seed):
             moved = seed.apply(refs)
-            surf, normals, _, _ = spec.mesh.closest_points(moved)
+            surf, normals = spec.mesh.closest_points(moved)[:2]
             targets = surf - normals * offsets[:, None]
             start_obj = float(np.linalg.norm(targets - moved, axis=1).sum())
             assert outcome.objective <= start_obj + 1e-9

@@ -181,7 +181,86 @@ def assert_closest_match_oracle(mesh, queries):
     want = closest_points_every_face(mesh, queries)
     for name, g, w in zip(("points", "normals", "faces", "distances"), got, want):
         assert np.array_equal(g, w), name
-    return got
+    return got[:4]
+
+
+def assert_same_neighbourhoods(got, want):
+    assert got.mesh is want.mesh
+    for field in dataclasses.fields(got)[1:]:
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def _certificates(hood):
+    """Per row, the largest move from its anchor that `closest_points` still
+    certifies: `_slack(d + 2 delta) <= r` solved for delta; -inf for none."""
+    return ((hood.radii - 1e-9) / (1.0 + 1e-9) - hood.distances) / 2.0
+
+
+_MOVES = ("zero", "under", "over", "far")
+
+
+@pytest.mark.parametrize("make_mesh", [lumpy_mesh, huge_face_mesh])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_offered_neighbourhoods_match_every_face(make_mesh, data):
+    """Rows moved from their anchors by 0, by just under their certificate, by
+    just over it and by several mm, twice in a chain: every step equals
+    scoring every face bit for bit. A row moved under its certificate keeps
+    its anchor (it scored only carried faces); one moved over it, or far, is
+    re-anchored at its query (it searched the tree). No row carries more than
+    _MAX_CARRIED faces, so on the huge-face mesh, whose every ball holds every
+    face, no row carries any or is certified."""
+    mesh = make_mesh()
+    low, high = mesh.bounds()
+    n = data.draw(st.integers(1, 12))
+    queries = np.array(data.draw(st.lists(
+        st.tuples(*[st.floats(float(lo) - 5.0, float(hi) + 5.0) for lo, hi in zip(low, high)]),
+        min_size=n, max_size=n)))
+    directions = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(2, n, 3))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    hood = mesh.closest_points(queries)[4]
+    for step in range(2):
+        moves = data.draw(st.lists(st.sampled_from(_MOVES), min_size=n, max_size=n))
+        certificate = np.maximum(_certificates(hood), 0.0)
+        length = np.select([np.array(moves) == m for m in _MOVES],
+                           [0.0, certificate * (1.0 - 1e-6),
+                            certificate * (1.0 + 1e-6) + 1e-7, 6.0])
+        moved = hood.anchors + length[:, None] * directions[step]
+        got = mesh.closest_points(moved, (hood, np.arange(n)))
+        for name, g, w in zip(("points", "normals", "faces", "distances"), got,
+                              closest_points_every_face(mesh, moved)):
+            assert np.array_equal(g, w), name
+        new = got[4]
+        assert new.lens.max() <= geometry._MAX_CARRIED
+        # a certificate above 1e-6 mm is clear of the rounding of the move itself
+        under = (np.array(moves) == "under") & (certificate > 1e-6)
+        assert np.all(np.all(new.anchors == hood.anchors, axis=1)[under])
+        past = np.isin(moves, ["over", "far"])
+        assert np.all(np.all(new.anchors == moved, axis=1)[past])
+        if make_mesh is huge_face_mesh:
+            assert mesh.faces.shape[0] > geometry._MAX_CARRIED
+            assert np.all(new.lens == 0) and np.all(new.radii == -np.inf)
+            assert np.all(np.all(new.anchors == moved, axis=1))
+        hood = new
+
+
+def test_rows_carry_at_most_the_bound(monkeypatch):
+    """A row whose ball held more faces than the bound carries none, so it is
+    never certified, and offering it changes nothing."""
+    mesh = lumpy_mesh()
+    queries = np.random.default_rng(24).uniform([-5, -5, -8], [41, 41, 10], (200, 3))
+    balls = mesh.closest_points(queries)[4].lens  # every ball, within the default bound
+    assert np.all(balls > 0) and balls.max() <= geometry._MAX_CARRIED
+    monkeypatch.setattr(geometry, "_MAX_CARRIED", 8)
+    hood = mesh.closest_points(queries)[4]
+    wide = balls > 8
+    assert 0 < wide.sum() < 200
+    assert np.array_equal(hood.lens, np.where(wide, 0, balls))
+    assert np.array_equal(hood.radii == -np.inf, wide)
+    again = mesh.closest_points(queries, (hood, np.arange(200)))
+    for g, w in zip(again[:4], closest_points_every_face(mesh, queries)):
+        assert np.array_equal(g, w)
+    assert np.array_equal(again[4].lens, hood.lens)
 
 
 class TestTriMesh:
@@ -239,6 +318,21 @@ class TestTriMesh:
         with pytest.raises(InvalidInputError, match="too far from the mesh"):
             mesh.closest_points(np.array([[1e160, 0.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_query_offered_a_neighbourhood_is_rejected_first(self):
+        """The far check runs before the anchor distance, whose square overflows."""
+        mesh = lumpy_mesh()
+        hood = mesh.closest_points(np.array([[10.0, 10.0, 5.0]]))[4]
+        with pytest.raises(InvalidInputError, match="too far from the mesh"):
+            mesh.closest_points(np.array([[1e160, 0.0, 0.0]]), (hood, np.array([0])))
+
+    def test_neighbourhoods_of_another_mesh_are_rejected(self):
+        mesh = lumpy_mesh()
+        query = np.array([[10.0, 10.0, 5.0]])
+        hood = lumpy_mesh().closest_points(query)[4]
+        with pytest.raises(InvalidInputError, match="this mesh's neighbourhoods"):
+            mesh.closest_points(query, (hood, np.array([0])))
+
     def test_exact_tie_picks_lowest_face(self):
         # mirror-image triangles: IEEE negation is exact, so a query on the
         # mirror plane yields bit-identical distances to both faces
@@ -268,7 +362,7 @@ class TestTriMesh:
 
     def test_closest_point_single(self):
         mesh = lumpy_mesh()
-        _, _, faces, dists = mesh.closest_points(np.array([[10.0, 10.0, 30.0]]))
+        _, _, faces, dists, _ = mesh.closest_points(np.array([[10.0, 10.0, 30.0]]))
         assert dists[0] > 0
         assert 0 <= faces[0] < mesh.faces.shape[0]
 
@@ -471,11 +565,9 @@ class TestRaycastIndex:
         faces_per_chunk = []
         original = geometry._first_minimum
 
-        def recording(tree, points, radii, score):
-            def counted(qidx, fidx):
-                faces_per_chunk.append(fidx.shape[0])
-                return score(qidx, fidx)
-            return original(tree, points, radii, counted)
+        def recording(values, lens):
+            faces_per_chunk.append(values.shape[0])
+            return original(values, lens)
 
         monkeypatch.setattr(geometry, "_MAX_PAIRS", 7 * mesh.faces.shape[0])
         monkeypatch.setattr(geometry, "_first_minimum", recording)
@@ -487,6 +579,12 @@ class TestRaycastIndex:
         mesh = lumpy_mesh()
         queries = np.random.default_rng(13).uniform(-10.0, 50.0, (200, 3))
         whole = mesh.closest_points(queries)
+        near = (whole[4], np.arange(200))
+        moved = queries + 0.1
+        warm = mesh.closest_points(moved, near)
         monkeypatch.setattr(geometry, "_MAX_PAIRS", 3 * mesh.faces.shape[0])
-        for got, want in zip(mesh.closest_points(queries), whole):
-            assert np.array_equal(got, want)
+        for got, want in ((mesh.closest_points(queries), whole),
+                          (mesh.closest_points(moved, near), warm)):
+            for g, w in zip(got[:4], want[:4]):
+                assert np.array_equal(g, w)
+            assert_same_neighbourhoods(got[4], want[4])

@@ -3,7 +3,8 @@
 A small closed-loop run is recorded probe by probe, edited so that a
 singleton slot becomes a set mid-order, and replayed through the engine.
 At every update the sets and the stiffness samples the engine used are
-checked bit for bit against a from-scratch computation, and the GP
+checked bit for bit against a from-scratch computation, the registration
+against one without the carried closest-point neighbourhoods, and the GP
 prediction against a fresh fit predicted without a cache to 1e-9: a grown
 Cholesky factor equals a refactorized one only to rounding.
 """
@@ -13,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from palpmap import care, cli, gp
+from palpmap import care, cli, geometry, gp
 from palpmap.care import ProbeMeasurement, collect_sets, estimate_stiffness
 from palpmap.make_demo import write_demo
 
@@ -62,6 +63,31 @@ def _same_sample(a, b):
             and a.degenerate == b.degenerate)
 
 
+def _registration_key(result):
+    """Every field of a RegistrationResult, the per-seed table included, as bytes and numbers."""
+    def outcome(o):
+        return (o.transform.rotation.tobytes(), o.transform.translation.tobytes(),
+                o.objective, o.iterations, o.converged)
+    return outcome(result), [outcome(o) for o in result.per_seed]
+
+
+def _references(samples):
+    return [s.cset.reference_index for s in samples if not s.degenerate]
+
+
+def _tree_queries(monkeypatch):
+    """Record the query points of each k-d tree ball search, per call."""
+    calls = []
+    original = geometry._ball_lists
+
+    def recording(tree, points, radii):
+        calls.append({tuple(p) for p in points})
+        return original(tree, points, radii)
+
+    monkeypatch.setattr(geometry, "_ball_lists", recording)
+    return calls
+
+
 def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
     recorded = _record(demo_config, monkeypatch)
     # a lone measurement opens a singleton slot after the 3rd probe; the
@@ -74,6 +100,8 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
     estimated = []    # sets estimate_stiffness was called for
     evaluated = []    # kernel columns evaluated, and used, per prediction
     extended = []     # rows appended to the previous factor, per fit that kept it
+    registered = []   # each registration's reference measurement indices
+    untouched = []    # per registration: did the tree skip some first-round row
     original_sets = care.SetCollector.sets
     original_estimate = cli.estimate_stiffness
     original_register = cli.cmu_register
@@ -100,12 +128,29 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
         estimated.append(cset)
         return original_estimate(cset, measurements)
 
-    def register(samples, mesh, measurements, seeds, config):
+    def register(samples, mesh, measurements, seeds, config, carried):
         # one sample per set of this update, in slot order, each for its set
         assert len(samples) == len(history[-1])
         for sample, cset in zip(samples, history[-1]):
             assert _same_sample(sample, estimate_stiffness(cset, measurements))
-        return original_register(samples, mesh, measurements, seeds, config)
+        # the carrier offers exactly the references the last winner scored;
+        # a set whose reference changed is searched from the tree in the
+        # first round, from every seed
+        references = _references(samples)
+        offered = carried.near(mesh, references)
+        rows = np.full(len(references), -1) if offered is None else offered[1]
+        assert np.array_equal(rows >= 0, np.isin(references, registered[-1:]))
+        points = np.asarray([measurements[r].position for r in references])
+        with monkeypatch.context() as patch:
+            tree = _tree_queries(patch)
+            warm = original_register(samples, mesh, measurements, seeds, config, carried)
+        for seed in seeds:
+            assert {tuple(p) for p in seed.apply(points)[rows < 0]} <= tree[0]
+        untouched.append(len(tree[0]) < len(seeds) * len(references))
+        cold = original_register(samples, mesh, measurements, seeds, config)
+        assert _registration_key(warm) == _registration_key(cold)
+        registered.append(references)
+        return warm
 
     def fit(training, params, previous=None):
         columns = []
@@ -171,3 +216,29 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
     assert len(estimated) == changed < sum(len(sets) for sets in history)
     assert sum(e for e, _ in evaluated) < sum(u for _, u in evaluated)
     assert 2 * len(extended) >= len(history) and max(extended) > 0
+    # and every warm-started update skipped the tree for some carried row
+    assert not untouched[0] and all(untouched[1:-1])
+
+
+def test_carrier_starts_over_on_another_mesh(demo_config, monkeypatch):
+    art = cli.execute_experiment(dataclasses.replace(demo_config, budget=2))
+    mesh = art.phantom.mesh
+    twin = geometry.TriMesh(mesh.vertices, mesh.faces)
+    references = _references(art.samples)
+    seeds = (art.trace[-1][1].transform,)
+    carried = care.CarriedNeighbourhoods()
+    args = (art.samples, mesh, art.measurements, seeds, demo_config.cmu)
+    cold = _registration_key(care.cmu_register(*args))
+    assert _registration_key(care.cmu_register(*args, carried)) == cold
+    assert np.all(carried.near(mesh, references)[1] >= 0)
+
+    tree = _tree_queries(monkeypatch)
+    assert _registration_key(care.cmu_register(*args, carried)) == cold
+    assert len(tree[0]) < len(references)  # the same mesh: carried rows skip the tree
+    tree.clear()
+    on_twin = care.cmu_register(art.samples, twin, art.measurements, seeds,
+                                demo_config.cmu, carried)
+    assert _registration_key(on_twin) == cold
+    assert len(tree[0]) == len(references)  # another mesh: every row searches the tree
+    assert carried.near(twin, references) is not None
+    assert carried.near(mesh, references) is None
