@@ -1,10 +1,9 @@
 """Stiffness mapping and surface registration for simulated robotic palpation."""
 
 from .acquisition import SamplingPolicy, expected_improvement, select_next
-from .care import (CarriedNeighbourhoods, CMUConfig, CompatibleSet, ProbeMeasurement,
-                   RegistrationResult, SeedOutcome, SetCollector, StiffnessSample,
-                   cmu_register, collect_sets, default_seed_transforms,
-                   estimate_stiffness)
+from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
+                   SeedOutcome, SetCollector, StiffnessSample, cmu_register,
+                   collect_sets, default_seed_transforms, estimate_stiffness)
 from .cli import (ExperimentConfig, ExperimentReport, RunArtifacts,
                   compare_strategies, evaluate, execute_experiment, load_config,
                   main, run_experiment, write_run_outputs)
@@ -25,7 +24,7 @@ from .simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArteryRidge", "CarriedNeighbourhoods", "CMUConfig", "CompatibleSet", "ConfigError",
+    "ArteryRidge", "CMUConfig", "CompatibleSet", "ConfigError",
     "DegenerateGeometryError", "ExperimentConfig", "ExperimentReport",
     "ExplorationExhaustedError", "GPModel", "InsufficientDataError",
     "InvalidInputError", "KernelParams", "Neighbourhoods", "NoiseSpec",

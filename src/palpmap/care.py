@@ -16,20 +16,20 @@ reaches the iteration cap. Every iterate is scored at one site: a batched
 round over the seeds.
 
 Each closest-point row carries its neighbourhood from one round to the next,
-and a `CarriedNeighbourhoods` hands the winning seed's to the next
-registration, keyed by reference measurement index. A row that moved less
-than its certificate allows is re-scored only on the faces its last query
-proved near. The certificate is the triangle inequality (Greenspan & Godin
-2001), and those faces go through the same per-pair arithmetic and first
-minimum as a tree search, so the result is exact: bit for bit what scoring
-every face gives, carrier or not.
+and a registration's result holds its winning iterate's, by reference
+measurement index, for the next call given it as `previous`. A row that
+moved less than its certificate allows is re-scored only on the faces its
+last query proved near. The certificate is the triangle inequality
+(Greenspan & Godin 2001), and those faces go through the same per-pair
+arithmetic and first minimum as a tree search, so the result is exact: bit
+for bit what scoring every face gives, with or without `previous`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -312,13 +312,21 @@ class SeedOutcome:
 
 @dataclass(frozen=True)
 class RegistrationResult:
-    """Winning transform plus the per-seed objective table."""
+    """Winning transform plus the per-seed objective table.
+
+    `neighbourhoods` are the winning iterate's closest-point neighbourhoods
+    (see `TriMesh.closest_points`), and `neighbourhood_rows` maps each
+    reference measurement index to its row in them. Neither takes part in
+    equality; they only save the next call k-d tree searches.
+    """
 
     transform: RigidTransform
     objective: float
     iterations: int
     converged: bool  # of the winning seed
     per_seed: Tuple[SeedOutcome, ...]
+    neighbourhoods: Optional[Neighbourhoods] = field(default=None, compare=False)
+    neighbourhood_rows: Optional[Dict[int, int]] = field(default=None, compare=False)
 
 
 def _registration_arrays(samples: Sequence[StiffnessSample],
@@ -331,38 +339,6 @@ def _registration_arrays(samples: Sequence[StiffnessSample],
     points = np.asarray([measurements[r].position for r in references])
     forces = np.asarray([measurements[r].force for r in references])
     return references, points, forces, np.asarray([s.stiffness for s in valid])
-
-
-class CarriedNeighbourhoods:
-    """Closest-point neighbourhoods that one registration hands to the next.
-
-    `cmu_register` keeps here its winning seed's best-iterate neighbourhoods
-    (see `TriMesh.closest_points`), keyed by each row's reference measurement
-    index, and offers them to its next call's first round. The measurement
-    log only grows, so a reference seen before is the same point, and a warm
-    start from the previous winner re-scores it on the faces its last query
-    proved near. Every offered row is certified anew against its own query,
-    so what is carried changes the work, never a result. Handed another
-    mesh, the carrier starts over.
-    """
-
-    def __init__(self):
-        self._hood: Optional[Neighbourhoods] = None
-        self._rows: Dict[int, int] = {}
-
-    def near(self, mesh: TriMesh, references: Sequence[int]):
-        """(neighbourhoods, rows) for `references` on `mesh`, row -1 where
-        none is carried; None when nothing is carried for `mesh`."""
-        if self._hood is None or self._hood.mesh is not mesh:
-            self._hood, self._rows = None, {}
-            return None
-        return self._hood, np.array([self._rows.get(r, -1) for r in references],
-                                    dtype=np.int64)
-
-    def keep(self, references: Sequence[int], hood: Neighbourhoods, first: int):
-        """Carry rows first, first + 1, ... of `hood` for `references`, in order."""
-        self._hood = hood
-        self._rows = {r: first + j for j, r in enumerate(references)}
 
 
 def _rotation_from_vector(omega: np.ndarray) -> np.ndarray:
@@ -397,7 +373,7 @@ def cmu_register(samples: Sequence[StiffnessSample],
                  measurements: Sequence[ProbeMeasurement],
                  seeds: Sequence[RigidTransform],
                  config: CMUConfig,
-                 carried: Optional[CarriedNeighbourhoods] = None) -> RegistrationResult:
+                 previous: Optional[RegistrationResult] = None) -> RegistrationResult:
     """Multi-seed registration of probed reference points to the mesh.
 
     The reference points are those of the non-degenerate samples' sets, and
@@ -422,12 +398,14 @@ def cmu_register(samples: Sequence[StiffnessSample],
     Each round offers every seed's rows the neighbourhoods of its previous
     round (see `TriMesh.closest_points`): a point that moved less than its
     certificate allows is re-scored on the few faces its last query proved
-    near, not searched from the k-d tree. `carried`, when given, offers the
-    first round the previous call's winning neighbourhoods and keeps this
-    call's. A row is certified only where the triangle inequality proves its
-    closest face among the faces it scores, and those go through the same
-    arithmetic and first minimum as a tree search, so every closest point,
-    and so the result, is bit for bit what a search of every face gives.
+    near, not searched from the k-d tree. `previous`, an earlier call's
+    result, offers the first round its winner's neighbourhoods for the
+    references it scored, when they are of `mesh`; the seeds stay the
+    caller's. A row is certified only where the triangle inequality proves
+    its closest face among the faces it scores, and those go through the
+    same arithmetic and first minimum as a tree search, so every closest
+    point, and so the result, is bit for bit what a search of every face
+    gives.
     Raises InvalidInputError when `seeds` is empty and DegenerateGeometryError
     when the reference points are collinear.
     """
@@ -449,8 +427,12 @@ def cmu_register(samples: Sequence[StiffnessSample],
     stopped = [False] * n_seeds  # settled or capped: scored once more, never stepped
     unscored = list(range(n_seeds))  # seeds whose current iterate has no score yet
     # the neighbourhoods the next round is offered, and per seed its points' rows
-    offered = carried.near(mesh, references) if carried is not None else None
-    hood, rows = offered or (None, None)
+    hood = rows = None
+    if previous is not None and previous.neighbourhoods is not None \
+            and previous.neighbourhoods.mesh is mesh:
+        hood = previous.neighbourhoods
+        rows = np.array([previous.neighbourhood_rows.get(r, -1) for r in references],
+                        dtype=np.int64)
     seed_rows = [rows] * n_seeds
 
     while unscored:
@@ -488,8 +470,8 @@ def cmu_register(samples: Sequence[StiffnessSample],
                      for i in range(n_seeds))
     winner = min(range(n_seeds), key=lambda i: outcomes[i].objective)
     best = outcomes[winner]
-    if carried is not None:
-        carried.keep(references, *best_near[winner])
+    hood, first = best_near[winner]
     return RegistrationResult(transform=best.transform, objective=best.objective,
                               iterations=best.iterations, converged=best.converged,
-                              per_seed=outcomes)
+                              per_seed=outcomes, neighbourhoods=hood,
+                              neighbourhood_rows={r: first + j for j, r in enumerate(references)})

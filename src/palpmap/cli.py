@@ -24,9 +24,10 @@ configured seed; each later update in the loop starts from the previous
 winner alone; the final update searches from every configured seed plus the
 previous winner. The GP, EI and the map work in tool-frame locations, so
 registration feeds only the next warm start and the final report. Each
-registration also hands its winner's closest-point neighbourhoods to the
-next through one `CarriedNeighbourhoods` per run, which saves k-d tree
-searches and changes no result (see `care`).
+registration is also handed the previous one's result, as each GP fit is,
+and reuses its winner's closest-point neighbourhoods, which saves k-d tree
+searches and changes no result (see `care`); `trace` keeps the results
+without them.
 
 Config documents are read through one table, `CONFIG_SCHEMA`, which maps each
 section's keys to the parameters of the dataclass they build; `schema` reads
@@ -50,9 +51,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .acquisition import SamplingPolicy, expected_improvement, select_next
-from .care import (CarriedNeighbourhoods, CMUConfig, CompatibleSet, ProbeMeasurement,
-                   RegistrationResult, SetCollector, StiffnessSample,
-                   default_seed_transforms, estimate_stiffness, cmu_register)
+from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
+                   SetCollector, StiffnessSample, default_seed_transforms,
+                   estimate_stiffness, cmu_register)
 from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
                      NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
@@ -250,36 +251,35 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
         do_probe(target)
 
     configured = config.seed_transforms
-    warm_start: Optional[RigidTransform] = None  # the previous update's winner
-    # the previous update's samples by their set, which the collector keeps
-    # until the set gains a member, its GP fit and its grid rows: what a
-    # probe leaves unchanged is reused, not recomputed
+    # the previous update's registration, its samples by their set, which
+    # the collector keeps until the set gains a member, its GP fit and its
+    # grid rows: what a probe leaves unchanged is reused, not recomputed
+    registered: Optional[RegistrationResult] = None
     known: Dict[CompatibleSet, StiffnessSample] = {}
     fitted: Optional[GPModel] = None
     cross = CrossCovariance()
-    carried = CarriedNeighbourhoods()  # the last winner's closest-point neighbourhoods
 
     def update(seeds: Tuple[RigidTransform, ...]):
-        nonlocal warm_start, known, fitted
+        nonlocal registered, known, fitted
         samples = [known.get(cset) or estimate_stiffness(cset, measurements)
                    for cset in collector.sets()]
         known = {s.cset: s for s in samples}
-        registration = cmu_register(samples, phantom.mesh, measurements, seeds, config.cmu,
-                                    carried)
-        warm_start = registration.transform
+        registered = cmu_register(samples, phantom.mesh, measurements, seeds, config.cmu,
+                                  previous=registered)
         valid = [s for s in samples if not s.degenerate]
         training = TrainingSet([s.cset.location for s in valid],
                                [s.stiffness for s in valid])
         model = fitted = gp_fit(training, config.kernel, previous=fitted)
         prediction = gp_predict(model, grid, cross)
-        trace.append((len(targets), registration))
+        trace.append((len(targets), dataclasses.replace(
+            registered, neighbourhoods=None, neighbourhood_rows=None)))
         return samples, training, model, prediction
 
     if config.strategy == "ei":
         for step in range(1, config.budget + 1):
             # the first update searches every configured seed, later ones
             # start from the previous winner alone
-            seeds = configured if warm_start is None else (warm_start,)
+            seeds = configured if registered is None else (registered.transform,)
             _, training, _, prediction = update(seeds)
             try:
                 idx = select_next(prediction, grid, probed,
@@ -294,7 +294,7 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
             do_probe(target)
 
     # the final update searches every configured seed plus the previous winner
-    seeds = configured if warm_start is None else configured + (warm_start,)
+    seeds = configured if registered is None else configured + (registered.transform,)
     samples, training, model, prediction = update(seeds)
     ei_map = expected_improvement(prediction.mean, prediction.std,
                                   float(training.outputs.max()))

@@ -386,31 +386,40 @@ class TriMesh:
         q = _as_points(queries, "queries")
         centroid_tree, _, max_radius = self._ensure_accel()
 
-        # A centroid lies on its own face, so the nearest one bounds the
-        # closest distance from above. Any face holding a point closer than
-        # `upper` has its centroid within upper + r_f of the query, so this
-        # ball is an exact candidate filter; every face within `upper` of the
-        # query is in it.
-        upper, _ = centroid_tree.query(q)
-        ball = _slack(upper + max_radius)
-        if not np.all(ball <= _MAX_QUERY_DISTANCE):
-            raise InvalidInputError("queries lie too far from the mesh: their squared "
-                                    "distances overflow")
-
         n = q.shape[0]
         hood, rows = near if near is not None else (self._no_neighbourhoods(), np.full(n, -1))
         rows = np.asarray(rows)
-        if hood.mesh is not self or np.shape(rows) != (n,):
+        if hood.mesh is not self or rows.shape != (n,):
             raise InvalidInputError("near must hold this mesh's neighbourhoods and one "
                                     "row per query")
+        if not (np.issubdtype(rows.dtype, np.integer)
+                and np.all((rows >= -1) & (rows < hood.anchors.shape[0]))):
+            raise InvalidInputError("near rows must be integers in [-1, rows of the "
+                                    "neighbourhoods)")
         reach = np.full(n, np.nan)  # a certified row's reach, NaN elsewhere
         offered = np.flatnonzero(rows >= 0)
         k = rows[offered]
-        with np.errstate(over="ignore"):  # anchors of a mesh wider than the float range
+        # a far query, or an anchor of a mesh wider than the float range,
+        # overflows its distance to inf, which certifies nothing
+        with np.errstate(over="ignore"):
             delta = np.linalg.norm(q[offered] - hood.anchors[k], axis=1)
         bound = _slack(hood.distances[k] + 2.0 * delta)
         reach[offered] = np.where(bound <= hood.radii[k], bound, np.nan)
         certified = ~np.isnan(reach)
+
+        # A centroid lies on its own face, so the nearest one bounds the
+        # closest distance from above. Any face holding a point closer than
+        # `upper` has its centroid within upper + r_f of the query, so this
+        # ball is an exact candidate filter; every face within `upper` of the
+        # query is in it. Only rows left uncertified search the tree; a
+        # certified row's reach lies within a radius its anchor's call checked.
+        upper = np.full(n, np.nan)
+        searched = np.flatnonzero(~certified)
+        upper[searched] = centroid_tree.query(q[searched])[0]
+        ball = _slack(upper + max_radius)
+        if not np.all(ball[searched] <= _MAX_QUERY_DISTANCE):
+            raise InvalidInputError("queries lie too far from the mesh: their squared "
+                                    "distances overflow")
 
         def squared_distance(qidx, fidx):
             corners = self._vertices[self._faces[fidx]]

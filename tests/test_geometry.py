@@ -320,7 +320,8 @@ class TestTriMesh:
 
     @pytest.mark.filterwarnings("error")
     def test_far_query_offered_a_neighbourhood_is_rejected_first(self):
-        """The far check runs before the anchor distance, whose square overflows."""
+        """The anchor distance overflows without a warning and certifies
+        nothing, so the row searches the tree and meets the far check."""
         mesh = lumpy_mesh()
         hood = mesh.closest_points(np.array([[10.0, 10.0, 5.0]]))[4]
         with pytest.raises(InvalidInputError, match="too far from the mesh"):
@@ -332,6 +333,15 @@ class TestTriMesh:
         hood = lumpy_mesh().closest_points(query)[4]
         with pytest.raises(InvalidInputError, match="this mesh's neighbourhoods"):
             mesh.closest_points(query, (hood, np.array([0])))
+
+    @pytest.mark.parametrize("rows", [[5, 0], [0.5, 1.0], [-2, 0]],
+                             ids=["past-the-table", "non-integer", "below-minus-one"])
+    def test_offered_rows_outside_the_table_are_rejected(self, rows):
+        mesh = lumpy_mesh()
+        queries = np.array([[10.0, 10.0, 5.0], [20.0, 20.0, 5.0]])
+        hood = mesh.closest_points(queries)[4]
+        with pytest.raises(InvalidInputError, match="near rows"):
+            mesh.closest_points(queries, (hood, np.array(rows)))
 
     def test_exact_tie_picks_lowest_face(self):
         # mirror-image triangles: IEEE negation is exact, so a query on the

@@ -115,3 +115,14 @@ def test_private_definitions_are_read_in_the_package():
             for line, name in _definitions(ast.parse(path.read_text()).body)
             if name.startswith("_") and not name.startswith("__") and name not in read]
     assert dead == []
+
+
+def test_exports_are_the_imported_names():
+    """`palpmap.__all__` lists each name `__init__.py` imports, once, and no other."""
+    body = ast.parse((ROOT / "src" / "palpmap" / "__init__.py").read_text()).body
+    imported = [alias.asname or alias.name for node in body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    [exported] = [ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+    assert sorted(exported) == sorted(imported)

@@ -4,9 +4,9 @@ A small closed-loop run is recorded probe by probe, edited so that a
 singleton slot becomes a set mid-order, and replayed through the engine.
 At every update the sets and the stiffness samples the engine used are
 checked bit for bit against a from-scratch computation, the registration
-against one without the carried closest-point neighbourhoods, and the GP
-prediction against a fresh fit predicted without a cache to 1e-9: a grown
-Cholesky factor equals a refactorized one only to rounding.
+against one not handed the previous result's closest-point neighbourhoods,
+and the GP prediction against a fresh fit predicted without a cache to
+1e-9: a grown Cholesky factor equals a refactorized one only to rounding.
 """
 
 import dataclasses
@@ -101,6 +101,7 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
     evaluated = []    # kernel columns evaluated, and used, per prediction
     extended = []     # rows appended to the previous factor, per fit that kept it
     registered = []   # each registration's reference measurement indices
+    returned = []     # each registration's result
     untouched = []    # per registration: did the tree skip some first-round row
     original_sets = care.SetCollector.sets
     original_estimate = cli.estimate_stiffness
@@ -128,28 +129,35 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
         estimated.append(cset)
         return original_estimate(cset, measurements)
 
-    def register(samples, mesh, measurements, seeds, config, carried):
+    def register(samples, mesh, measurements, seeds, config, previous=None):
         # one sample per set of this update, in slot order, each for its set
         assert len(samples) == len(history[-1])
         for sample, cset in zip(samples, history[-1]):
             assert _same_sample(sample, estimate_stiffness(cset, measurements))
-        # the carrier offers exactly the references the last winner scored;
-        # a set whose reference changed is searched from the tree in the
+        # each update is handed the last one's result, whose rows are
+        # exactly the references the last winner scored, on this mesh; a
+        # set whose reference changed is searched from the tree in the
         # first round, from every seed
+        assert previous is (returned[-1] if returned else None)
         references = _references(samples)
-        offered = carried.near(mesh, references)
-        rows = np.full(len(references), -1) if offered is None else offered[1]
+        rows = np.full(len(references), -1)
+        if previous is not None:
+            assert previous.neighbourhoods.mesh is mesh
+            assert sorted(previous.neighbourhood_rows) == sorted(registered[-1])
+            rows = np.array([previous.neighbourhood_rows.get(r, -1) for r in references])
         assert np.array_equal(rows >= 0, np.isin(references, registered[-1:]))
         points = np.asarray([measurements[r].position for r in references])
         with monkeypatch.context() as patch:
             tree = _tree_queries(patch)
-            warm = original_register(samples, mesh, measurements, seeds, config, carried)
+            warm = original_register(samples, mesh, measurements, seeds, config,
+                                     previous=previous)
         for seed in seeds:
             assert {tuple(p) for p in seed.apply(points)[rows < 0]} <= tree[0]
         untouched.append(len(tree[0]) < len(seeds) * len(references))
         cold = original_register(samples, mesh, measurements, seeds, config)
         assert _registration_key(warm) == _registration_key(cold)
         registered.append(references)
+        returned.append(warm)
         return warm
 
     def fit(training, params, previous=None):
@@ -221,24 +229,28 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
 
 
 def test_carrier_starts_over_on_another_mesh(demo_config, monkeypatch):
+    """A previous result offers its neighbourhoods on its own mesh only; the
+    run's trace keeps no neighbourhood table."""
     art = cli.execute_experiment(dataclasses.replace(demo_config, budget=2))
+    assert all(reg.neighbourhoods is None and reg.neighbourhood_rows is None
+               for _, reg in art.trace)
     mesh = art.phantom.mesh
     twin = geometry.TriMesh(mesh.vertices, mesh.faces)
     references = _references(art.samples)
     seeds = (art.trace[-1][1].transform,)
-    carried = care.CarriedNeighbourhoods()
     args = (art.samples, mesh, art.measurements, seeds, demo_config.cmu)
-    cold = _registration_key(care.cmu_register(*args))
-    assert _registration_key(care.cmu_register(*args, carried)) == cold
-    assert np.all(carried.near(mesh, references)[1] >= 0)
+    previous = care.cmu_register(*args)
+    cold = _registration_key(previous)
+    assert previous.neighbourhoods.mesh is mesh
+    assert sorted(previous.neighbourhood_rows) == sorted(references)
 
     tree = _tree_queries(monkeypatch)
-    assert _registration_key(care.cmu_register(*args, carried)) == cold
+    again = care.cmu_register(*args, previous=previous)
+    assert _registration_key(again) == cold
     assert len(tree[0]) < len(references)  # the same mesh: carried rows skip the tree
     tree.clear()
     on_twin = care.cmu_register(art.samples, twin, art.measurements, seeds,
-                                demo_config.cmu, carried)
+                                demo_config.cmu, previous=previous)
     assert _registration_key(on_twin) == cold
     assert len(tree[0]) == len(references)  # another mesh: every row searches the tree
-    assert carried.near(twin, references) is not None
-    assert carried.near(mesh, references) is None
+    assert on_twin.neighbourhoods.mesh is twin and again.neighbourhoods.mesh is mesh
