@@ -75,7 +75,7 @@ def select_next(prediction: Prediction, grid, probed: np.ndarray,
     n = pts.shape[0]
     if prediction.mean.shape[0] != n or prediction.variance.shape[0] != n:
         raise InvalidInputError("prediction length must match the grid")
-    if prior_variance <= 0.0:
+    if not (math.isfinite(prior_variance) and prior_variance > 0.0):
         raise InvalidInputError("prior_variance must be > 0")
     probed = np.asarray(probed)
     if probed.dtype != bool or probed.shape != (n,):

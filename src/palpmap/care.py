@@ -152,13 +152,13 @@ class CMUConfig:
         if not (self.tangent_distance > 0.0
                 and 0.0 < self.tangent_distance * self.tangent_distance < math.inf):
             raise InvalidInputError("tangent_distance must be > 0 with a positive finite square")
-        if self.normal_angle_deg <= 0.0:
+        if not (math.isfinite(self.normal_angle_deg) and self.normal_angle_deg > 0.0):
             raise InvalidInputError("normal_angle_deg must be > 0")
-        if self.min_force_difference <= 0.0:
+        if not self.min_force_difference > 0.0:
             raise InvalidInputError("min_force_difference must be > 0")
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be a positive integer")
-        if self.convergence_tolerance <= 0.0:
+        if not self.convergence_tolerance > 0.0:
             raise InvalidInputError("convergence_tolerance must be > 0")
 
 

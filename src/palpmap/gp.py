@@ -12,14 +12,16 @@ when the kernel parameters are equal and its inputs are a prefix of the new
 ones, so an escalated fit is extended at its escalated jitter. Otherwise, or
 when the appended block fails, it appends every input onto an empty factor,
 which is a fit from scratch starting again at the configured jitter; the
-weights are re-solved at every fit. `gp_predict` grows the whitened query
-rows the same way, from the rows a `CrossCovariance` kept or from empty
-ones: an uncached prediction is a cached one that starts from empty rows. A
-factor grown from a previous one equals a fit from scratch at the same
-jitter to rounding; a fit from scratch is the same with or without
-`previous`. The per-update grid products (the kept rows times L21, the
-forward substitution and the mean) are `einsum`s and row operations on the
-calling thread: in threaded BLAS, spreading them costs more than it gives.
+whitened residual w = L^-1 (y - offset) is re-solved at every fit.
+`gp_predict` grows the whitened query rows V = L^-1 K(X, queries) the same
+way, from the rows a `CrossCovariance` kept or from empty ones: an uncached
+prediction is a cached one that starts from empty rows. The cache keeps V and
+its column sums of squares: the mean is offset + w^T V, the variance sigma_f
+minus those sums. A factor grown from a previous one equals a fit from scratch
+at the same jitter to rounding; a fit from scratch is the same with or without
+`previous`. The per-update grid products (the kept rows times L21, the forward
+substitution and the mean) are `einsum`s and row operations on the calling
+thread: in threaded BLAS, spreading them costs more than it gives.
 
 Inputs are (n, 2) arrays. Coincident training inputs stay separate rows,
 repeated observations on the jitter diagonal (Rasmussen & Williams 2006, Sec. 2.2).
@@ -102,13 +104,13 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class GPModel:
-    """Fitted GP state: Cholesky factor and precomputed weights."""
+    """Fitted GP state: Cholesky factor and whitened residual L^-1 (y - offset)."""
 
     training: TrainingSet
     params: KernelParams
     mean_offset: float
     chol_lower: np.ndarray
-    alpha: np.ndarray
+    whitened_residual: np.ndarray
     jitter_used: float
 
 
@@ -143,7 +145,7 @@ def _appended_factor(lower: np.ndarray, old: np.ndarray, new: np.ndarray,
 
 def gp_fit(training: TrainingSet, params: KernelParams,
            previous: Optional[GPModel] = None) -> GPModel:
-    """Factorize the kernel matrix and precompute prediction weights.
+    """Factorize the kernel matrix and whiten the centered outputs.
 
     The prior mean, `mean_offset`, is the training-output mean. The factor
     grows from the `previous` fit's, at its `jitter_used`, when the
@@ -177,17 +179,15 @@ def gp_fit(training: TrainingSet, params: KernelParams,
                     f"Cholesky failed with jitter up to {max_jitter:g}")
     lower.flags.writeable = False  # kept models are compared against it
 
-    resid = y - offset
-    alpha = solve_triangular(lower.T, solve_triangular(lower, resid, lower=True),
-                             lower=False)
-    return GPModel(training=training, params=params, mean_offset=offset,
-                   chol_lower=lower, alpha=alpha, jitter_used=jitter)
+    return GPModel(training=training, params=params, mean_offset=offset, chol_lower=lower,
+                   whitened_residual=solve_triangular(lower, y - offset, lower=True),
+                   jitter_used=jitter)
 
 
 class CrossCovariance:
-    """What one `gp_predict` call keeps for the next: K(X, queries) for the
-    training inputs X, the whitened rows V = L^-1 K(X, queries) and their
-    column sums of squares.
+    """What one `gp_predict` call keeps for the next: the whitened rows
+    V = L^-1 K(X, queries) of the training inputs X and their column sums of
+    squares. The posterior mean is offset + w^T V, w the whitened residual.
 
     For a model with the same queries and parameters whose inputs extend the
     kept ones and whose factor's leading block is the one V was whitened
@@ -203,8 +203,7 @@ class CrossCovariance:
     def _start_over(self, queries: np.ndarray):
         self._model: Optional[GPModel] = None  # the model V was whitened for
         self._queries = queries.copy()
-        self._block = np.zeros((0, queries.shape[0]))  # K(X, queries), rows beyond X unused
-        self._whitened = np.zeros((0, queries.shape[0]))  # V, likewise
+        self._whitened = np.zeros((0, queries.shape[0]))  # V, rows beyond X unused
         self._sumsq = np.zeros(queries.shape[0])
 
     def _can_extend(self, model: GPModel, queries: np.ndarray) -> bool:
@@ -224,16 +223,13 @@ class CrossCovariance:
             self._start_over(queries)
         m = 0 if self._model is None else len(self._model.training)
         n = len(model.training)
-        if n > self._block.shape[0]:
-            capacity = max(2 * self._block.shape[0], n)
-            for name in ("_block", "_whitened"):
-                grown = np.empty((capacity, self._queries.shape[0]))
-                grown[:m] = getattr(self, name)[:m]
-                setattr(self, name, grown)
+        if n > self._whitened.shape[0]:
+            grown = np.empty((max(2 * self._whitened.shape[0], n), self._queries.shape[0]))
+            grown[:m] = self._whitened[:m]
+            self._whitened = grown
         if n > m:
             lower = model.chol_lower
             rows = kernel_matrix(model.params, self._queries, model.training.inputs[m:]).T
-            self._block[m:n] = rows
             v = self._whitened
             v[m:n] = rows - np.einsum("ki,ij->kj", lower[m:, :m], v[:m])
             for i in range(m, n):  # forward substitution over the appended rows
@@ -241,7 +237,8 @@ class CrossCovariance:
                 v[i] /= lower[i, i]
             self._sumsq = self._sumsq + np.einsum("ij,ij->j", v[m:n], v[m:n])
         self._model = model
-        mean = model.mean_offset + np.einsum("i,ij->j", model.alpha, self._block[:n])
+        mean = model.mean_offset + np.einsum("i,ij->j", model.whitened_residual,
+                                             self._whitened[:n])
         return mean, self._sumsq
 
 

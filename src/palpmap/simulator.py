@@ -45,7 +45,7 @@ class StiffnessBump:
     def __post_init__(self):
         if len(self.center) != 2:
             raise InvalidInputError("bump center must be a 2D point")
-        if self.amplitude < 0.0:
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise InvalidInputError("bump amplitude must be >= 0")
         if not (self.radius > 0.0 and 0.0 < self.radius * self.radius < math.inf):
             raise InvalidInputError("bump radius must be > 0 with a positive finite square")
@@ -66,7 +66,7 @@ class ArteryRidge:
             raise InvalidInputError("artery polyline needs at least 2 points")
         if not (self.half_width > 0.0 and 0.0 < self.half_width * self.half_width < math.inf):
             raise InvalidInputError("artery half_width must be > 0 with a positive finite square")
-        if self.amplitude < 0.0:
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise InvalidInputError("artery amplitude must be >= 0")
         object.__setattr__(self, "polyline", pts)
 
@@ -82,7 +82,7 @@ class PhantomSpec:
     true_transform: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
-        if self.baseline_stiffness <= 0.0:
+        if not (math.isfinite(self.baseline_stiffness) and self.baseline_stiffness > 0.0):
             raise InvalidInputError("baseline_stiffness must be > 0")
         object.__setattr__(self, "bumps", tuple(self.bumps))
 
@@ -135,7 +135,7 @@ class ProbeConfig:
 
     def __post_init__(self):
         for name in ("depth_increment", "max_depth"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be > 0")
         # before `steps` rounds the ratio, which may be huge or infinite
         if not self.max_depth / self.depth_increment < MAX_DEPTH_STEPS + 0.5:
@@ -157,7 +157,7 @@ class NoiseSpec:
     force_sigma: float = 0.0     # N
 
     def __post_init__(self):
-        if self.position_sigma < 0.0 or self.force_sigma < 0.0:
+        if not all(math.isfinite(s) and s >= 0.0 for s in (self.position_sigma, self.force_sigma)):
             raise InvalidInputError("noise sigmas must be >= 0")
 
 
@@ -236,8 +236,8 @@ class ROI:
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise InvalidInputError("ROI must have positive extent")
-        if not self.spacing > 0.0:
-            raise InvalidInputError("grid spacing must be > 0")
+        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
+            raise InvalidInputError("grid spacing must be finite and > 0")
         grid_shape(self)  # the node cap, checked before any grid is allocated
 
 

@@ -6,6 +6,7 @@ import json
 import re
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +151,14 @@ class TestConfigSchema:
 
     def test_ground_truth_nan_spacing(self, tmp_path, capsys):
         phantom = small_phantom(tmp_path)
-        assert main(["ground-truth", str(phantom), "--spacing", "nan"]) == 2
-        assert "--spacing" in capsys.readouterr().err
+        for spacing in ("nan", "inf"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["ground-truth", str(phantom), "--spacing", spacing]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"config error: --spacing {spacing}: ")
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_docs_tables_match_schema(self):
         """docs/config_schema.md lists each section's keys with the code's defaults."""

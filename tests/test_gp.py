@@ -269,11 +269,9 @@ class TestCrossCovariance:
         gp_predict(model, grid, cache)
         # room for 16 rows: the kept 8 moved one ulp, so that a row whitened
         # again would lose it, and the rest NaN, so that a row written shows
-        for name in ("_block", "_whitened"):
-            rows = np.full((16, len(grid)), np.nan)
-            rows[:8] = getattr(cache, name)[:8]
-            setattr(cache, name, rows)
-        cache._whitened[:8] = np.nextafter(cache._whitened[:8], np.inf)
+        rows = np.full((16, len(grid)), np.nan)
+        rows[:8] = np.nextafter(cache._whitened[:8], np.inf)
+        cache._whitened = rows
         kept = cache._whitened[:8].copy()
         grown = gp_fit(TrainingSet(x, y), params, previous=model)
         columns = []
@@ -287,8 +285,7 @@ class TestCrossCovariance:
         assert columns == [4]
         assert np.array_equal(cache._whitened[:8], kept)
         assert np.all(np.isfinite(cache._whitened[8:12]))
-        assert np.all(np.isnan(cache._whitened[12:])) and np.all(np.isnan(cache._block[12:]))
-        assert np.array_equal(cache._block[:12], kernel_matrix(params, grid, x).T)
+        assert np.all(np.isnan(cache._whitened[12:]))
         cold = gp_predict(grown, grid)
         assert np.allclose(pred.mean, cold.mean, rtol=1e-9, atol=1e-9)
         assert np.allclose(pred.variance, cold.variance, rtol=1e-9, atol=1e-9)
@@ -363,7 +360,6 @@ class TestCrossCovariance:
             again = gp_predict(model, grid, new)
         assert np.array_equal(final.mean, again.mean)
         assert np.array_equal(final.variance, again.variance)
-        assert np.array_equal(used._block[:13], new._block[:13])
         assert np.array_equal(used._whitened[:13], new._whitened[:13])
         # the final fit alone, whitened in one solve, agrees to rounding
         alone = gp_predict(fits[3], grid, CrossCovariance())
@@ -381,8 +377,12 @@ class TestCrossCovariance:
             model, kept = _fit_keeping(TrainingSet(x[:n], x[:n, 0]), params, model)
             gp_predict(model, grid, cache)
             assert kept == (n > 1)
-            assert n <= cache._block.shape[0] < 2 * n
-            assert cache._whitened.shape == cache._block.shape
+            assert n <= cache._whitened.shape[0] < 2 * n
+            # V is the only grid buffer: no other array holds rows of G columns
+            grid_buffers = [name for name, value in vars(cache).items()
+                            if isinstance(value, np.ndarray) and value.ndim == 2
+                            and value.shape[1] == len(grid)]
+            assert grid_buffers == ["_whitened"]
 
 
 # name: previous fit's inputs, new inputs, previous and new params, whether
@@ -424,7 +424,7 @@ def test_fallback_is_bit_identical_to_cold(name):
     if name == "schur-fails":
         assert model.jitter_used > new_params.jitter
     assert np.array_equal(model.chol_lower, fresh.chol_lower)
-    assert np.array_equal(model.alpha, fresh.alpha)
+    assert np.array_equal(model.whitened_residual, fresh.whitened_residual)
     assert model.jitter_used == fresh.jitter_used
     assert np.array_equal(pred.mean, cold.mean)
     assert np.array_equal(pred.variance, cold.variance)
@@ -495,7 +495,7 @@ def test_grown_factor_matches_refit(sigma_f, length_scale, relative_jitter, inpu
         assert np.all(pred.variance <= sigma_f + model.jitter_used)
         assert not (lower.flags.writeable or model.training.inputs.flags.writeable)
         earlier.append([(arr, arr.copy()) for arr in
-                        (lower, model.alpha, pred.mean, pred.variance)])
+                        (lower, model.whitened_residual, pred.mean, pred.variance)])
     # no later fit or prediction changed an array an earlier one exposes
     for arrays in earlier:
         assert all(np.array_equal(arr, copy) for arr, copy in arrays)

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from palpmap.acquisition import SamplingPolicy, select_next
+from palpmap.care import CMUConfig
 from palpmap.cli import main
 from palpmap.errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from palpmap.geometry import RigidTransform, TriMesh, make_transform
+from palpmap.gp import Prediction
 from palpmap.simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig,
                                ROI, artery_phantom, grid_shape, initial_samples,
                                load_phantom, make_surface_mesh,
@@ -363,3 +366,48 @@ class TestPresets:
         pts = rng.uniform(-30, 80, (500, 2))
         for spec in (multimodal_phantom(), artery_phantom()):
             assert np.all(stiffness_field(spec, pts) > 0.0)
+
+
+def _select_next(prior_variance):
+    grid = np.array([[0.0, 0.0], [1.0, 0.0]])
+    return select_next(Prediction(np.zeros(2), np.ones(2)), grid, np.zeros(2, dtype=bool), 0.0,
+                       1, SamplingPolicy(), np.random.default_rng(0), prior_variance)
+
+
+_NAN, _INF = float("nan"), float("inf")
+# each builds one value with a NaN, or an inf where a finite value is required,
+# and must fail with the message of the check it breaks
+_NON_FINITE = {
+    "angle-nan": (lambda: CMUConfig(normal_angle_deg=_NAN), "normal_angle_deg must be > 0"),
+    "angle-inf": (lambda: CMUConfig(normal_angle_deg=_INF), "normal_angle_deg must be > 0"),
+    "force-difference-nan": (lambda: CMUConfig(min_force_difference=_NAN),
+                             "min_force_difference must be > 0"),
+    "tolerance-nan": (lambda: CMUConfig(convergence_tolerance=_NAN),
+                      "convergence_tolerance must be > 0"),
+    "position-sigma-nan": (lambda: NoiseSpec(position_sigma=_NAN), "noise sigmas must be >= 0"),
+    "position-sigma-inf": (lambda: NoiseSpec(position_sigma=_INF), "noise sigmas must be >= 0"),
+    "force-sigma-nan": (lambda: NoiseSpec(force_sigma=_NAN), "noise sigmas must be >= 0"),
+    "force-sigma-inf": (lambda: NoiseSpec(force_sigma=_INF), "noise sigmas must be >= 0"),
+    "bump-nan": (lambda: StiffnessBump((0.0, 0.0), _NAN, 3.0), "bump amplitude must be >= 0"),
+    "bump-inf": (lambda: StiffnessBump((0.0, 0.0), _INF, 3.0), "bump amplitude must be >= 0"),
+    "artery-nan": (lambda: ArteryRidge(((0.0, 0.0), (1.0, 0.0)), 2.0, _NAN),
+                   "artery amplitude must be >= 0"),
+    "artery-inf": (lambda: ArteryRidge(((0.0, 0.0), (1.0, 0.0)), 2.0, _INF),
+                   "artery amplitude must be >= 0"),
+    "baseline-nan": (lambda: flat_spec(baseline=_NAN), "baseline_stiffness must be > 0"),
+    "baseline-inf": (lambda: flat_spec(baseline=_INF), "baseline_stiffness must be > 0"),
+    "depth-increment-nan": (lambda: ProbeConfig(depth_increment=_NAN),
+                            "depth_increment must be > 0"),
+    "max-depth-nan": (lambda: ProbeConfig(max_depth=_NAN), "max_depth must be > 0"),
+    "spacing-nan": (lambda: ROI(0.0, 10.0, 0.0, 10.0, _NAN), "grid spacing must be finite"),
+    "spacing-inf": (lambda: ROI(0.0, 10.0, 0.0, 10.0, _INF), "grid spacing must be finite"),
+    "prior-variance-nan": (lambda: _select_next(_NAN), "prior_variance must be > 0"),
+    "prior-variance-inf": (lambda: _select_next(_INF), "prior_variance must be > 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE))
+def test_validators_reject_non_finite(name):
+    build, message = _NON_FINITE[name]
+    with pytest.raises(InvalidInputError, match=message):
+        build()
