@@ -27,7 +27,8 @@ class SamplingPolicy:
     uncertainty_fraction: float = 0.9
 
     def __post_init__(self):
-        if int(self.exploration_period) != self.exploration_period or self.exploration_period < 1:
+        period = self.exploration_period
+        if not (math.isfinite(period) and int(period) == period and period >= 1):
             raise InvalidInputError("exploration_period must be a positive integer")
         if not (0.0 <= self.uncertainty_fraction <= 1.0):
             raise InvalidInputError("uncertainty_fraction must lie in [0, 1]")

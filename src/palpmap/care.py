@@ -15,14 +15,15 @@ as soon as its objective stops falling, its step becomes negligible, or it
 reaches the iteration cap. Every iterate is scored at one site: a batched
 round over the seeds.
 
-Each closest-point row carries its neighbourhood from one round to the next,
-and a registration's result holds its winning iterate's, by reference
-measurement index, for the next call given it as `previous`. A row that
-moved less than its certificate allows is re-scored only on the faces its
-last query proved near. The certificate is the triangle inequality
-(Greenspan & Godin 2001), and those faces go through the same per-pair
-arithmetic and first minimum as a tree search, so the result is exact: bit
-for bit what scoring every face gives, with or without `previous`.
+Each closest-point row carries its neighbourhood (its closest face and a
+bound on every other face) from one round to the next, and a registration's
+result holds its winning iterate's, by reference measurement index, for the
+next call given it as `previous`. A row that moved less than its
+certificate allows is re-scored on that one face alone. The certificate is
+the triangle inequality (Greenspan & Godin 2001), and the face goes through
+the same per-pair arithmetic and first minimum as a tree search, so the
+result is exact: bit for bit what scoring every face gives, with or without
+`previous`.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class StiffnessSample:
 def default_seed_transforms(count: int = 10, max_translation: float = 10.0,
                             max_rotation_deg: float = 15.0) -> Tuple[RigidTransform, ...]:
     """Identity plus `count` random perturbations for multi-seed registration."""
-    if int(count) != count or not 0 <= count <= MAX_RESTART_SEEDS:
+    if not (math.isfinite(count) and int(count) == count and 0 <= count <= MAX_RESTART_SEEDS):
         raise InvalidInputError(f"random restarts must be an integer in "
                                 f"[0, {MAX_RESTART_SEEDS:,}]")
     for name, limit, cap in (("max_translation", max_translation, MAX_RESTART_TRANSLATION_MM),
@@ -156,7 +157,8 @@ class CMUConfig:
             raise InvalidInputError("normal_angle_deg must be > 0")
         if not self.min_force_difference > 0.0:
             raise InvalidInputError("min_force_difference must be > 0")
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
+        cap = self.max_iterations
+        if not (math.isfinite(cap) and int(cap) == cap and cap >= 1):
             raise InvalidInputError("max_iterations must be a positive integer")
         if not self.convergence_tolerance > 0.0:
             raise InvalidInputError("convergence_tolerance must be > 0")
@@ -397,15 +399,14 @@ def cmu_register(samples: Sequence[StiffnessSample],
 
     Each round offers every seed's rows the neighbourhoods of its previous
     round (see `TriMesh.closest_points`): a point that moved less than its
-    certificate allows is re-scored on the few faces its last query proved
-    near, not searched from the k-d tree. `previous`, an earlier call's
-    result, offers the first round its winner's neighbourhoods for the
-    references it scored, when they are of `mesh`; the seeds stay the
-    caller's. A row is certified only where the triangle inequality proves
-    its closest face among the faces it scores, and those go through the
-    same arithmetic and first minimum as a tree search, so every closest
-    point, and so the result, is bit for bit what a search of every face
-    gives.
+    certificate allows is re-scored on its last query's closest face alone,
+    not searched from the k-d tree. `previous`, an earlier call's result,
+    offers the first round its winner's neighbourhoods for the references
+    it scored, when they are of `mesh`; the seeds stay the caller's. A row
+    is certified only where the triangle inequality proves that face its
+    unique closest, and the face goes through the same arithmetic and first
+    minimum as a tree search, so every closest point, and so the result, is
+    bit for bit what a search of every face gives.
     Raises InvalidInputError when `seeds` is empty and DegenerateGeometryError
     when the reference points are collinear.
     """

@@ -25,9 +25,9 @@ winner alone; the final update searches from every configured seed plus the
 previous winner. The GP, EI and the map work in tool-frame locations, so
 registration feeds only the next warm start and the final report. Each
 registration is also handed the previous one's result, as each GP fit is,
-and reuses its winner's closest-point neighbourhoods, which saves k-d tree
-searches and changes no result (see `care`); `trace` keeps the results
-without them.
+and reuses its winner's closest-point neighbourhoods (per row, the closest
+face and a bound on every other face), which saves k-d tree searches and
+changes no result (see `care`); `trace` keeps the results without them.
 
 Config documents are read through one table, `CONFIG_SCHEMA`, which maps each
 section's keys to the parameters of the dataclass they build; `schema` reads

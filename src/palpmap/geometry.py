@@ -11,6 +11,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,10 +32,6 @@ _ORTHONORMAL_TOL = 1e-9
 
 # (query, face) pairs one candidate chunk may hold: ~100 MB per (pairs, 3) array
 _MAX_PAIRS = 4_000_000
-# Most faces a closest-point row carries as its neighbourhood: 99.8% of the
-# workloads' balls hold fewer, and a mesh with one oversized face, whose balls
-# hold every face, carries none
-_MAX_CARRIED = 64
 
 
 def _as_points(value, name: str) -> np.ndarray:
@@ -242,18 +239,12 @@ def _slack(length):
     return length * (1.0 + 1e-9) + 1e-9
 
 
-def _segments(starts, lens):
-    """Flat indices of the runs [starts[i], starts[i] + lens[i]), laid end to end."""
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1] if ends.shape[0] else 0) + np.repeat(starts - ends + lens, lens)
-
-
 def _ball_lists(tree: cKDTree, points: np.ndarray, radii: np.ndarray):
     """Per point, the tree's items within its radius, ascending: (lens, items)."""
     lists = tree.query_ball_point(points, radii, return_sorted=True)
     lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    return lens, np.concatenate([np.zeros(0, dtype=np.int64)]
-                                + [np.asarray(l, dtype=np.int64) for l in lists])
+    return lens, np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                             count=int(lens.sum()))
 
 
 def _first_minimum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -278,23 +269,17 @@ def _first_minimum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class Neighbourhoods:
     """What scoring each closest-point row proved about the faces near it.
 
-    Row i was scored at `anchors[i]` and found its closest face at
-    `distances[i]`. Every face within `radii[i]` of the anchor (its
-    nearest-centroid distance) was in the row's candidate ball, and the row
-    carries that ball: faces[starts[i]:starts[i] + lens[i]], ascending, with
-    their squared anchor distances in `sq_distances`. A row whose ball held
-    more than _MAX_CARRIED faces carries none, and its radius is -inf. The
-    face indices are into `mesh`.
+    Row i was scored at `anchors[i]`: its closest face, `faces[i]`, lies
+    `distances[i]` away and every other face of `mesh` at least `bounds[i]`,
+    the least of the second-least distance in its candidate ball and the
+    nearest-centroid distance that every face outside the ball lies beyond.
     """
 
     mesh: "TriMesh"
     anchors: np.ndarray
     distances: np.ndarray
-    radii: np.ndarray
-    starts: np.ndarray
-    lens: np.ndarray
     faces: np.ndarray
-    sq_distances: np.ndarray
+    bounds: np.ndarray
 
 
 class TriMesh:
@@ -374,11 +359,10 @@ class TriMesh:
 
         `near` = (neighbourhoods, rows), from an earlier call on this mesh,
         offers query i row rows[i] of them (-1 for none). Say the query lies
-        delta from that row's anchor, whose closest distance is d. Any face
-        closer to the query than the anchor's closest face lies within
-        d + 2 delta of the anchor (triangle inequality), so where that reach,
-        with the ball's rounding slack, is within the row's radius, the row
-        is certified: it scores only its carried faces within reach, and
+        delta from that row's anchor, whose closest face lies d away and every
+        other face at least B. By the triangle inequality, where d + 2 delta,
+        with rounding slack, is below B, the anchor's face is the query's
+        unique closest one: the row is certified, scores that face alone and
         keeps its anchor's neighbourhood. Every other row scores the faces of
         its k-d tree ball. Both go through one per-pair arithmetic and one
         first minimum, so the results equal scoring every face bit for bit.
@@ -396,23 +380,21 @@ class TriMesh:
                 and np.all((rows >= -1) & (rows < hood.anchors.shape[0]))):
             raise InvalidInputError("near rows must be integers in [-1, rows of the "
                                     "neighbourhoods)")
-        reach = np.full(n, np.nan)  # a certified row's reach, NaN elsewhere
+        certified = np.zeros(n, dtype=bool)
         offered = np.flatnonzero(rows >= 0)
         k = rows[offered]
         # a far query, or an anchor of a mesh wider than the float range,
-        # overflows its distance to inf, which certifies nothing
+        # overflows its distance to inf, which certifies nothing; a tied
+        # closest face makes B = d, which the strict test never certifies
         with np.errstate(over="ignore"):
             delta = np.linalg.norm(q[offered] - hood.anchors[k], axis=1)
-        bound = _slack(hood.distances[k] + 2.0 * delta)
-        reach[offered] = np.where(bound <= hood.radii[k], bound, np.nan)
-        certified = ~np.isnan(reach)
+        certified[offered] = _slack(hood.distances[k] + 2.0 * delta) < hood.bounds[k]
 
         # A centroid lies on its own face, so the nearest one bounds the
         # closest distance from above. Any face holding a point closer than
         # `upper` has its centroid within upper + r_f of the query, so this
         # ball is an exact candidate filter; every face within `upper` of the
-        # query is in it. Only rows left uncertified search the tree; a
-        # certified row's reach lies within a radius its anchor's call checked.
+        # query is in it. Only rows left uncertified search the tree.
         upper = np.full(n, np.nan)
         searched = np.flatnonzero(~certified)
         upper[searched] = centroid_tree.query(q[searched])[0]
@@ -428,61 +410,39 @@ class TriMesh:
             return np.einsum("ij,ij->i", diff, diff), pts
 
         best = np.full(n, np.inf)
+        second = np.full(n, np.inf)
         faces = np.full(n, -1, dtype=np.int64)
         points = np.full((n, 3), np.nan)
-        none = np.zeros(0, dtype=np.int64)
-        balls = [(none, none, none, np.zeros(0))]  # tree rows, kept lens, faces, squares
         chunk = max(1, _MAX_PAIRS // self._faces.shape[0])
         for lo in range(0, n, chunk):
             span = np.arange(lo, min(lo + chunk, n))
             warm, cold = span[certified[span]], span[~certified[span]]
-            # a certified row's candidates: its carried faces within reach
-            k = rows[warm]
-            carried = _segments(hood.starts[k], hood.lens[k])
-            within = hood.sq_distances[carried] <= np.repeat(reach[warm] ** 2, hood.lens[k])
-            warm_lens = np.bincount(np.repeat(np.arange(warm.size), hood.lens[k])[within],
-                                    minlength=warm.size)
             cold_lens, cold_faces = _ball_lists(centroid_tree, q[cold], ball[cold])
+            # a certified row's one candidate is its anchor's closest face
             order = np.concatenate([warm, cold])
-            lens = np.concatenate([warm_lens, cold_lens])
-            fidx = np.concatenate([hood.faces[carried[within]], cold_faces])
+            lens = np.concatenate([np.ones(warm.size, dtype=np.int64), cold_lens])
+            fidx = np.concatenate([hood.faces[rows[warm]], cold_faces])
             values, pair_points = squared_distance(np.repeat(order, lens), fidx)
             first = _first_minimum(values, lens)
             won = first >= 0
             best[order[won]] = values[first[won]]
             faces[order[won]] = fidx[first[won]]
             points[order[won]] = pair_points[first[won]]
-            small = cold_lens <= _MAX_CARRIED
-            kept = np.repeat(small, cold_lens)
-            balls.append((cold, np.where(small, cold_lens, 0), cold_faces[kept],
-                          values[within.sum():][kept]))
+            values[first[won]] = np.inf  # masking each run's least leaves its second least
+            runner_up = _first_minimum(values, lens)
+            found = runner_up >= 0
+            second[order[found]] = values[runner_up[found]]
 
-        # a tree row is anchored at its query with the ball it scored, or with
-        # none past _MAX_CARRIED faces; a certified row keeps the one offered
-        cold, cold_lens, cold_faces, cold_sq = (np.concatenate(part) for part in zip(*balls))
-        warm = np.flatnonzero(certified)
-        k = rows[warm]
-        anchors, distances, radii = q.copy(), np.sqrt(best), upper.copy()
-        radii[cold[cold_lens == 0]] = -np.inf
-        anchors[warm], distances[warm], radii[warm] = (hood.anchors[k], hood.distances[k],
-                                                       hood.radii[k])
-        lens = np.zeros(n, dtype=np.int64)
-        lens[cold], lens[warm] = cold_lens, hood.lens[k]
-        starts = np.cumsum(lens) - lens
-        carried_faces = np.empty(lens.sum(), dtype=np.int64)
-        sq_distances = np.empty(lens.sum())
-        into = _segments(starts[cold], cold_lens)
-        carried_faces[into], sq_distances[into] = cold_faces, cold_sq
-        into, out_of = _segments(starts[warm], lens[warm]), _segments(hood.starts[k], lens[warm])
-        carried_faces[into], sq_distances[into] = hood.faces[out_of], hood.sq_distances[out_of]
+        # a tree row is anchored at its query; a certified row keeps the one offered
+        anchors, distances, bounds = q.copy(), np.sqrt(best), np.minimum(np.sqrt(second), upper)
+        k = rows[certified]
+        anchors[certified], distances[certified], bounds[certified] = (
+            hood.anchors[k], hood.distances[k], hood.bounds[k])
         return (points, self._face_normals[faces], faces, np.sqrt(best),
-                Neighbourhoods(self, anchors, distances, radii, starts, lens, carried_faces,
-                               sq_distances))
+                Neighbourhoods(self, anchors, distances, faces.copy(), bounds))
 
     def _no_neighbourhoods(self) -> Neighbourhoods:
-        none = np.zeros(0, dtype=np.int64)
-        return Neighbourhoods(self, np.zeros((0, 3)), np.zeros(0), np.zeros(0), none, none,
-                              none, np.zeros(0))
+        return Neighbourhoods(self, np.zeros((0, 3)), np.zeros(0), np.zeros(0, int), np.zeros(0))
 
     # -- ray casting ----------------------------------------------------
 

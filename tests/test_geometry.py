@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,8 +193,8 @@ def assert_same_neighbourhoods(got, want):
 
 def _certificates(hood):
     """Per row, the largest move from its anchor that `closest_points` still
-    certifies: `_slack(d + 2 delta) <= r` solved for delta; -inf for none."""
-    return ((hood.radii - 1e-9) / (1.0 + 1e-9) - hood.distances) / 2.0
+    certifies: `_slack(d + 2 delta) < B` solved for delta; negative for none."""
+    return ((hood.bounds - 1e-9) / (1.0 + 1e-9) - hood.distances) / 2.0
 
 
 _MOVES = ("zero", "under", "over", "far")
@@ -204,12 +205,12 @@ _MOVES = ("zero", "under", "over", "far")
 @given(data=st.data())
 def test_offered_neighbourhoods_match_every_face(make_mesh, data):
     """Rows moved from their anchors by 0, by just under their certificate, by
-    just over it and by several mm, twice in a chain: every step equals
-    scoring every face bit for bit. A row moved under its certificate keeps
-    its anchor (it scored only carried faces); one moved over it, or far, is
-    re-anchored at its query (it searched the tree). No row carries more than
-    _MAX_CARRIED faces, so on the huge-face mesh, whose every ball holds every
-    face, no row carries any or is certified."""
+    just over it and by 6 mm, twice in a chain: every step equals scoring
+    every face bit for bit. A row moved under its certificate keeps its
+    anchor and scores one (query, face) pair, its anchor's closest face; a
+    row moved past it is re-anchored at its query (it searched the tree).
+    That holds on the huge-face mesh too, whose every ball holds every face,
+    and whose certificates can exceed 6 mm."""
     mesh = make_mesh()
     low, high = mesh.bounds()
     n = data.draw(st.integers(1, 12))
@@ -218,49 +219,46 @@ def test_offered_neighbourhoods_match_every_face(make_mesh, data):
         min_size=n, max_size=n)))
     directions = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(2, n, 3))
     directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    runs = []  # the run lengths of each first-minimum call
+    original = geometry._first_minimum
+
+    def recording(values, lens):
+        runs.append(lens)
+        return original(values, lens)
+
     hood = mesh.closest_points(queries)[4]
     for step in range(2):
-        moves = data.draw(st.lists(st.sampled_from(_MOVES), min_size=n, max_size=n))
+        moves = np.array(data.draw(st.lists(st.sampled_from(_MOVES), min_size=n, max_size=n)))
         certificate = np.maximum(_certificates(hood), 0.0)
-        length = np.select([np.array(moves) == m for m in _MOVES],
+        length = np.select([moves == m for m in _MOVES],
                            [0.0, certificate * (1.0 - 1e-6),
                             certificate * (1.0 + 1e-6) + 1e-7, 6.0])
         moved = hood.anchors + length[:, None] * directions[step]
-        got = mesh.closest_points(moved, (hood, np.arange(n)))
+        runs.clear()
+        with mock.patch.object(geometry, "_first_minimum", recording):
+            mesh.closest_points(moved)
+            balls = runs[0]  # each row's tree ball, in row order
+            runs.clear()
+            got = mesh.closest_points(moved, (hood, np.arange(n)))
         for name, g, w in zip(("points", "normals", "faces", "distances"), got,
                               closest_points_every_face(mesh, moved)):
             assert np.array_equal(g, w), name
         new = got[4]
-        assert new.lens.max() <= geometry._MAX_CARRIED
+        delta = np.linalg.norm(moved - hood.anchors, axis=1)
+        certified = geometry._slack(hood.distances + 2.0 * delta) < hood.bounds
+        # one chunk: certified rows lead it with one pair each, tree rows
+        # follow with their balls
+        assert np.array_equal(runs[0], np.concatenate([np.ones(certified.sum()),
+                                                       balls[~certified]]))
+        assert np.all(np.all(new.anchors == hood.anchors, axis=1)[certified])
+        assert np.all(np.all(new.anchors == moved, axis=1)[~certified])
         # a certificate above 1e-6 mm is clear of the rounding of the move itself
-        under = (np.array(moves) == "under") & (certificate > 1e-6)
-        assert np.all(np.all(new.anchors == hood.anchors, axis=1)[under])
-        past = np.isin(moves, ["over", "far"])
-        assert np.all(np.all(new.anchors == moved, axis=1)[past])
-        if make_mesh is huge_face_mesh:
-            assert mesh.faces.shape[0] > geometry._MAX_CARRIED
-            assert np.all(new.lens == 0) and np.all(new.radii == -np.inf)
-            assert np.all(np.all(new.anchors == moved, axis=1))
+        assert np.all(certified[(moves == "under") & (certificate > 1e-6)])
+        far = moves == "far"
+        assert not np.any(certified[(moves == "over")
+                                    | (far & (6.0 > certificate * (1.0 + 1e-6) + 1e-7))])
+        assert np.all(certified[far & (6.0 < certificate * (1.0 - 1e-6))])
         hood = new
-
-
-def test_rows_carry_at_most_the_bound(monkeypatch):
-    """A row whose ball held more faces than the bound carries none, so it is
-    never certified, and offering it changes nothing."""
-    mesh = lumpy_mesh()
-    queries = np.random.default_rng(24).uniform([-5, -5, -8], [41, 41, 10], (200, 3))
-    balls = mesh.closest_points(queries)[4].lens  # every ball, within the default bound
-    assert np.all(balls > 0) and balls.max() <= geometry._MAX_CARRIED
-    monkeypatch.setattr(geometry, "_MAX_CARRIED", 8)
-    hood = mesh.closest_points(queries)[4]
-    wide = balls > 8
-    assert 0 < wide.sum() < 200
-    assert np.array_equal(hood.lens, np.where(wide, 0, balls))
-    assert np.array_equal(hood.radii == -np.inf, wide)
-    again = mesh.closest_points(queries, (hood, np.arange(200)))
-    for g, w in zip(again[:4], closest_points_every_face(mesh, queries)):
-        assert np.array_equal(g, w)
-    assert np.array_equal(again[4].lens, hood.lens)
 
 
 class TestTriMesh:

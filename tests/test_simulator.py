@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from palpmap.acquisition import SamplingPolicy, select_next
-from palpmap.care import CMUConfig
+from palpmap.care import CMUConfig, default_seed_transforms
 from palpmap.cli import main
 from palpmap.errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from palpmap.geometry import RigidTransform, TriMesh, make_transform
@@ -403,6 +403,11 @@ _NON_FINITE = {
     "spacing-inf": (lambda: ROI(0.0, 10.0, 0.0, 10.0, _INF), "grid spacing must be finite"),
     "prior-variance-nan": (lambda: _select_next(_NAN), "prior_variance must be > 0"),
     "prior-variance-inf": (lambda: _select_next(_INF), "prior_variance must be > 0"),
+    "exploration-period-nan": (lambda: SamplingPolicy(exploration_period=_NAN),
+                               "exploration_period must be a positive integer"),
+    "restarts-nan": (lambda: default_seed_transforms(_NAN), "random restarts must be an integer"),
+    "max-iterations-inf": (lambda: CMUConfig(max_iterations=_INF),
+                           "max_iterations must be a positive integer"),
 }
 
 
