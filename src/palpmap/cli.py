@@ -19,11 +19,10 @@ command and scores every run against it and against the phantom's true
 transform. `run` and `compare` execute, evaluate, then write
 CSV/JSON/PGM files to the configured directory.
 
-Registration has one seeding policy. The first update searches from every
-configured seed; each later update in the loop starts from the previous
-winner alone; the final update searches from every configured seed plus the
-previous winner. The GP, EI and the map work in tool-frame locations, so
-registration feeds only the next warm start and the final report. Each
+Registration has one seeding policy. The first and the final update search
+from every configured seed; each update between them starts from the
+previous winner alone. The GP, EI and the map work in tool-frame locations,
+so the loop's registrations feed only the next warm start and the trace. Each
 registration is also handed the previous one's result, as each GP fit is,
 and reuses its winner's closest-point neighbourhoods (per row, the closest
 face and a bound on every other face), which saves k-d tree searches and
@@ -293,9 +292,8 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
         for target in uniform_lattice(config.roi, config.budget):
             do_probe(target)
 
-    # the final update searches every configured seed plus the previous winner
-    seeds = configured if registered is None else configured + (registered.transform,)
-    samples, training, model, prediction = update(seeds)
+    # the final update searches every configured seed, as the first does
+    samples, training, model, prediction = update(configured)
     ei_map = expected_improvement(prediction.mean, prediction.std,
                                   float(training.outputs.max()))
     return RunArtifacts(

@@ -112,6 +112,8 @@ class RigidTransform:
 def make_transform(tx: float, ty: float, tz: float,
                    rx_deg: float, ry_deg: float, rz_deg: float) -> RigidTransform:
     """Build a rigid transform from translations (mm) and fixed-axis X,Y,Z angles (deg)."""
+    if not all(math.isfinite(angle) for angle in (rx_deg, ry_deg, rz_deg)):
+        raise InvalidInputError("transform angles must be finite")
     ax, ay, az = (math.radians(a) for a in (rx_deg, ry_deg, rz_deg))
     cx, sx = math.cos(ax), math.sin(ax)
     cy, sy = math.cos(ay), math.sin(ay)

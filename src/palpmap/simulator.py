@@ -43,8 +43,8 @@ class StiffnessBump:
     radius: float
 
     def __post_init__(self):
-        if len(self.center) != 2:
-            raise InvalidInputError("bump center must be a 2D point")
+        if len(self.center) != 2 or not all(math.isfinite(c) for c in self.center):
+            raise InvalidInputError("bump center must be a finite 2D point")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise InvalidInputError("bump amplitude must be >= 0")
         if not (self.radius > 0.0 and 0.0 < self.radius * self.radius < math.inf):
@@ -64,6 +64,8 @@ class ArteryRidge:
         pts = tuple((float(p[0]), float(p[1])) for p in self.polyline)
         if len(pts) < 2:
             raise InvalidInputError("artery polyline needs at least 2 points")
+        if not all(math.isfinite(c) for pt in pts for c in pt):
+            raise InvalidInputError("artery polyline points must be finite")
         if not (self.half_width > 0.0 and 0.0 < self.half_width * self.half_width < math.inf):
             raise InvalidInputError("artery half_width must be > 0 with a positive finite square")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
@@ -283,8 +285,8 @@ def grid_shape(roi: ROI) -> Tuple[int, int]:
 
 def uniform_lattice(roi: ROI, count: int) -> np.ndarray:
     """`count` evenly spaced interior points, row-major (baseline strategy)."""
-    if count < 1:
-        raise InvalidInputError("lattice count must be >= 1")
+    if not (math.isfinite(count) and int(count) == count and count >= 1):
+        raise InvalidInputError("lattice count must be an integer >= 1")
     nx = int(math.ceil(math.sqrt(count)))
     ny = int(math.ceil(count / nx))
     width = roi.xmax - roi.xmin

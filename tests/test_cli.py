@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palpmap import cli
-from palpmap.care import CMUConfig, ProbeMeasurement, collect_sets, estimate_stiffness
+from palpmap.care import (CMUConfig, ProbeMeasurement, cmu_register, collect_sets,
+                          estimate_stiffness)
 from palpmap.cli import CONFIG_SCHEMA, load_config, main
 from palpmap.errors import ConfigError, InvalidInputError
-from palpmap.geometry import load_mesh, make_transform
+from palpmap.geometry import RigidTransform, load_mesh, make_transform
 from palpmap.make_demo import write_demo
 from palpmap.schema import schema_default
 from palpmap.simulator import (PHANTOM_SCHEMA, PhantomSpec, ProbeConfig, StiffnessBump,
@@ -700,19 +701,43 @@ class TestRunCommand:
             b = (tmp_path / "out_b" / name).read_bytes()
             assert a == b, name
 
-    def test_registration_seeding_policy(self, tmp_path):
-        """All configured seeds at the first update, the previous winner alone
-        at every later update in the loop, and both at the final update."""
+    def test_registration_seeding_policy(self, tmp_path, monkeypatch):
+        """All configured seeds at the first and the final update, the previous
+        winner alone at every update between them. The final result is a fresh
+        search of the final samples from the configured seeds: the loop's warm
+        chain does not reach it."""
         small_phantom(tmp_path)
         roi = {"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0, "spacing": 1.0}
         config = load_config(write_config(tmp_path, roi=roi, budget=30))
-        trace = cli.execute_experiment(config).trace
+        art = cli.execute_experiment(config)
         configured = len(config.seed_transforms)
-        assert len(trace) == 30 + 1
-        first, *in_loop, final = [len(reg.per_seed) for _, reg in trace]
+        assert len(art.trace) == 30 + 1
+        first, *in_loop, final = [len(reg.per_seed) for _, reg in art.trace]
         assert first == configured
         assert in_loop == [1] * 29
-        assert final == configured + 1
+        assert final == configured
+
+        def exact(reg):
+            outcomes = (reg, *reg.per_seed)
+            return [(o.transform.rotation.tobytes(), o.transform.translation.tobytes(),
+                     o.objective, o.iterations, o.converged) for o in outcomes]
+
+        fresh = cmu_register(art.samples, art.phantom.mesh, art.measurements,
+                             config.seed_transforms, config.cmu)
+        assert exact(art.trace[-1][1]) == exact(fresh)
+
+        register = cli.cmu_register
+
+        def cold(samples, mesh, measurements, seeds, cmu, previous=None):
+            if len(seeds) == 1:
+                seeds = (RigidTransform.identity(),)
+            return register(samples, mesh, measurements, seeds, cmu, previous=previous)
+
+        monkeypatch.setattr(cli, "cmu_register", cold)
+        rerun = cli.execute_experiment(config).trace
+        assert [exact(reg) for _, reg in rerun[1:-1]] != \
+            [exact(reg) for _, reg in art.trace[1:-1]]
+        assert exact(rerun[-1][1]) == exact(fresh)
 
     def test_uniform_strategy(self, tmp_path):
         small_phantom(tmp_path)

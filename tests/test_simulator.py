@@ -408,6 +408,24 @@ _NON_FINITE = {
     "restarts-nan": (lambda: default_seed_transforms(_NAN), "random restarts must be an integer"),
     "max-iterations-inf": (lambda: CMUConfig(max_iterations=_INF),
                            "max_iterations must be a positive integer"),
+    "lattice-count-nan": (lambda: uniform_lattice(ROI(0.0, 10.0, 0.0, 10.0, 1.0), _NAN),
+                          "lattice count must be an integer >= 1"),
+    "lattice-count-inf": (lambda: uniform_lattice(ROI(0.0, 10.0, 0.0, 10.0, 1.0), _INF),
+                          "lattice count must be an integer >= 1"),
+    "lattice-count-fraction": (lambda: uniform_lattice(ROI(0.0, 10.0, 0.0, 10.0, 1.0), 2.5),
+                               "lattice count must be an integer >= 1"),
+    "transform-angle-inf": (lambda: make_transform(0.0, 0.0, 0.0, 0.0, _INF, 0.0),
+                            "transform angles must be finite"),
+    "transform-angle-nan": (lambda: make_transform(0.0, 0.0, 0.0, _NAN, 0.0, 0.0),
+                            "transform angles must be finite"),
+    "bump-center-nan": (lambda: StiffnessBump((_NAN, 0.0), 1.0, 3.0),
+                        "bump center must be a finite 2D point"),
+    "bump-center-inf": (lambda: StiffnessBump((0.0, _INF), 1.0, 3.0),
+                        "bump center must be a finite 2D point"),
+    "artery-polyline-nan": (lambda: ArteryRidge(((0.0, 0.0), (_NAN, 0.0)), 2.0, 1.0),
+                            "artery polyline points must be finite"),
+    "artery-polyline-inf": (lambda: ArteryRidge(((_INF, 0.0), (1.0, 0.0)), 2.0, 1.0),
+                            "artery polyline points must be finite"),
 }
 
 
