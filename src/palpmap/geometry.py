@@ -522,41 +522,35 @@ class TriMesh:
 
     @staticmethod
     def load_obj(path) -> "TriMesh":
-        verts = []
-        faces = []
+        """Mesh from the OBJ subset of docs/config_schema.md "Mesh files".
+
+        Each record kind is converted in one NumPy call, which calls float()
+        or int() on every token, so the bits and the spellings accepted are
+        those of a per-token reader; the lines are walked again only to word
+        the error when that conversion refuses.
+        """
         text = read_text(Path(path), "mesh")
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise InvalidInputError(f"line {lineno}: vertex needs 3 coordinates")
-                try:
-                    verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as exc:
-                    raise InvalidInputError(f"line {lineno}: bad vertex coordinate") from exc
-            elif parts[0] == "f":
-                refs = parts[1:]
-                if len(refs) != 3:
-                    raise InvalidInputError(
-                        f"line {lineno}: only triangular faces are supported")
-                face = []
-                for ref in refs:
-                    head = ref.split("/")[0]
-                    try:
-                        idx = int(head)
-                    except ValueError as exc:
-                        raise InvalidInputError(f"line {lineno}: bad face index") from exc
-                    if idx < 1:
-                        raise InvalidInputError(f"line {lineno}: face indices are 1-based")
-                    face.append(idx - 1)
-                faces.append(face)
-            # other record types (vn, vt, o, g, s, usemtl, mtllib) are ignored
+        rows = list(map(str.split, text.splitlines()))
+        verts = [row[1:4] for row in rows if row and row[0] == "v"]
+        faces = [row[1:] for row in rows if row and row[0] == "f"]
+        if "/" in text:  # i/j/k and i//k refs are read by their vertex index
+            faces = [[ref.split("/")[0] for ref in refs] for refs in faces]
         if not verts or not faces:
+            _raise_obj_line_error(rows)
             raise InvalidInputError("OBJ file has no triangles")
-        return TriMesh(np.array(verts), np.array(faces))
+        try:
+            vertices = np.array(verts, dtype=float)
+            indices = np.array(faces, dtype=np.int64)
+        except OverflowError:
+            _raise_obj_line_error(rows)
+            # a well-formed index past int64, which TriMesh rejects as out of range
+            indices = np.array(faces, dtype=float)
+        except ValueError:
+            _raise_obj_line_error(rows)
+            raise
+        if vertices.shape[1] != 3 or indices.shape[1] != 3 or indices.min() < 1:
+            _raise_obj_line_error(rows)
+        return TriMesh(vertices, indices - 1)
 
     def to_json_dict(self) -> dict:
         return {"vertices": self._vertices.tolist(), "faces": self._faces.tolist()}
@@ -580,6 +574,30 @@ class TriMesh:
     @staticmethod
     def load_json(path) -> "TriMesh":
         return TriMesh.from_json_dict(read_document(Path(path), "mesh"))
+
+
+def _raise_obj_line_error(rows):
+    """Raise InvalidInputError naming the first malformed `v` or `f` record
+    among the split OBJ lines `rows`, if there is one."""
+    for lineno, parts in enumerate(rows, start=1):
+        if parts and parts[0] == "v":
+            if len(parts) < 4:
+                raise InvalidInputError(f"line {lineno}: vertex needs 3 coordinates")
+            try:
+                list(map(float, parts[1:4]))
+            except ValueError as exc:
+                raise InvalidInputError(f"line {lineno}: bad vertex coordinate") from exc
+        elif parts and parts[0] == "f":
+            if len(parts) != 4:
+                raise InvalidInputError(
+                    f"line {lineno}: only triangular faces are supported")
+            for ref in parts[1:]:
+                try:
+                    idx = int(ref.split("/")[0])
+                except ValueError as exc:
+                    raise InvalidInputError(f"line {lineno}: bad face index") from exc
+                if idx < 1:
+                    raise InvalidInputError(f"line {lineno}: face indices are 1-based")
 
 
 def load_mesh(path) -> TriMesh:

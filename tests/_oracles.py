@@ -3,12 +3,18 @@
 Each oracle deliberately takes a different computational route from the code
 under test (candidate enumeration instead of region classification, dense
 solves instead of Cholesky, scipy instead of hand-rolled math, every face
-instead of an index).
+instead of an index, a line at a time instead of in bulk).
 """
+
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 from scipy.stats import norm
+
+from palpmap.errors import InvalidInputError
+from palpmap.geometry import TriMesh
+from palpmap.schema import read_text
 
 
 def closest_point_on_triangle(a, b, c, q):
@@ -36,6 +42,45 @@ def closest_point_on_triangle(a, b, c, q):
 
     dists = [float(np.linalg.norm(q - p)) for p in candidates]
     return candidates[int(np.argmin(dists))]
+
+
+def load_obj_lines(path) -> TriMesh:
+    """OBJ mesh read one line at a time, one `float()` or `int()` call per
+    token, each malformed record reported as it is met."""
+    verts = []
+    faces = []
+    text = read_text(Path(path), "mesh")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) < 4:
+                raise InvalidInputError(f"line {lineno}: vertex needs 3 coordinates")
+            try:
+                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+            except ValueError as exc:
+                raise InvalidInputError(f"line {lineno}: bad vertex coordinate") from exc
+        elif parts[0] == "f":
+            refs = parts[1:]
+            if len(refs) != 3:
+                raise InvalidInputError(
+                    f"line {lineno}: only triangular faces are supported")
+            face = []
+            for ref in refs:
+                head = ref.split("/")[0]
+                try:
+                    idx = int(head)
+                except ValueError as exc:
+                    raise InvalidInputError(f"line {lineno}: bad face index") from exc
+                if idx < 1:
+                    raise InvalidInputError(f"line {lineno}: face indices are 1-based")
+                face.append(idx - 1)
+            faces.append(face)
+    if not verts or not faces:
+        raise InvalidInputError("OBJ file has no triangles")
+    return TriMesh(np.array(verts), np.array(faces))
 
 
 def closest_point_brute(vertices, faces, q):

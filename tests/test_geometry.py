@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from palpmap import geometry
-from palpmap.cli import load_config
+from palpmap.cli import load_config, main
 from palpmap.errors import DegenerateGeometryError, InvalidInputError
 from palpmap.geometry import (RigidTransform, TriMesh, load_mesh,
                               make_transform, rigid_fit_svd, rms_error)
@@ -16,8 +16,8 @@ from palpmap.simulator import (ROI, artery_phantom, initial_samples, load_phanto
                                uniform_lattice)
 
 from _oracles import (closest_point_brute, closest_point_on_triangle,
-                      closest_points_every_face, euler_from_rotation, raycasts_brute,
-                      rotation_from_euler)
+                      closest_points_every_face, euler_from_rotation, load_obj_lines,
+                      raycasts_brute, rotation_from_euler)
 
 
 def random_transform(rng, max_t=50.0, max_deg=179.0):
@@ -466,7 +466,8 @@ class TestTriMesh:
         path = tmp_path / "m.obj"
         mesh.save_obj(path)
         back = load_mesh(path)
-        assert np.allclose(back.vertices, mesh.vertices, atol=1e-12)
+        # save_obj writes repr(float), which reads back to the same bits
+        assert back.vertices.tobytes() == mesh.vertices.tobytes()
         assert np.array_equal(back.faces, mesh.faces)
 
     def test_json_roundtrip(self, tmp_path):
@@ -502,6 +503,106 @@ class TestTriMesh:
         lo, hi = mesh.bounds()
         assert np.all(lo <= hi)
         assert lo[0] == 0.0 and hi[0] == 12.0
+
+
+# a tetrahedron in plain OBJ, and the mesh every accepted spelling of it loads to
+TETRA_OBJ = ("v 0.1 0 0\nv 1.5 0 0\nv 0 1.25 0\nv 0.3 0.2 2.75\n"
+             "f 1 3 2\nf 1 2 4\nf 2 3 4\nf 1 4 3\n")
+TETRA = TriMesh([[0.1, 0, 0], [1.5, 0, 0], [0, 1.25, 0], [0.3, 0.2, 2.75]],
+                [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+
+ACCEPTED_OBJ = {
+    "crlf": TETRA_OBJ.replace("\n", "\r\n"),
+    "cr": TETRA_OBJ.replace("\n", "\r"),
+    "vertex-w": TETRA_OBJ.replace(" 0\nv", " 0 1.0\nv").replace(" 2.75\n", " 2.75 1\n"),
+    "slash-refs": TETRA_OBJ.replace("f 1 3 2", "f 1/1/1 3/2/1 2/3/1")
+                           .replace("f 1 2 4", "f 1//2 2//2 4//2")
+                           .replace("f 2 3 4", "f 2/ 3/ 4/"),
+    "non-ascii-digits": TETRA_OBJ.replace("f 1 4 3", "f 1 4 \u0663"),
+    "other-records": "# tetrahedron\no tetra\n" + TETRA_OBJ.replace(
+        "f 1 3 2", "vn 0 0 1\nvt 0 0\ns off\n  # indented comment\nf 1 3 2"),
+}
+
+# (OBJ text, the exact InvalidInputError message)
+MALFORMED_OBJ = {
+    "short-vertex": ("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+                     "line 2: vertex needs 3 coordinates"),
+    "bad-coordinate": ("v 0 0 0\nv 1 0 0\nv 0 1.2.3 0\nf 1 2 3\n",
+                       "line 3: bad vertex coordinate"),
+    "quad": ("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n",
+             "line 5: only triangular faces are supported"),
+    "float-index": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3.0\n", "line 4: bad face index"),
+    "zero-index": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n",
+                   "line 4: face indices are 1-based"),
+    "past-int64": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999999\n",
+                   "face index out of range"),
+    # TriMesh's vertex checks still come before its index range check
+    "past-int64-two-vertices": ("v 0 0 0\nv 1 0 0\nf 1 2 99999999999999999999999\n",
+                                "vertices must have shape (n>=3, 3)"),
+    "comments-only": ("# nothing\n# here\n", "OBJ file has no triangles"),
+    "face-before-vertex": ("v 0 0 0\nv 1 0 0\nf 1 2 x\nv 0 1 0\nv 1 1 bad\n",
+                           "line 3: bad face index"),
+    "vertex-before-face": ("v 0 0 0\nv 1 0 0\nv 0 1 bad\nf 1 2 3\nf 1 2 x\n",
+                           "line 3: bad vertex coordinate"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED_OBJ))
+def test_obj_spellings_load_to_the_same_mesh(tmp_path, name):
+    path = tmp_path / "m.obj"
+    path.write_bytes(ACCEPTED_OBJ[name].encode("utf-8"))
+    mesh = load_mesh(path)
+    assert mesh.vertices.tobytes() == TETRA.vertices.tobytes()
+    assert mesh.faces.dtype == np.int64 and np.array_equal(mesh.faces, TETRA.faces)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_OBJ))
+def test_malformed_obj_message_and_exit_code(tmp_path, capsys, name):
+    text, message = MALFORMED_OBJ[name]
+    path = tmp_path / "m.obj"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidInputError) as info:
+        load_mesh(path)
+    assert str(info.value) == message
+    assert main(["mesh-check", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+MUTABLE_OBJ = ("# tetra\no tetra\nv 0.1 0 0\nv 1.5 0 0\nv 0 1.25 0\nvn 0 0 1\n"
+               "v 0.3 0.2 2.75 1\nf 1 3 2\nf 1/1 2/2 4/3\nf 2//1 3//1 4//1\nf 1 4 3\n")
+OBJ_TOKENS = ["v", "f", "#", "vn", "0", "1", "2", "3", "4", "5", "-1", "+2", "1_0",
+              "\u0663", "3/", "/3", "3.0", "1.2.3", "0.5", "-2.5e-3", "nan", "inf",
+              "1e400", "x", "99999999999999999999999", "-99999999999999999999999"]
+
+
+def _obj_outcome(load, path):
+    try:
+        mesh = load(path)
+    except InvalidInputError as exc:
+        return str(exc)
+    return mesh.vertices.shape, mesh.vertices.tobytes(), mesh.faces.dtype, mesh.faces.tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_load_obj_matches_line_reader(tmp_path_factory, data):
+    """One token of a small OBJ replaced or deleted, or one line duplicated or
+    dropped: the same mesh bytes as the line-by-line reader, or its message."""
+    lines = [line.split() for line in MUTABLE_OBJ.splitlines()]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    action = data.draw(st.sampled_from(["replace", "delete", "duplicate", "drop"]))
+    if action == "replace":
+        lines[at][data.draw(st.integers(0, len(lines[at]) - 1))] = data.draw(
+            st.sampled_from(OBJ_TOKENS))
+    elif action == "delete":
+        del lines[at][data.draw(st.integers(0, len(lines[at]) - 1))]
+    elif action == "duplicate":
+        lines.insert(at, list(lines[at]))
+    else:
+        del lines[at]
+    path = tmp_path_factory.mktemp("obj") / "m.obj"
+    path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines), encoding="utf-8")
+    assert _obj_outcome(load_mesh, path) == _obj_outcome(load_obj_lines, path)
 
 
 def assert_casts_match_oracle(mesh, origins, direction):
