@@ -20,8 +20,8 @@ its column sums of squares: the mean is offset + w^T V, the variance sigma_f
 minus those sums. A factor grown from a previous one equals a fit from scratch
 at the same jitter to rounding; a fit from scratch is the same with or without
 `previous`. The per-update grid products (the kept rows times L21, the forward
-substitution and the mean) are `einsum`s and row operations on the calling
-thread: in threaded BLAS, spreading them costs more than it gives.
+substitution rows and the mean) are BLAS matrix products; the column sums of
+squares of the appended rows is an `einsum`.
 
 Inputs are (n, 2) arrays. Coincident training inputs stay separate rows,
 repeated observations on the jitter diagonal (Rasmussen & Williams 2006, Sec. 2.2).
@@ -132,9 +132,13 @@ def _appended_factor(lower: np.ndarray, old: np.ndarray, new: np.ndarray,
 
     The appended rows are [B^T, C] with B = L^-1 K(old, new) and
     C = chol(K(new, new) + jI - B^T B); None when C does not exist. From an
-    empty factor, B is 0 x n and C is the whole factor.
+    empty factor, B is 0 x n and C is the whole factor. B is solved column by
+    column: a 1-D right-hand side leaves scipy's BLAS threads asleep.
     """
-    b = solve_triangular(lower, kernel_matrix(params, old, new), lower=True)
+    b = kernel_matrix(params, old, new)
+    if lower.shape[0]:
+        for j in range(b.shape[1]):
+            b[:, j] = solve_triangular(lower, b[:, j], lower=True)
     schur = kernel_matrix(params, new, new) + jitter * np.eye(new.shape[0]) - b.T @ b
     try:
         c = np.linalg.cholesky(schur)
@@ -231,14 +235,13 @@ class CrossCovariance:
             lower = model.chol_lower
             rows = kernel_matrix(model.params, self._queries, model.training.inputs[m:]).T
             v = self._whitened
-            v[m:n] = rows - np.einsum("ki,ij->kj", lower[m:, :m], v[:m])
+            v[m:n] = rows - lower[m:, :m] @ v[:m]
             for i in range(m, n):  # forward substitution over the appended rows
-                v[i] -= np.einsum("i,ij->j", lower[i, m:i], v[m:i])
+                v[i] -= lower[i, m:i] @ v[m:i]
                 v[i] /= lower[i, i]
             self._sumsq = self._sumsq + np.einsum("ij,ij->j", v[m:n], v[m:n])
         self._model = model
-        mean = model.mean_offset + np.einsum("i,ij->j", model.whitened_residual,
-                                             self._whitened[:n])
+        mean = model.mean_offset + model.whitened_residual @ self._whitened[:n]
         return mean, self._sumsq
 
 

@@ -3,7 +3,10 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 import typing
 import warnings
@@ -700,6 +703,30 @@ class TestRunCommand:
             a = (tmp_path / "out_a" / name).read_bytes()
             b = (tmp_path / "out_b" / name).read_bytes()
             assert a == b, name
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        """The GP's grid products run on threaded BLAS, which may split their
+        sums differently: runs with one and with two OpenBLAS threads pick the
+        same probes, and their maps agree to rounding."""
+        small_phantom(tmp_path)
+        roi = {"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0, "spacing": 0.4}
+        noise = {"position_sigma_mm": 0.2, "force_sigma_n": 0.05}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runner = "import sys; from palpmap.cli import main; sys.exit(main(sys.argv[1:]))"
+        for threads in ("1", "2"):
+            config = write_config(tmp_path, roi=roi, budget=12, noise=noise,
+                                  output_dir=f"out_{threads}")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-c", runner, "run", str(config)], env=env,
+                           check=True, capture_output=True)
+        one, two = tmp_path / "out_1", tmp_path / "out_2"
+        for name in ("probe_log.csv", "registration_trace.csv"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        map_one, map_two = (np.loadtxt(out / "stiffness_map.csv", delimiter=",", skiprows=1)
+                            for out in (one, two))
+        assert map_one.shape == (31 * 31, 5)
+        np.testing.assert_allclose(map_one, map_two, rtol=0.0, atol=1e-9)
 
     def test_registration_seeding_policy(self, tmp_path, monkeypatch):
         """All configured seeds at the first and the final update, the previous
