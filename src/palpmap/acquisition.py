@@ -60,7 +60,7 @@ def expected_improvement(mean, std, incumbent_value: float):
 
 def select_next(prediction: Prediction, grid, probed: np.ndarray,
                 incumbent_value: float, probe_count: int, policy: SamplingPolicy,
-                rng: np.random.Generator, prior_variance: float = 1.0) -> int:
+                rng: np.random.Generator, prior_variance: float) -> int:
     """Pick the next grid index to probe.
 
     `probed` is a boolean mask over the grid, True at the nodes already

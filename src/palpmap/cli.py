@@ -199,15 +199,14 @@ class RunArtifacts:
     config: ExperimentConfig
     phantom: PhantomSpec
     grid: np.ndarray
-    prediction: Prediction
-    ei_map: np.ndarray
+    model: GPModel  # the final fit
+    prediction: Prediction  # its posterior over the grid
     samples: List[StiffnessSample]  # the final update's, one per set; each carries its set
     measurements: List[ProbeMeasurement]
     # one per probe; probe i sensed measurements [i * steps, (i + 1) * steps)
     probe_targets: List[np.ndarray]
     # the registration of every update; the final one is trace[-1][1]
     trace: List[Tuple[int, RegistrationResult]]
-    gp_jitter_used: float  # the final fit's
     seconds: float  # the loop's wall clock
 
 
@@ -272,17 +271,17 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
         prediction = gp_predict(model, grid, cross)
         trace.append((len(targets), dataclasses.replace(
             registered, neighbourhoods=None, neighbourhood_rows=None)))
-        return samples, training, model, prediction
+        return samples, model, prediction
 
     if config.strategy == "ei":
         for step in range(1, config.budget + 1):
             # the first update searches every configured seed, later ones
             # start from the previous winner alone
             seeds = configured if registered is None else (registered.transform,)
-            _, training, _, prediction = update(seeds)
+            _, model, prediction = update(seeds)
             try:
                 idx = select_next(prediction, grid, probed,
-                                  float(training.outputs.max()), step,
+                                  float(model.training.outputs.max()), step,
                                   config.policy, rng_explore,
                                   prior_variance=config.kernel.sigma_f)
             except ExplorationExhaustedError:
@@ -293,15 +292,11 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
             do_probe(target)
 
     # the final update searches every configured seed, as the first does
-    samples, training, model, prediction = update(configured)
-    ei_map = expected_improvement(prediction.mean, prediction.std,
-                                  float(training.outputs.max()))
+    samples, model, prediction = update(configured)
     return RunArtifacts(
-        config=config, phantom=phantom, grid=grid, prediction=prediction,
-        ei_map=ei_map, samples=samples, measurements=measurements,
-        probe_targets=targets, trace=trace,
-        gp_jitter_used=model.jitter_used, seconds=time.perf_counter() - t_start,
-    )
+        config=config, phantom=phantom, grid=grid, model=model, prediction=prediction,
+        samples=samples, measurements=measurements, probe_targets=targets, trace=trace,
+        seconds=time.perf_counter() - t_start)
 
 
 def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
@@ -352,7 +347,7 @@ def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
                                      in zip(estimate.euler_deg(), truth.euler_deg())),
             registration_objective=float(registration.objective),
             wall_clock_seconds=art.seconds, registration_converged=registration.converged,
-            gp_jitter_used=art.gp_jitter_used, top_decile_threshold=threshold, **scores,
+            gp_jitter_used=art.model.jitter_used, top_decile_threshold=threshold, **scores,
         ))
     return reports
 
@@ -371,7 +366,8 @@ def _write_csv(path: Path, header: str, rows):
 
 def _write_stiffness_map(art: RunArtifacts, path: Path):
     mean, std = art.prediction.mean, art.prediction.std
-    rows = [[_fmt(x), _fmt(y), _fmt(mean[i]), _fmt(std[i]), _fmt(art.ei_map[i])]
+    ei = expected_improvement(mean, std, float(art.model.training.outputs.max()))
+    rows = [[_fmt(x), _fmt(y), _fmt(mean[i]), _fmt(std[i]), _fmt(ei[i])]
             for i, (x, y) in enumerate(art.grid)]
     _write_csv(path, "x_mm,y_mm,mean,std,ei", rows)
 

@@ -243,21 +243,19 @@ class ROI:
         grid_shape(self)  # the node cap, checked before any grid is allocated
 
 
-def initial_samples(roi: ROI) -> np.ndarray:
-    """The 19 startup targets: 4 corners, then a 5x3 interior lattice row-major."""
-    pts = [
-        (roi.xmin, roi.ymin),
-        (roi.xmax, roi.ymin),
-        (roi.xmin, roi.ymax),
-        (roi.xmax, roi.ymax),
-    ]
+def _interior_lattice(roi: ROI, nx: int, ny: int) -> list:
+    """nx x ny points, row-major, cutting the ROI's sides into nx + 1 and ny + 1 equal parts."""
     width = roi.xmax - roi.xmin
     height = roi.ymax - roi.ymin
-    for j in range(1, 4):
-        y = roi.ymin + j * height / 4.0
-        for i in range(1, 6):
-            pts.append((roi.xmin + i * width / 6.0, y))
-    return np.asarray(pts, dtype=float)
+    return [(roi.xmin + i * width / (nx + 1.0), roi.ymin + j * height / (ny + 1.0))
+            for j in range(1, ny + 1) for i in range(1, nx + 1)]
+
+
+def initial_samples(roi: ROI) -> np.ndarray:
+    """The 19 startup targets: 4 corners, then a 5x3 interior lattice row-major."""
+    corners = [(roi.xmin, roi.ymin), (roi.xmax, roi.ymin), (roi.xmin, roi.ymax),
+               (roi.xmax, roi.ymax)]
+    return np.asarray(corners + _interior_lattice(roi, 5, 3), dtype=float)
 
 
 def prediction_grid(roi: ROI) -> np.ndarray:
@@ -289,14 +287,7 @@ def uniform_lattice(roi: ROI, count: int) -> np.ndarray:
         raise InvalidInputError("lattice count must be an integer >= 1")
     nx = int(math.ceil(math.sqrt(count)))
     ny = int(math.ceil(count / nx))
-    width = roi.xmax - roi.xmin
-    height = roi.ymax - roi.ymin
-    pts = []
-    for j in range(1, ny + 1):
-        y = roi.ymin + j * height / (ny + 1.0)
-        for i in range(1, nx + 1):
-            pts.append((roi.xmin + i * width / (nx + 1.0), y))
-    return np.asarray(pts[:count], dtype=float)
+    return np.asarray(_interior_lattice(roi, nx, ny)[:count], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class TestSelectNext:
         var = np.full(5, 0.25)
         pick = select_next(Prediction(mean, var), grid, probed(5), incumbent(),
                            probe_count=1, policy=SamplingPolicy(),
-                           rng=np.random.default_rng(0))
+                           rng=np.random.default_rng(0), prior_variance=1.0)
         assert pick == 2
 
     def test_ei_tie_breaks_low_index(self):
@@ -107,7 +107,7 @@ class TestSelectNext:
         var = np.array([0.25, 0.25, 0.25, 0.25])
         pick = select_next(Prediction(mean, var), grid, probed(4), incumbent(),
                            probe_count=1, policy=SamplingPolicy(),
-                           rng=np.random.default_rng(0))
+                           rng=np.random.default_rng(0), prior_variance=1.0)
         assert pick == 0
 
     def test_visited_excluded(self):
@@ -116,7 +116,7 @@ class TestSelectNext:
         var = np.full(4, 0.25)
         pick = select_next(Prediction(mean, var), grid, probed(4, 0, 1), incumbent(),
                            probe_count=1, policy=SamplingPolicy(),
-                           rng=np.random.default_rng(0))
+                           rng=np.random.default_rng(0), prior_variance=1.0)
         assert pick == 2
 
     def test_exploration_on_period(self):
@@ -126,7 +126,7 @@ class TestSelectNext:
         policy = SamplingPolicy(exploration_period=5)
         picks = {select_next(Prediction(mean, var), grid, probed(6), incumbent(),
                              probe_count=5, policy=policy,
-                             rng=np.random.default_rng(s))
+                             rng=np.random.default_rng(s), prior_variance=1.0)
                  for s in range(16)}
         assert 2 not in picks          # high-EI node ignored on exploration steps
         assert picks <= {0, 1, 3, 4, 5}
@@ -138,7 +138,7 @@ class TestSelectNext:
         var = np.full(4, 0.25)
         pick = select_next(Prediction(mean, var), grid, probed(4), incumbent(),
                            probe_count=0, policy=SamplingPolicy(),
-                           rng=np.random.default_rng(0))
+                           rng=np.random.default_rng(0), prior_variance=1.0)
         assert pick == 1
 
     def test_exploration_fallback_max_variance(self):
@@ -155,14 +155,16 @@ class TestSelectNext:
         pred = Prediction(np.zeros(3), np.ones(3))
         with pytest.raises(ExplorationExhaustedError):
             select_next(pred, grid, probed(3, 0, 1, 2), incumbent(), probe_count=1,
-                        policy=SamplingPolicy(), rng=np.random.default_rng(0))
+                        policy=SamplingPolicy(), rng=np.random.default_rng(0),
+                        prior_variance=1.0)
 
     def test_shape_mismatch(self):
         grid = flat_grid(3)
         pred = Prediction(np.zeros(4), np.ones(4))
         with pytest.raises(InvalidInputError):
             select_next(pred, grid, probed(3), incumbent(), probe_count=1,
-                        policy=SamplingPolicy(), rng=np.random.default_rng(0))
+                        policy=SamplingPolicy(), rng=np.random.default_rng(0),
+                        prior_variance=1.0)
 
     def test_bad_probed_mask(self):
         grid = flat_grid(3)
@@ -171,7 +173,17 @@ class TestSelectNext:
         for mask in (probed(4), np.zeros(3), [0, 1, 2]):
             with pytest.raises(InvalidInputError):
                 select_next(pred, grid, mask, incumbent(), probe_count=1,
-                            policy=SamplingPolicy(), rng=np.random.default_rng(0))
+                            policy=SamplingPolicy(), rng=np.random.default_rng(0),
+                            prior_variance=1.0)
+
+    def test_prior_variance_is_required(self):
+        # σ_f is the kernel's to give: a default would be a second copy of
+        # KernelParams.sigma_f's, silently wrong for any other σ_f
+        grid = flat_grid(3)
+        pred = Prediction(np.zeros(3), np.ones(3))
+        with pytest.raises(TypeError, match="prior_variance"):
+            select_next(pred, grid, probed(3), incumbent(), probe_count=5,
+                        policy=SamplingPolicy(), rng=np.random.default_rng(0))
 
     def test_policy_validation(self):
         with pytest.raises(InvalidInputError):

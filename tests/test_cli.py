@@ -17,11 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palpmap import cli
+from palpmap.acquisition import expected_improvement
 from palpmap.care import (CMUConfig, ProbeMeasurement, cmu_register, collect_sets,
                           estimate_stiffness)
 from palpmap.cli import CONFIG_SCHEMA, load_config, main
 from palpmap.errors import ConfigError, InvalidInputError
 from palpmap.geometry import RigidTransform, load_mesh, make_transform
+from palpmap.gp import gp_predict
 from palpmap.make_demo import write_demo
 from palpmap.schema import schema_default
 from palpmap.simulator import (PHANTOM_SCHEMA, PhantomSpec, ProbeConfig, StiffnessBump,
@@ -573,6 +575,31 @@ def test_evaluate_rejects_runs_of_another_phantom_or_roi(tmp_path, field):
     assert len(cli.evaluate([art, art])) == 2
     with pytest.raises(InvalidInputError, match="one phantom and ROI"):
         cli.evaluate([art, other])
+
+
+@pytest.mark.parametrize("kernel", [{}, {"jitter": 0.0, "length_scale_mm": 1000.0}],
+                         ids=["default-kernel", "escalated-jitter"])
+def test_the_kept_fit_is_the_one_the_run_reports(tmp_path, kernel):
+    """`RunArtifacts.model` is the final fit: the prediction, the report's
+    jitter and the written EI column all come from it."""
+    small_phantom(tmp_path)
+    config = load_config(write_config(tmp_path, kernel=kernel))
+    art = cli.execute_experiment(config)
+    assert art.model.training.outputs.tolist() == [
+        s.stiffness for s in art.samples if not s.degenerate]
+    fresh = gp_predict(art.model, art.grid)
+    np.testing.assert_allclose(fresh.mean, art.prediction.mean, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(fresh.variance, art.prediction.variance, rtol=0.0, atol=1e-9)
+
+    [report] = cli.evaluate([art])
+    assert report.gp_jitter_used == art.model.jitter_used
+    assert (art.model.jitter_used != config.kernel.jitter) == bool(kernel)
+
+    out = cli.write_run_outputs(art, report, tmp_path / "out")
+    written = np.loadtxt(out / "stiffness_map.csv", delimiter=",", skiprows=1)
+    ei = expected_improvement(art.prediction.mean, art.prediction.std,
+                              float(art.model.training.outputs.max()))
+    assert written[:, 4].tolist() == ei.tolist()
 
 
 def test_noise_and_exploration_streams_are_independent(tmp_path, monkeypatch):

@@ -13,8 +13,8 @@ from palpmap.simulator import (ArteryRidge, NoiseSpec, PhantomSpec, ProbeConfig,
                                ROI, artery_phantom, grid_shape, initial_samples,
                                load_phantom, make_surface_mesh,
                                multimodal_phantom, prediction_grid, probe,
-                               save_phantom, stiffness_field, uniform_lattice,
-                               StiffnessBump)
+                               save_phantom, stiffness_field, tool_rays,
+                               uniform_lattice, StiffnessBump)
 
 
 def flat_spec(baseline=2.0, size=40.0, transform=None, bumps=(), artery=None):
@@ -157,6 +157,35 @@ class TestProbe:
             assert np.allclose(m.position, [1.0 + offset[0], 2.0 + offset[1],
                                             -0.3 * k + offset[2]], atol=1e-12)
             assert m.force == pytest.approx(max(0.6 * k + df, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(0.3, 0.1), NoiseSpec(0.25, 5.0)],
+                             ids=["demo-noise", "clamped-force"])
+    def test_posed_probe_arithmetic_bit_for_bit(self, noise):
+        # the probe's arithmetic, exactly, under a non-identity pose: a
+        # rewrite of `probe` (say, batching its depth steps) must keep every
+        # bit of every measurement, and the generator's state after the probe
+        spec = multimodal_phantom()
+        assert not np.allclose(spec.true_transform.rotation, np.eye(3))
+        inverse = spec.true_transform.inverse()
+        config = ProbeConfig()
+        for seed, target in enumerate([(12.0, 25.0), (30.5, 41.0), (3.0, 7.5)]):
+            rng = np.random.default_rng(seed)
+            ms = probe(spec, target, config, noise, rng)
+            contacts, faces = spec.mesh.raycasts(*tool_rays(spec, np.array([target])))
+            contact, normal = contacts[0], spec.mesh.face_normals[faces[0]]
+            stiffness = float(stiffness_field(spec, contact[None, :2])[0])
+            replay = np.random.default_rng(seed)
+            assert len(ms) == config.steps
+            for k, m in enumerate(ms, start=1):
+                depth = k * config.depth_increment
+                position = (inverse.apply(contact - depth * normal)
+                            + replay.normal(0.0, noise.position_sigma, size=3))
+                force = max(stiffness * depth + replay.normal(0.0, noise.force_sigma), 0.0)
+                assert m.position.tolist() == position.tolist()
+                assert m.force == force
+                assert m.sensed_normal.tolist() == (
+                    spec.true_transform.rotation.T @ normal).tolist()
+            assert rng.random() == replay.random()
 
     def test_force_clamped_at_zero(self):
         spec = flat_spec(baseline=0.01)
