@@ -119,21 +119,22 @@ class StiffnessSample:
             raise InvalidInputError("stiffness must be > 0")
 
 
-def default_seed_transforms(count: int = 10, max_translation: float = 10.0,
+def default_seed_transforms(random_seeds: int = 10, max_translation_mm: float = 10.0,
                             max_rotation_deg: float = 15.0) -> Tuple[RigidTransform, ...]:
-    """Identity plus `count` random perturbations for multi-seed registration."""
-    if not (math.isfinite(count) and int(count) == count and 0 <= count <= MAX_RESTART_SEEDS):
-        raise InvalidInputError(f"random restarts must be an integer in "
-                                f"[0, {MAX_RESTART_SEEDS:,}]")
-    for name, limit, cap in (("max_translation", max_translation, MAX_RESTART_TRANSLATION_MM),
+    """Identity plus `random_seeds` random perturbations for multi-seed registration."""
+    if not (math.isfinite(random_seeds) and int(random_seeds) == random_seeds
+            and 0 <= random_seeds <= MAX_RESTART_SEEDS):
+        raise InvalidInputError(f"random_seeds must be an integer in [0, {MAX_RESTART_SEEDS:,}]")
+    for name, limit, cap in (("max_translation_mm", max_translation_mm,
+                              MAX_RESTART_TRANSLATION_MM),
                              ("max_rotation_deg", max_rotation_deg, sys.float_info.max / 2)):
         # the rotation draw spans 2 * limit, which must stay a finite float
         if not 0.0 <= limit <= cap:
             raise InvalidInputError(f"{name} must lie in [0, {cap:.3g}]")
     rng = np.random.default_rng(RESTART_TABLE_SEED)
     seeds = [RigidTransform.identity()]
-    for _ in range(count):
-        t = rng.uniform(-max_translation, max_translation, size=3)
+    for _ in range(random_seeds):
+        t = rng.uniform(-max_translation_mm, max_translation_mm, size=3)
         r = rng.uniform(-max_rotation_deg, max_rotation_deg, size=3)
         seeds.append(make_transform(t[0], t[1], t[2], r[0], r[1], r[2]))
     return tuple(seeds)
@@ -143,25 +144,26 @@ def default_seed_transforms(count: int = 10, max_translation: float = 10.0,
 class CMUConfig:
     """Grouping thresholds and registration loop controls; each registration names its seeds."""
 
-    tangent_distance: float = 1.0       # mm
+    tangent_distance_mm: float = 1.0
     normal_angle_deg: float = 10.0
-    min_force_difference: float = 0.05  # N
+    min_force_difference_n: float = 0.05
     max_iterations: int = 50  # per seed; a seed that reaches it has not converged
-    convergence_tolerance: float = 1e-3  # mm, max reference-point displacement
+    convergence_tolerance_mm: float = 1e-3  # max reference-point displacement
 
     def __post_init__(self):
-        if not (self.tangent_distance > 0.0
-                and 0.0 < self.tangent_distance * self.tangent_distance < math.inf):
-            raise InvalidInputError("tangent_distance must be > 0 with a positive finite square")
+        distance = self.tangent_distance_mm
+        if not (distance > 0.0 and 0.0 < distance * distance < math.inf):
+            raise InvalidInputError("tangent_distance_mm must be > 0 "
+                                    "with a positive finite square")
         if not (math.isfinite(self.normal_angle_deg) and self.normal_angle_deg > 0.0):
             raise InvalidInputError("normal_angle_deg must be > 0")
-        if not self.min_force_difference > 0.0:
-            raise InvalidInputError("min_force_difference must be > 0")
+        if not self.min_force_difference_n > 0.0:
+            raise InvalidInputError("min_force_difference_n must be > 0")
         cap = self.max_iterations
         if not (math.isfinite(cap) and int(cap) == cap and cap >= 1):
             raise InvalidInputError("max_iterations must be a positive integer")
-        if not self.convergence_tolerance > 0.0:
-            raise InvalidInputError("convergence_tolerance must be > 0")
+        if not self.convergence_tolerance_mm > 0.0:
+            raise InvalidInputError("convergence_tolerance_mm must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +175,8 @@ class SetCollector:
 
     A measurement joins the first existing set (creation order) for which all
     three conditions hold, else it opens a new set:
-      (i)   some member's force differs from it by >= min_force_difference,
-      (ii)  tangent-plane distance to the set anchor <= tangent_distance,
+      (i)   some member's force differs from it by >= min_force_difference_n,
+      (ii)  tangent-plane distance to the set anchor <= tangent_distance_mm,
       (iii) angle to the anchor normal <= normal_angle_deg.
     The anchor is the set's first measurement. Grouping depends only on the
     measurement prefix, so adding measurements never reshuffles earlier sets.
@@ -212,12 +214,12 @@ class SetCollector:
         # (i): member forces span [fmin, fmax], so the largest |dF| to any
         # member is reached at one of the extremes.
         force_ok = np.maximum(force - self._fmin, self._fmax - force) \
-            >= self._config.min_force_difference
+            >= self._config.min_force_difference_n
         diff = pos[None, :] - self._anchors
         along = np.einsum("ij,ij->i", diff, normals)
         tangent = diff - along[:, None] * normals
         dist_ok = np.einsum("ij,ij->i", tangent, tangent) \
-            <= self._config.tangent_distance ** 2
+            <= self._config.tangent_distance_mm ** 2
         angle_ok = normals @ nrm >= self._cos_limit - 1e-12
         match = force_ok & dist_ok & angle_ok
         hit = int(np.argmax(match)) if match.any() else -1
@@ -387,7 +389,7 @@ def cmu_register(samples: Sequence[StiffnessSample],
     is the sum of residual norms, correspondences recomputed at the evaluated
     transform. A seed stops at the first of: an iterate whose objective is not
     below the seed's best so far, a step that moves no reference point by
-    convergence_tolerance or more, or max_iterations steps (the only stop
+    convergence_tolerance_mm or more, or max_iterations steps (the only stop
     that leaves `converged` False). Each seed returns its best iterate, so no
     seed is returned worse than its own starting point, and the seed with the
     smallest objective wins.
@@ -460,7 +462,7 @@ def cmu_register(samples: Sequence[StiffnessSample],
             stepped = moved @ rot.T + shift
             displacement = float(np.linalg.norm(stepped - moved, axis=1).max())
             iterations[i] += 1
-            settled = displacement < config.convergence_tolerance
+            settled = displacement < config.convergence_tolerance_mm
             converged[i] = settled or iterations[i] < config.max_iterations
             stopped[i] = settled or not converged[i]
             next_round.append(i)

@@ -28,12 +28,12 @@ and reuses its winner's closest-point neighbourhoods (per row, the closest
 face and a bound on every other face), which saves k-d tree searches and
 changes no result (see `care`); `trace` keeps the results without them.
 
-Config documents are read through one table, `CONFIG_SCHEMA`, which maps each
-section's keys to the parameters of the dataclass they build; `schema` reads
-every field, as it does the phantom's. The engine calls its layers (`probe`,
-`estimate_stiffness`, `cmu_register`, `gp_fit`, ...) through this module's
-globals, because the benchmark in `bench/` times them by swapping those
-names here.
+Config documents are read through one table, `CONFIG_SCHEMA`, which names
+the target each section builds; a section's keys are its target's parameter
+names, and `schema` reads every field, as it does the phantom's. The engine
+calls its layers (`probe`, `estimate_stiffness`, `cmu_register`, `gp_fit`,
+...) through this module's globals, because the benchmark in `bench/` times
+them by swapping those names here.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
 from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import (CrossCovariance, GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
                  gp_predict)
-from .schema import REQUIRED, build, read, read_document, reject_unknown
+from .schema import REQUIRED, build, keys, read, read_document, reject_unknown
 from .simulator import (MAX_GRID_NODES, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
                         grid_shape, initial_samples, load_phantom, prediction_grid, probe,
                         stiffness_field, tool_rays, transform_to_json, uniform_lattice)
@@ -91,30 +91,13 @@ class ExperimentConfig:
     master_seed: int
 
 
-# One row per target built from a config section: (section, target, {config
-# key: target parameter}), read by `schema.build`. The target's annotations
-# give each key's type and its defaults are the config defaults; no default
-# makes a key required.
-CONFIG_SCHEMA = (
-    ("roi", ROI, {"xmin": "xmin", "xmax": "xmax", "ymin": "ymin",
-                  "ymax": "ymax", "spacing": "spacing"}),
-    ("probe", ProbeConfig, {"depth_increment_mm": "depth_increment",
-                            "max_depth_mm": "max_depth"}),
-    ("noise", NoiseSpec, {"position_sigma_mm": "position_sigma",
-                          "force_sigma_n": "force_sigma"}),
-    ("kernel", KernelParams, {"sigma_f": "sigma_f", "length_scale_mm": "length_scale",
-                              "jitter": "jitter"}),
-    ("policy", SamplingPolicy, {"exploration_period": "exploration_period",
-                                "uncertainty_fraction": "uncertainty_fraction"}),
-    ("cmu", default_seed_transforms, {"random_seeds": "count",
-                                      "max_translation_mm": "max_translation",
-                                      "max_rotation_deg": "max_rotation_deg"}),
-    ("cmu", CMUConfig, {"tangent_distance_mm": "tangent_distance",
-                        "normal_angle_deg": "normal_angle_deg",
-                        "min_force_difference_n": "min_force_difference",
-                        "max_iterations": "max_iterations",
-                        "convergence_tolerance_mm": "convergence_tolerance"}),
-)
+# One row per target built from a config section: (section, target), read by
+# `schema.build`. The target's parameter names are the section's keys, its
+# annotations give their types and its defaults are the config defaults; no
+# default makes a key required.
+CONFIG_SCHEMA = (("roi", ROI), ("probe", ProbeConfig), ("noise", NoiseSpec),
+                 ("kernel", KernelParams), ("policy", SamplingPolicy),
+                 ("cmu", default_seed_transforms), ("cmu", CMUConfig))
 # The config's other top-level keys: {key: (type, default)}
 _TOP_LEVEL = {"phantom": (str, REQUIRED), "strategy": (str, "ei"), "budget": (int, 100),
               "output_dir": (str, "out"), "master_seed": (int, 0)}
@@ -135,10 +118,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"'budget' must be at most {MAX_BUDGET:,}")
 
     built = {}
-    for section, target, keys in CONFIG_SCHEMA:
+    for section, target in CONFIG_SCHEMA:
         raw = read(data, "", section, dict, {})
-        allowed = set().union(*(row[2] for row in CONFIG_SCHEMA if row[0] == section))
-        built[target] = build(target, keys, raw, section, allowed)
+        allowed = set().union(*(keys(t) for s, t in CONFIG_SCHEMA if s == section))
+        built[target] = build(target, raw, section, allowed)
 
     return ExperimentConfig(
         phantom_path=path.parent / top["phantom"], roi=built[ROI], probe=built[ProbeConfig],
@@ -378,7 +361,7 @@ def _write_probe_log(art: RunArtifacts, path: Path):
     stiffness = {member: s.stiffness for s in art.samples
                  if not s.degenerate for member in s.cset.member_indices}
 
-    increment = art.config.probe.depth_increment
+    increment = art.config.probe.depth_increment_mm
     steps = art.config.probe.steps
     rows = []
     for index, target in enumerate(art.probe_targets):

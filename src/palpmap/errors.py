@@ -10,7 +10,7 @@ class InvalidInputError(PalpmapError):
 
 
 class DegenerateGeometryError(PalpmapError):
-    """Geometry too degenerate to solve (collinear points, zero depth span)."""
+    """Geometry too degenerate to solve (collinear points)."""
 
 
 class NumericalConditioningError(PalpmapError):

@@ -44,14 +44,15 @@ class KernelParams:
     """Squared exponential kernel hyperparameters (mm units)."""
 
     sigma_f: float = 1.0
-    length_scale: float = 3.0
+    length_scale_mm: float = 3.0
     jitter: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma_f) and self.sigma_f > 0.0):
             raise InvalidInputError("sigma_f must be > 0")
-        if not (self.length_scale > 0.0 and 0.0 < self.length_scale * self.length_scale < np.inf):
-            raise InvalidInputError("length_scale must be > 0 with a positive finite square")
+        scale = self.length_scale_mm
+        if not (scale > 0.0 and 0.0 < scale * scale < np.inf):
+            raise InvalidInputError("length_scale_mm must be > 0 with a positive finite square")
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
             raise InvalidInputError("jitter must be >= 0")
 
@@ -69,7 +70,7 @@ def kernel_matrix(params: KernelParams, a, b) -> np.ndarray:
     a = _as_inputs(a, "a")
     b = _as_inputs(b, "b")
     d2 = cdist(a, b, metric="sqeuclidean")
-    return params.sigma_f * np.exp(-d2 / (2.0 * params.length_scale ** 2))
+    return params.sigma_f * np.exp(-d2 / (2.0 * params.length_scale_mm ** 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,12 @@
 """How a JSON document value becomes a validated field, for configs, phantoms and meshes.
 
-A schema row maps document keys to the parameters of a target (a dataclass
-or function). A parameter's annotation says what its key must hold: `float`
-a finite JSON number (booleans rejected), `int` an integer, `str`, `list` or
-`dict` a string, array or object, and `Tuple[...]` an array read element by
-element (fixed length unless `Tuple[X, ...]`). Its default is the key's
-default. Every violation is a `ConfigError` that names the key.
+A document object builds a target (a dataclass or function), and its keys
+are the target's parameter names. A parameter's annotation says what its key
+must hold: `float` a finite JSON number (booleans rejected), `int` an
+integer, `str`, `list` or `dict` a string, array or object, and `Tuple[...]`
+an array read element by element (fixed length unless `Tuple[X, ...]`). Its
+default is the key's default. Every violation is a `ConfigError` that names
+the key.
 """
 
 from __future__ import annotations
@@ -50,9 +51,18 @@ def reject_unknown(data: dict, allowed: set, where: str):
 
 
 @functools.lru_cache(maxsize=None)  # inspect.signature costs ~50 us a call
+def _parameters(target):
+    return inspect.signature(target).parameters
+
+
+def keys(target) -> tuple:
+    """`target`'s parameter names: the keys of the document object it is built from."""
+    return tuple(_parameters(target))
+
+
 def schema_default(target, name: str):
     """Default of `target`'s parameter `name`; REQUIRED if it has none."""
-    return inspect.signature(target).parameters[name].default
+    return _parameters(target)[name].default
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,18 +97,20 @@ def _value(value, name: str, hint):
     return value
 
 
-def build(target, keys: dict, raw, where: str, allowed: Optional[set] = None, **given):
-    """Construct `target` from the JSON object `raw` through the row `keys`.
+def build(target, raw, where: str, allowed: Optional[set] = None, **given):
+    """Construct `target` from the JSON object `raw`, one key per parameter.
 
-    `raw` may hold only `keys`, or `allowed` where it feeds more than one row;
-    `given` passes the parameters that are not document fields.
+    The keys are `target`'s parameters not passed in `given`, which holds
+    those that are not document fields. `raw` may hold only those keys, or
+    `allowed` where it feeds more than one target.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"'{where}' must be an object")
-    reject_unknown(raw, set(keys) if allowed is None else allowed, f"'{where}'")
+    names = [name for name in keys(target) if name not in given]
+    reject_unknown(raw, set(names) if allowed is None else allowed, f"'{where}'")
     hints = _hints(target)
-    kwargs = {name: read(raw, where, key, hints[name], schema_default(target, name))
-              for key, name in keys.items()}
+    kwargs = {name: read(raw, where, name, hints[name], schema_default(target, name))
+              for name in names}
     try:
         return target(**kwargs, **given)
     except InvalidInputError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from .care import ProbeMeasurement
 from .errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from .geometry import RigidTransform, TriMesh, load_mesh, make_transform
-from .schema import build, read, read_document
+from .schema import build, keys, read, read_document
 
 # Largest prediction grid a ROI may ask for; the benchmark's largest is 6,561
 # nodes, and each node costs a GP posterior row and a ground-truth ray.
@@ -130,37 +130,39 @@ def stiffness_field(spec: PhantomSpec, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Indentation protocol: equal depth steps down to max_depth, 2 at least for a slope."""
+    """Indentation protocol: equal depth steps down to max_depth_mm, 2 at least for a slope."""
 
-    depth_increment: float = 0.3   # mm
-    max_depth: float = 3.0         # mm
+    depth_increment_mm: float = 0.3
+    max_depth_mm: float = 3.0
 
     def __post_init__(self):
-        for name in ("depth_increment", "max_depth"):
+        for name in ("depth_increment_mm", "max_depth_mm"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be > 0")
         # before `steps` rounds the ratio, which may be huge or infinite
-        if not self.max_depth / self.depth_increment < MAX_DEPTH_STEPS + 0.5:
-            raise InvalidInputError(f"max_depth / depth_increment gives more than "
+        if not self.max_depth_mm / self.depth_increment_mm < MAX_DEPTH_STEPS + 0.5:
+            raise InvalidInputError(f"max_depth_mm / depth_increment_mm gives more than "
                                     f"{MAX_DEPTH_STEPS:,} depth steps")
-        if abs(self.max_depth / self.depth_increment - self.steps) > 1e-9 or self.steps < 2:
-            raise InvalidInputError("max_depth must be 2 or more whole depth_increments")
+        if abs(self.max_depth_mm / self.depth_increment_mm - self.steps) > 1e-9 or self.steps < 2:
+            raise InvalidInputError("max_depth_mm must be 2 or more whole "
+                                    "depth_increment_mm steps")
 
     @property
     def steps(self) -> int:
-        return int(round(self.max_depth / self.depth_increment))
+        return int(round(self.max_depth_mm / self.depth_increment_mm))
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian sensing noise (zero-mean, per-axis position, scalar force)."""
 
-    position_sigma: float = 0.0  # mm
-    force_sigma: float = 0.0     # N
+    position_sigma_mm: float = 0.0
+    force_sigma_n: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(s) and s >= 0.0 for s in (self.position_sigma, self.force_sigma)):
-            raise InvalidInputError("noise sigmas must be >= 0")
+        for name in ("position_sigma_mm", "force_sigma_n"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise InvalidInputError(f"{name} must be >= 0")
 
 
 def tool_rays(spec: PhantomSpec, targets) -> Tuple[np.ndarray, np.ndarray]:
@@ -209,10 +211,10 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
 
     measurements = []
     for k in range(1, probe_config.steps + 1):
-        depth = k * probe_config.depth_increment
+        depth = k * probe_config.depth_increment_mm
         tool_position = inverse.apply(contact - depth * normal)
-        position = tool_position + rng.normal(0.0, noise.position_sigma, size=3)
-        force = stiffness * depth + rng.normal(0.0, noise.force_sigma)
+        position = tool_position + rng.normal(0.0, noise.position_sigma_mm, size=3)
+        force = stiffness * depth + rng.normal(0.0, noise.force_sigma_n)
         measurements.append(ProbeMeasurement(
             position=position,
             force=max(force, 0.0),
@@ -239,7 +241,7 @@ class ROI:
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise InvalidInputError("ROI must have positive extent")
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
-            raise InvalidInputError("grid spacing must be finite and > 0")
+            raise InvalidInputError("spacing must be finite and > 0")
         grid_shape(self)  # the node cap, checked before any grid is allocated
 
 
@@ -411,17 +413,10 @@ def _transform_from_json(translation_mm: Tuple[float, float, float] = (0.0, 0.0,
     return make_transform(*translation_mm, *rotation_deg)
 
 
-# The phantom document's numeric fields, one row per section in the form of
-# cli.CONFIG_SCHEMA's rows: (target, {document key: target parameter}).
-PHANTOM_SCHEMA = {
-    "phantom": (PhantomSpec, {"baseline_stiffness": "baseline_stiffness"}),
-    "bumps": (StiffnessBump, {"center": "center", "amplitude": "amplitude",
-                              "radius": "radius"}),
-    "artery": (ArteryRidge, {"polyline": "polyline", "half_width": "half_width",
-                             "amplitude": "amplitude"}),
-    "true_transform": (_transform_from_json, {"translation_mm": "translation_mm",
-                                              "rotation_deg": "rotation_deg"}),
-}
+# The target each phantom document section builds, as in cli.CONFIG_SCHEMA:
+# the section's keys are the target's parameter names.
+PHANTOM_SCHEMA = {"phantom": PhantomSpec, "bumps": StiffnessBump, "artery": ArteryRidge,
+                  "true_transform": _transform_from_json}
 
 
 def save_phantom(spec: PhantomSpec, path):
@@ -429,13 +424,13 @@ def save_phantom(spec: PhantomSpec, path):
     path = Path(path)
     spec.mesh.save_obj(path.parent / "mesh.obj")
 
-    def fields(obj, section: str) -> dict:
-        return {key: getattr(obj, name) for key, name in PHANTOM_SCHEMA[section][1].items()}
+    def fields(obj) -> dict:
+        return {key: getattr(obj, key) for key in keys(type(obj))}
 
     doc = {
-        "mesh": "mesh.obj", **fields(spec, "phantom"),
-        "bumps": [fields(b, "bumps") for b in spec.bumps],
-        "artery": None if spec.artery is None else fields(spec.artery, "artery"),
+        **fields(spec), "mesh": "mesh.obj",
+        "bumps": [fields(b) for b in spec.bumps],
+        "artery": None if spec.artery is None else fields(spec.artery),
         "true_transform": transform_to_json(spec.true_transform),
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -450,13 +445,12 @@ def load_phantom(path) -> PhantomSpec:
         mesh = load_mesh(mesh_path)
     except InvalidInputError as exc:
         raise ConfigError(f"bad mesh {mesh_path}: {exc}") from exc
-    bumps = tuple(build(*PHANTOM_SCHEMA["bumps"], raw, f"phantom.bumps[{i}]")
+    bumps = tuple(build(PHANTOM_SCHEMA["bumps"], raw, f"phantom.bumps[{i}]")
                   for i, raw in enumerate(read(data, "phantom", "bumps", list, [])))
     artery = data.get("artery")
     if artery is not None:
-        artery = build(*PHANTOM_SCHEMA["artery"], artery, "phantom.artery")
-    transform = build(*PHANTOM_SCHEMA["true_transform"], data.get("true_transform", {}),
+        artery = build(PHANTOM_SCHEMA["artery"], artery, "phantom.artery")
+    transform = build(PHANTOM_SCHEMA["true_transform"], data.get("true_transform", {}),
                       "phantom.true_transform")
-    target, keys = PHANTOM_SCHEMA["phantom"]
-    return build(target, keys, data, "phantom", set(PHANTOM_SCHEMA) | {"mesh", *keys},
+    return build(PHANTOM_SCHEMA["phantom"], data, "phantom", set(keys(PhantomSpec)),
                  mesh=mesh, bumps=bumps, artery=artery, true_transform=transform)

@@ -96,7 +96,7 @@ def test_criterion_1_registration_noise_free(multimodal_config):
 def test_criterion_2_registration_with_noise(multimodal_config):
     noisy = dataclasses.replace(
         multimodal_config,
-        noise=NoiseSpec(position_sigma=0.3, force_sigma=0.1))
+        noise=NoiseSpec(position_sigma_mm=0.3, force_sigma_n=0.1))
     t0 = time.perf_counter()
     rms = []
     for seed in (1, 2, 3, 4, 5):

@@ -119,7 +119,7 @@ class TestGrouping:
                     diff = b.position - a.position
                     along = float(diff @ a.sensed_normal)
                     tangent = diff - along * a.sensed_normal
-                    assert np.linalg.norm(tangent) <= 2.0 * config.tangent_distance + 1e-9
+                    assert np.linalg.norm(tangent) <= 2.0 * config.tangent_distance_mm + 1e-9
 
     def test_incremental_matches_batch(self):
         rng = np.random.default_rng(1)
@@ -254,7 +254,7 @@ class TestSeedTransforms:
             assert np.array_equal(s.translation, t.translation)
 
     def test_ranges(self):
-        for seed in default_seed_transforms(count=50)[1:]:
+        for seed in default_seed_transforms(random_seeds=50)[1:]:
             assert np.all(np.abs(seed.translation) <= 10.0)
             assert np.all(np.abs(seed.euler_deg()) <= 15.0 + 1e-9)
 

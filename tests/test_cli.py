@@ -25,7 +25,7 @@ from palpmap.errors import ConfigError, InvalidInputError
 from palpmap.geometry import RigidTransform, load_mesh, make_transform
 from palpmap.gp import gp_predict
 from palpmap.make_demo import write_demo
-from palpmap.schema import schema_default
+from palpmap.schema import keys, schema_default
 from palpmap.simulator import (PHANTOM_SCHEMA, PhantomSpec, ProbeConfig, StiffnessBump,
                                load_phantom, make_surface_mesh, save_phantom)
 
@@ -69,12 +69,12 @@ class TestLoadConfig:
         assert cfg.budget == 4
         assert cfg.strategy == "ei"
         assert cfg.kernel.sigma_f == 1.0
-        assert cfg.kernel.length_scale == 3.0
+        assert cfg.kernel.length_scale_mm == 3.0
         assert cfg.policy.exploration_period == 5
-        assert cfg.cmu.tangent_distance == 1.0
+        assert cfg.cmu.tangent_distance_mm == 1.0
         assert len(cfg.seed_transforms) == 11
-        assert cfg.probe.depth_increment == 0.3
-        assert cfg.noise.position_sigma == 0.0
+        assert cfg.probe.depth_increment_mm == 0.3
+        assert cfg.noise.position_sigma_mm == 0.0
 
     def test_paths_resolved_against_config_dir(self, tmp_path):
         small_phantom(tmp_path)
@@ -138,7 +138,20 @@ class TestLoadConfig:
             load_config(path)
 
 
-NUMERIC_KEYS = [(section, key) for section, _, keys in CONFIG_SCHEMA for key in keys]
+NUMERIC_KEYS = [(section, key) for section, target in CONFIG_SCHEMA for key in keys(target)]
+# (section, key, value out of range) for every config key whose check reads
+# that key alone; the ROI bounds are checked in pairs
+OUT_OF_RANGE = [
+    ("roi", "spacing", 0.0), ("probe", "depth_increment_mm", 0.0),
+    ("probe", "max_depth_mm", 0.0), ("noise", "position_sigma_mm", -1.0),
+    ("noise", "force_sigma_n", -1.0), ("kernel", "sigma_f", 0.0),
+    ("kernel", "length_scale_mm", 0.0), ("kernel", "jitter", -1.0),
+    ("policy", "exploration_period", 0), ("policy", "uncertainty_fraction", 2.0),
+    ("cmu", "random_seeds", -1), ("cmu", "max_translation_mm", -1.0),
+    ("cmu", "max_rotation_deg", -1.0), ("cmu", "tangent_distance_mm", 0.0),
+    ("cmu", "normal_angle_deg", 0.0), ("cmu", "min_force_difference_n", 0.0),
+    ("cmu", "max_iterations", 0), ("cmu", "convergence_tolerance_mm", 0.0),
+]
 
 
 class TestConfigSchema:
@@ -155,6 +168,21 @@ class TestConfigSchema:
         assert main(["run", str(path)]) == 2
         assert f"'{section}.{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
+                             ids=[f"{s}.{k}" for s, k, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, section, key, value):
+        """A value outside its key's range exits 2 with one line naming the key."""
+        paired = {("roi", bound) for bound in ("xmin", "xmax", "ymin", "ymax")}
+        assert {(s, k) for s, k, _ in OUT_OF_RANGE} == set(NUMERIC_KEYS) - paired
+        small_phantom(tmp_path)
+        doc = json.loads(write_config(tmp_path).read_text())
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and f"'{section}': {key} " in err[0], err
+
     def test_ground_truth_nan_spacing(self, tmp_path, capsys):
         phantom = small_phantom(tmp_path)
         for spacing in ("nan", "inf"):
@@ -170,10 +198,10 @@ class TestConfigSchema:
         """docs/config_schema.md lists each section's keys with the code's defaults."""
         text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
         targets = {}
-        for section, target, keys in CONFIG_SCHEMA:
-            for key, name in keys.items():
-                targets.setdefault(section, {})[key] = (target, name)
-        for section, keys in targets.items():
+        for section, target in CONFIG_SCHEMA:
+            for key in keys(target):
+                targets.setdefault(section, {})[key] = target
+        for section, section_keys in targets.items():
             block = text.split(f"## `{section}`\n", 1)[1].split("\n## ", 1)[0]
             lines = [line for line in block.splitlines() if line.startswith("|")]
             header = [cell.strip() for cell in lines[0].strip("|").split("|")]
@@ -181,9 +209,9 @@ class TestConfigSchema:
             for line in lines[2:]:
                 cells = [cell.strip() for cell in line.strip("|").split("|")]
                 rows[cells[0].strip("`")] = dict(zip(header, cells))
-            assert set(rows) == set(keys), section
-            for key, (target, name) in keys.items():
-                default = schema_default(target, name)
+            assert set(rows) == set(section_keys), section
+            for key, target in section_keys.items():
+                default = schema_default(target, key)
                 row = rows[key]
                 assert row["type"] == ("int" if isinstance(default, int) else "float")
                 if "default" in row:
@@ -207,7 +235,7 @@ class TestConfigSchema:
         small_phantom(tmp_path)
         probe = {"depth_increment_mm": 0.5, "max_depth_mm": 0.5}
         assert main(["run", str(write_config(tmp_path, probe=probe))]) == 2
-        assert "'probe': max_depth must be 2 or more whole" in capsys.readouterr().err
+        assert "'probe': max_depth_mm must be 2 or more whole" in capsys.readouterr().err
 
     @pytest.mark.parametrize("increment", [1e-320, 1e-12])
     def test_depth_step_cap(self, tmp_path, capsys, increment):
@@ -233,11 +261,11 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("key,value,message", [
         ("max_rotation_deg", -5.0, "max_rotation_deg must lie in [0, 8.99e+307]"),
-        ("max_translation_mm", -5.0, "max_translation must lie in [0, 1e+06]"),
-        ("max_translation_mm", 1e308, "max_translation must lie in [0, 1e+06]"),
-        ("max_translation_mm", 1e160, "max_translation must lie in [0, 1e+06]"),
-        ("random_seeds", -1, "random restarts must be an integer in [0, 1,000]"),
-        ("random_seeds", 1001, "random restarts must be an integer in [0, 1,000]"),
+        ("max_translation_mm", -5.0, "max_translation_mm must lie in [0, 1e+06]"),
+        ("max_translation_mm", 1e308, "max_translation_mm must lie in [0, 1e+06]"),
+        ("max_translation_mm", 1e160, "max_translation_mm must lie in [0, 1e+06]"),
+        ("random_seeds", -1, "random_seeds must be an integer in [0, 1,000]"),
+        ("random_seeds", 1001, "random_seeds must be an integer in [0, 1,000]"),
     ], ids=["rotation-negative", "translation-negative", "translation-overflows",
             "translation-over-cap", "count-negative", "count-over-cap"])
     def test_bad_restart_option_is_config_error(self, tmp_path, capsys, key, value, message):
@@ -249,8 +277,9 @@ class TestConfigSchema:
     def test_docs_list_the_accepted_keys(self):
         """The README's config example and docs/config_schema.md's key columns
         name exactly the keys `load_config` accepts, as dotted paths."""
-        accepted = set(cli._TOP_LEVEL) | {section for section, _, _ in CONFIG_SCHEMA}
-        accepted |= {f"{section}.{key}" for section, _, keys in CONFIG_SCHEMA for key in keys}
+        accepted = set(cli._TOP_LEVEL) | {section for section, _ in CONFIG_SCHEMA}
+        accepted |= {f"{section}.{key}" for section, target in CONFIG_SCHEMA
+                     for key in keys(target)}
         root = Path(__file__).parents[1]
 
         readme = (root / "README.md").read_text().split("### Config schema\n", 1)[1]
@@ -409,16 +438,15 @@ def _section(docs, document, section):
 
 def _float_fields():
     """(document, section, key, default) of every float or float-tuple schema field."""
-    rows = [("config.json", section, target, keys) for section, target, keys in CONFIG_SCHEMA]
-    rows += [("phantom.json", section, target, keys)
-             for section, (target, keys) in PHANTOM_SCHEMA.items()]
+    rows = [("config.json", section, target) for section, target in CONFIG_SCHEMA]
+    rows += [("phantom.json", section, target) for section, target in PHANTOM_SCHEMA.items()]
 
     def holds_float(hint):
         return hint is float or any(holds_float(arg) for arg in typing.get_args(hint))
 
-    return [(document, section, key, schema_default(target, name))
-            for document, section, target, keys in rows
-            for key, name in keys.items() if holds_float(typing.get_type_hints(target)[name])]
+    return [(document, section, key, schema_default(target, key))
+            for document, section, target in rows
+            for key in keys(target) if holds_float(typing.get_type_hints(target)[key])]
 
 
 def _filled(value, number):
@@ -706,7 +734,8 @@ class TestRunCommand:
         assert [s.member_indices for s in sets] == [(0, 1), (2, 3, 4), (6, 7)]
         assert [s.degenerate for s in samples] == [False, False, True]
         art = types.SimpleNamespace(
-            config=types.SimpleNamespace(probe=ProbeConfig(depth_increment=0.5, max_depth=2.0)),
+            config=types.SimpleNamespace(
+                probe=ProbeConfig(depth_increment_mm=0.5, max_depth_mm=2.0)),
             samples=samples, measurements=measurements,
             probe_targets=[np.zeros(2), np.array([5.0, 0.0])])
         cli._write_probe_log(art, tmp_path / "probe_log.csv")

@@ -25,7 +25,7 @@ class TestKernel:
         assert kernel_matrix(p, np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == pytest.approx(1.0)
 
     def test_length_scale_distance(self):
-        p = KernelParams(sigma_f=1.0, length_scale=3.0)
+        p = KernelParams(sigma_f=1.0, length_scale_mm=3.0)
         v = kernel_matrix(p, np.zeros((1, 2)), np.array([[3.0, 0.0]]))[0, 0]
         assert v == pytest.approx(np.exp(-0.5), abs=1e-12)
 
@@ -40,7 +40,7 @@ class TestKernel:
         with pytest.raises(InvalidInputError):
             KernelParams(sigma_f=0.0)
         with pytest.raises(InvalidInputError):
-            KernelParams(length_scale=-1.0)
+            KernelParams(length_scale_mm=-1.0)
         with pytest.raises(InvalidInputError):
             KernelParams(jitter=-1e-9)
 
@@ -112,7 +112,7 @@ class TestPosterior:
         # 1e-86. The offset is the output mean 1, so the origin's residual 1
         # is weighted by exp(-1/2).
         ts = TrainingSet(np.array([[0.0, 0.0], [60.0, 0.0]]), np.array([2.0, 0.0]))
-        model = gp_fit(ts, KernelParams(sigma_f=1.0, length_scale=3.0, jitter=0.0))
+        model = gp_fit(ts, KernelParams(sigma_f=1.0, length_scale_mm=3.0, jitter=0.0))
         pred = gp_predict(model, np.array([[3.0, 0.0]]))
         assert pred.mean[0] == pytest.approx(1.0 + np.exp(-0.5), abs=1e-9)
         assert pred.variance[0] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-9)
@@ -120,7 +120,7 @@ class TestPosterior:
     def test_matches_dense_solve_oracle(self):
         rng = np.random.default_rng(5)
         ts = small_training(rng, n=20)
-        params = KernelParams(sigma_f=2.0, length_scale=4.0, jitter=1e-8)
+        params = KernelParams(sigma_f=2.0, length_scale_mm=4.0, jitter=1e-8)
         model = gp_fit(ts, params)
         queries = rng.uniform(0, 40, (50, 2))
         pred = gp_predict(model, queries)
@@ -205,7 +205,7 @@ def _assert_matches_oracle(model, queries, pred):
     params = model.params
     mean, var = gp_posterior_reference(
         model.training.inputs, model.training.outputs, queries, sigma_f=params.sigma_f,
-        length_scale=params.length_scale, jitter=model.jitter_used,
+        length_scale=params.length_scale_mm, jitter=model.jitter_used,
         mean_offset=model.mean_offset)
     scale = params.sigma_f + np.max(np.abs(model.training.outputs - model.mean_offset))
     assert np.max(np.abs(pred.mean - mean)) <= _ORACLE_TOL * scale
@@ -226,8 +226,8 @@ class TestCrossCovariance:
         steps = [  # (inputs, params, queries): each reuses, extends or resets
             (x[:10], params, grid), (x[:10], params, grid), (x[:18], params, grid),
             (x[:25], params, grid), (moved[:26], params, grid),
-            (moved[:28], KernelParams(length_scale=4.0, jitter=1e-6), grid),
-            (moved[:29], KernelParams(length_scale=4.0, jitter=1e-6), grid[::-1]),
+            (moved[:28], KernelParams(length_scale_mm=4.0, jitter=1e-6), grid),
+            (moved[:29], KernelParams(length_scale_mm=4.0, jitter=1e-6), grid[::-1]),
             (x[:5], params, grid), (x[:30], params, grid),
         ]
         cache = CrossCovariance()
@@ -395,7 +395,7 @@ _FALLBACKS = {
     "first-fit": (None, _X[:10], _P, _P, False),
     "moved-mid-order": (_X[:10], np.vstack([_X[:4], _X[4:5] + 0.5, _X[5:11]]), _P, _P, False),
     "inserted-mid-order": (_X[:10], np.vstack([_X[:4], _X[11:], _X[4:10]]), _P, _P, False),
-    "changed-params": (_X[:10], _X[:12], _P, KernelParams(length_scale=4.0, jitter=1e-6),
+    "changed-params": (_X[:10], _X[:12], _P, KernelParams(length_scale_mm=4.0, jitter=1e-6),
                        False),
     "changed-queries": (_X[:10], _X[:10], _P, _P, True),
     # a single input and its 2e-9 neighbour: the kernel entry rounds to
@@ -468,7 +468,7 @@ def test_grown_factor_matches_refit(sigma_f, length_scale, relative_jitter, inpu
     x = np.asarray(inputs, dtype=float)
     y = np.sin(x[:, 0] / 3.0) * 10.0 - x[:, 1]
     q = np.vstack([x, np.asarray(queries, dtype=float)])
-    params = KernelParams(sigma_f=sigma_f, length_scale=length_scale,
+    params = KernelParams(sigma_f=sigma_f, length_scale_mm=length_scale,
                           jitter=relative_jitter * sigma_f)
     cache = CrossCovariance()
     model = None
@@ -513,7 +513,7 @@ def test_posterior_variance_within_prior_bounds(sigma_f, length_scale, jitter, i
                                                 outputs, queries):
     """Posterior variance lies in [0, sigma_f + jitter] at training points and anywhere else."""
     x = np.asarray(inputs, dtype=float)
-    params = KernelParams(sigma_f=sigma_f, length_scale=length_scale, jitter=jitter)
+    params = KernelParams(sigma_f=sigma_f, length_scale_mm=length_scale, jitter=jitter)
     try:
         model = gp_fit(TrainingSet(x, outputs[:len(x)]), params)
     except NumericalConditioningError:

@@ -1,9 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import typing
 from pathlib import Path
 
 import pytest
+
+from palpmap.cli import CONFIG_SCHEMA
+from palpmap.schema import keys
+from palpmap.simulator import PHANTOM_SCHEMA
 
 SOURCES = sorted(path for path in (Path(__file__).parents[1] / "src" / "palpmap").glob("*.py")
                  if path.name != "__init__.py")
@@ -126,3 +131,27 @@ def test_exports_are_the_imported_names():
     [exported] = [ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
                   and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
     assert sorted(exported) == sorted(imported)
+
+
+# PhantomSpec parameters that `load_phantom` passes in, not reads as keys
+PHANTOM_GIVEN = {"mesh", "bumps", "artery", "true_transform"}
+
+
+def _readable(hint) -> bool:
+    """Whether `schema` reads a key annotated `hint`: `float`, `int`, `str`,
+    `list`, `dict`, or a `Tuple` of those (`Tuple[X, ...]` included)."""
+    if hint in (float, int, str, list, dict):
+        return True
+    items = typing.get_args(hint)
+    return (typing.get_origin(hint) is tuple and bool(items)
+            and all(item is Ellipsis or _readable(item) for item in items))
+
+
+def test_document_keys_have_readable_annotations():
+    """Every config and phantom document key is a target parameter whose
+    annotation `schema` reads; a bool, Optional or class annotation is not one."""
+    targets = [target for _, target in CONFIG_SCHEMA] + list(PHANTOM_SCHEMA.values())
+    unread = [(target.__name__, key) for target in targets for key in keys(target)
+              if not _readable(typing.get_type_hints(target).get(key))
+              and not (target is PHANTOM_SCHEMA["phantom"] and key in PHANTOM_GIVEN)]
+    assert unread == []

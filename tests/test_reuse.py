@@ -35,7 +35,7 @@ def demo_config(tmp_path_factory):
     # sets, so sets grow and their references (GP inputs) move
     return dataclasses.replace(
         config, budget=12, roi=dataclasses.replace(config.roi, spacing=2.0),
-        cmu=dataclasses.replace(config.cmu, tangent_distance=3.0, normal_angle_deg=20.0))
+        cmu=dataclasses.replace(config.cmu, tangent_distance_mm=3.0, normal_angle_deg=20.0))
 
 
 def _record(config, monkeypatch):

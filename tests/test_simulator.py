@@ -147,7 +147,7 @@ class TestProbe:
 
     def test_noise_rng_replay(self):
         spec = flat_spec(baseline=2.0)
-        noise = NoiseSpec(position_sigma=0.25, force_sigma=0.1)
+        noise = NoiseSpec(position_sigma_mm=0.25, force_sigma_n=0.1)
         ms = probe(spec, (1.0, 2.0), ProbeConfig(), noise,
                    np.random.default_rng(77))
         replay = np.random.default_rng(77)
@@ -177,10 +177,10 @@ class TestProbe:
             replay = np.random.default_rng(seed)
             assert len(ms) == config.steps
             for k, m in enumerate(ms, start=1):
-                depth = k * config.depth_increment
+                depth = k * config.depth_increment_mm
                 position = (inverse.apply(contact - depth * normal)
-                            + replay.normal(0.0, noise.position_sigma, size=3))
-                force = max(stiffness * depth + replay.normal(0.0, noise.force_sigma), 0.0)
+                            + replay.normal(0.0, noise.position_sigma_mm, size=3))
+                force = max(stiffness * depth + replay.normal(0.0, noise.force_sigma_n), 0.0)
                 assert m.position.tolist() == position.tolist()
                 assert m.force == force
                 assert m.sensed_normal.tolist() == (
@@ -189,7 +189,7 @@ class TestProbe:
 
     def test_force_clamped_at_zero(self):
         spec = flat_spec(baseline=0.01)
-        noise = NoiseSpec(position_sigma=0.0, force_sigma=5.0)
+        noise = NoiseSpec(position_sigma_mm=0.0, force_sigma_n=5.0)
         ms = probe(spec, (0.0, 0.0), ProbeConfig(), noise,
                    np.random.default_rng(3))
         assert all(m.force >= 0.0 for m in ms)
@@ -197,12 +197,12 @@ class TestProbe:
 
     def test_probe_config_validation(self):
         with pytest.raises(InvalidInputError):
-            ProbeConfig(depth_increment=0.4, max_depth=3.0)  # not a multiple
+            ProbeConfig(depth_increment_mm=0.4, max_depth_mm=3.0)  # not a multiple
         with pytest.raises(InvalidInputError):
-            ProbeConfig(depth_increment=-0.3)
+            ProbeConfig(depth_increment_mm=-0.3)
         with pytest.raises(InvalidInputError):
-            ProbeConfig(depth_increment=0.5, max_depth=0.5)  # one depth step
-        assert ProbeConfig(depth_increment=0.5, max_depth=2.0).steps == 4
+            ProbeConfig(depth_increment_mm=0.5, max_depth_mm=0.5)  # one depth step
+        assert ProbeConfig(depth_increment_mm=0.5, max_depth_mm=2.0).steps == 4
 
 
 class TestLayouts:
@@ -359,6 +359,15 @@ class TestPhantomIO:
         with pytest.raises(ConfigError):
             load_phantom(tmp_path / "p.json")
 
+    def test_phantom_is_not_a_phantom_key(self, tmp_path):
+        """The top level's keys are PhantomSpec's parameters, not the section names."""
+        save_phantom(flat_spec(size=8.0), tmp_path / "p.json")
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["phantom"] = 1
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in 'phantom': \['phantom'\]"):
+            load_phantom(tmp_path / "p.json")
+
     def test_bad_json_rejected(self, tmp_path):
         (tmp_path / "p.json").write_text("{not json")
         with pytest.raises(ConfigError):
@@ -409,14 +418,16 @@ _NAN, _INF = float("nan"), float("inf")
 _NON_FINITE = {
     "angle-nan": (lambda: CMUConfig(normal_angle_deg=_NAN), "normal_angle_deg must be > 0"),
     "angle-inf": (lambda: CMUConfig(normal_angle_deg=_INF), "normal_angle_deg must be > 0"),
-    "force-difference-nan": (lambda: CMUConfig(min_force_difference=_NAN),
-                             "min_force_difference must be > 0"),
-    "tolerance-nan": (lambda: CMUConfig(convergence_tolerance=_NAN),
-                      "convergence_tolerance must be > 0"),
-    "position-sigma-nan": (lambda: NoiseSpec(position_sigma=_NAN), "noise sigmas must be >= 0"),
-    "position-sigma-inf": (lambda: NoiseSpec(position_sigma=_INF), "noise sigmas must be >= 0"),
-    "force-sigma-nan": (lambda: NoiseSpec(force_sigma=_NAN), "noise sigmas must be >= 0"),
-    "force-sigma-inf": (lambda: NoiseSpec(force_sigma=_INF), "noise sigmas must be >= 0"),
+    "force-difference-nan": (lambda: CMUConfig(min_force_difference_n=_NAN),
+                             "min_force_difference_n must be > 0"),
+    "tolerance-nan": (lambda: CMUConfig(convergence_tolerance_mm=_NAN),
+                      "convergence_tolerance_mm must be > 0"),
+    "position-sigma-nan": (lambda: NoiseSpec(position_sigma_mm=_NAN),
+                           "position_sigma_mm must be >= 0"),
+    "position-sigma-inf": (lambda: NoiseSpec(position_sigma_mm=_INF),
+                           "position_sigma_mm must be >= 0"),
+    "force-sigma-nan": (lambda: NoiseSpec(force_sigma_n=_NAN), "force_sigma_n must be >= 0"),
+    "force-sigma-inf": (lambda: NoiseSpec(force_sigma_n=_INF), "force_sigma_n must be >= 0"),
     "bump-nan": (lambda: StiffnessBump((0.0, 0.0), _NAN, 3.0), "bump amplitude must be >= 0"),
     "bump-inf": (lambda: StiffnessBump((0.0, 0.0), _INF, 3.0), "bump amplitude must be >= 0"),
     "artery-nan": (lambda: ArteryRidge(((0.0, 0.0), (1.0, 0.0)), 2.0, _NAN),
@@ -425,16 +436,16 @@ _NON_FINITE = {
                    "artery amplitude must be >= 0"),
     "baseline-nan": (lambda: flat_spec(baseline=_NAN), "baseline_stiffness must be > 0"),
     "baseline-inf": (lambda: flat_spec(baseline=_INF), "baseline_stiffness must be > 0"),
-    "depth-increment-nan": (lambda: ProbeConfig(depth_increment=_NAN),
-                            "depth_increment must be > 0"),
-    "max-depth-nan": (lambda: ProbeConfig(max_depth=_NAN), "max_depth must be > 0"),
-    "spacing-nan": (lambda: ROI(0.0, 10.0, 0.0, 10.0, _NAN), "grid spacing must be finite"),
-    "spacing-inf": (lambda: ROI(0.0, 10.0, 0.0, 10.0, _INF), "grid spacing must be finite"),
+    "depth-increment-nan": (lambda: ProbeConfig(depth_increment_mm=_NAN),
+                            "depth_increment_mm must be > 0"),
+    "max-depth-nan": (lambda: ProbeConfig(max_depth_mm=_NAN), "max_depth_mm must be > 0"),
+    "spacing-nan": (lambda: ROI(0.0, 10.0, 0.0, 10.0, _NAN), "spacing must be finite"),
+    "spacing-inf": (lambda: ROI(0.0, 10.0, 0.0, 10.0, _INF), "spacing must be finite"),
     "prior-variance-nan": (lambda: _select_next(_NAN), "prior_variance must be > 0"),
     "prior-variance-inf": (lambda: _select_next(_INF), "prior_variance must be > 0"),
     "exploration-period-nan": (lambda: SamplingPolicy(exploration_period=_NAN),
                                "exploration_period must be a positive integer"),
-    "restarts-nan": (lambda: default_seed_transforms(_NAN), "random restarts must be an integer"),
+    "restarts-nan": (lambda: default_seed_transforms(_NAN), "random_seeds must be an integer"),
     "max-iterations-inf": (lambda: CMUConfig(max_iterations=_INF),
                            "max_iterations must be a positive integer"),
     "lattice-count-nan": (lambda: uniform_lattice(ROI(0.0, 10.0, 0.0, 10.0, 1.0), _NAN),
