@@ -119,8 +119,8 @@ class StiffnessSample:
             raise InvalidInputError("stiffness must be > 0")
 
 
-def default_seed_transforms(random_seeds: int = 10, max_translation_mm: float = 10.0,
-                            max_rotation_deg: float = 15.0) -> Tuple[RigidTransform, ...]:
+def default_seed_transforms(random_seeds: int, max_translation_mm: float,
+                            max_rotation_deg: float) -> Tuple[RigidTransform, ...]:
     """Identity plus `random_seeds` random perturbations for multi-seed registration."""
     if not (math.isfinite(random_seeds) and int(random_seeds) == random_seeds
             and 0 <= random_seeds <= MAX_RESTART_SEEDS):
@@ -142,13 +142,24 @@ def default_seed_transforms(random_seeds: int = 10, max_translation_mm: float = 
 
 @dataclass(frozen=True)
 class CMUConfig:
-    """Grouping thresholds and registration loop controls; each registration names its seeds."""
+    """Grouping thresholds, registration loop controls and the restart table.
+
+    `seed_transforms` is the restart table that `random_seeds`,
+    `max_translation_mm` and `max_rotation_deg` build: the identity, then
+    the random restarts. Each registration still names its seeds.
+    """
 
     tangent_distance_mm: float = 1.0
     normal_angle_deg: float = 10.0
     min_force_difference_n: float = 0.05
     max_iterations: int = 50  # per seed; a seed that reaches it has not converged
     convergence_tolerance_mm: float = 1e-3  # max reference-point displacement
+    random_seeds: int = 10
+    max_translation_mm: float = 10.0
+    max_rotation_deg: float = 15.0
+    # built, not given; neither compared (RigidTransform equality compares
+    # arrays) nor printed
+    seed_transforms: Tuple[RigidTransform, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         distance = self.tangent_distance_mm
@@ -164,6 +175,8 @@ class CMUConfig:
             raise InvalidInputError("max_iterations must be a positive integer")
         if not self.convergence_tolerance_mm > 0.0:
             raise InvalidInputError("convergence_tolerance_mm must be > 0")
+        object.__setattr__(self, "seed_transforms", default_seed_transforms(
+            self.random_seeds, self.max_translation_mm, self.max_rotation_deg))
 
 
 # ---------------------------------------------------------------------------

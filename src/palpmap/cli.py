@@ -28,9 +28,9 @@ and reuses its winner's closest-point neighbourhoods (per row, the closest
 face and a bound on every other face), which saves k-d tree searches and
 changes no result (see `care`); `trace` keeps the results without them.
 
-Config documents are read through one table, `CONFIG_SCHEMA`, which names
-the target each section builds; a section's keys are its target's parameter
-names, and `schema` reads every field, as it does the phantom's. The engine
+A config document builds `ExperimentConfig`: its keys are the parameter
+names of that class and of the classes its sections are annotated with, and
+`schema` reads every field, as it does the phantom's. The engine
 calls its layers (`probe`, `estimate_stiffness`, `cmu_register`, `gp_fit`,
 ...) through this module's globals, because the benchmark in `bench/` times
 them by swapping those names here.
@@ -51,14 +51,13 @@ import numpy as np
 
 from .acquisition import SamplingPolicy, expected_improvement, select_next
 from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
-                   SetCollector, StiffnessSample, default_seed_transforms,
-                   estimate_stiffness, cmu_register)
+                   SetCollector, StiffnessSample, estimate_stiffness, cmu_register)
 from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
                      NumericalConditioningError, OutOfWorkspaceError, PalpmapError)
 from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import (CrossCovariance, GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
                  gp_predict)
-from .schema import REQUIRED, build, keys, read, read_document, reject_unknown
+from .schema import build, read_document
 from .simulator import (MAX_GRID_NODES, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
                         grid_shape, initial_samples, load_phantom, prediction_grid, probe,
                         stiffness_field, tool_rays, transform_to_json, uniform_lattice)
@@ -75,61 +74,40 @@ MAX_BUDGET = MAX_GRID_NODES
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """An experiment config document: its fields are the document's keys.
 
-    phantom_path: Path
+    `load_config` resolves `phantom` and `output_dir` against the document's
+    directory.
+    """
+
+    phantom: Path
     roi: ROI
-    probe: ProbeConfig
-    noise: NoiseSpec
-    kernel: KernelParams
-    policy: SamplingPolicy
-    cmu: CMUConfig
-    seed_transforms: Tuple[RigidTransform, ...]  # the restart table the `cmu` keys build
-    budget: int
-    strategy: str
-    output_dir: Path
-    master_seed: int
+    probe: ProbeConfig = ProbeConfig()
+    noise: NoiseSpec = NoiseSpec()
+    kernel: KernelParams = KernelParams()
+    policy: SamplingPolicy = SamplingPolicy()
+    cmu: CMUConfig = CMUConfig()
+    budget: int = 100
+    strategy: str = "ei"
+    output_dir: Path = Path("out")
+    master_seed: int = 0
 
-
-# One row per target built from a config section: (section, target), read by
-# `schema.build`. The target's parameter names are the section's keys, its
-# annotations give their types and its defaults are the config defaults; no
-# default makes a key required.
-CONFIG_SCHEMA = (("roi", ROI), ("probe", ProbeConfig), ("noise", NoiseSpec),
-                 ("kernel", KernelParams), ("policy", SamplingPolicy),
-                 ("cmu", default_seed_transforms), ("cmu", CMUConfig))
-# The config's other top-level keys: {key: (type, default)}
-_TOP_LEVEL = {"phantom": (str, REQUIRED), "strategy": (str, "ei"), "budget": (int, 100),
-              "output_dir": (str, "out"), "master_seed": (int, 0)}
+    def __post_init__(self):
+        if self.strategy not in _STRATEGIES:
+            raise ConfigError(f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
+        for key in ("budget", "master_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"'{key}' must be >= 0")
+        if self.budget > MAX_BUDGET:
+            raise ConfigError(f"'budget' must be at most {MAX_BUDGET:,}")
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config document (unknown keys rejected)."""
     path = Path(path)
-    data = read_document(path, "config")
-    reject_unknown(data, set(_TOP_LEVEL) | {row[0] for row in CONFIG_SCHEMA}, "the config")
-    top = {key: read(data, "", key, hint, default) for key, (hint, default) in _TOP_LEVEL.items()}
-    if top["strategy"] not in _STRATEGIES:
-        raise ConfigError(f"strategy must be one of {_STRATEGIES}, got {top['strategy']!r}")
-    for key in ("budget", "master_seed"):
-        if top[key] < 0:
-            raise ConfigError(f"'{key}' must be >= 0")
-    if top["budget"] > MAX_BUDGET:
-        raise ConfigError(f"'budget' must be at most {MAX_BUDGET:,}")
-
-    built = {}
-    for section, target in CONFIG_SCHEMA:
-        raw = read(data, "", section, dict, {})
-        allowed = set().union(*(keys(t) for s, t in CONFIG_SCHEMA if s == section))
-        built[target] = build(target, raw, section, allowed)
-
-    return ExperimentConfig(
-        phantom_path=path.parent / top["phantom"], roi=built[ROI], probe=built[ProbeConfig],
-        noise=built[NoiseSpec], kernel=built[KernelParams], policy=built[SamplingPolicy],
-        cmu=built[CMUConfig], seed_transforms=built[default_seed_transforms],
-        budget=top["budget"], strategy=top["strategy"],
-        output_dir=path.parent / top["output_dir"], master_seed=top["master_seed"],
-    )
+    config = build(ExperimentConfig, read_document(path, "config"), "")
+    return dataclasses.replace(config, phantom=path.parent / config.phantom,
+                               output_dir=path.parent / config.output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +188,7 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
     Nothing is scored (see `evaluate`) and nothing is written.
     """
     t_start = time.perf_counter()
-    phantom = load_phantom(config.phantom_path)
+    phantom = load_phantom(config.phantom)
     # distinct tags give independent streams of the one master seed
     rng_explore = np.random.default_rng([config.master_seed, 0])
     rng_noise = np.random.default_rng([config.master_seed, 1])
@@ -231,7 +209,7 @@ def execute_experiment(config: ExperimentConfig) -> RunArtifacts:
     for target in initial_samples(config.roi):
         do_probe(target)
 
-    configured = config.seed_transforms
+    configured = config.cmu.seed_transforms
     # the previous update's registration, its samples by their set, which
     # the collector keeps until the set gains a member, its GP fit and its
     # grid rows: what a probe leaves unchanged is reused, not recomputed
@@ -289,7 +267,7 @@ def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
     valid samples' reference points; the map over the grid nodes whose ray
     reaches the surface, and over those in the top decile of true stiffness.
     """
-    if not runs or any(art.config.phantom_path != runs[0].config.phantom_path
+    if not runs or any(art.config.phantom != runs[0].config.phantom
                        or art.config.roi != runs[0].config.roi for art in runs):
         raise InvalidInputError("evaluate scores one or more runs of one phantom and ROI")
     ground_truth = _ground_truth_map(runs[0].phantom, runs[0].grid)

@@ -413,12 +413,6 @@ def _transform_from_json(translation_mm: Tuple[float, float, float] = (0.0, 0.0,
     return make_transform(*translation_mm, *rotation_deg)
 
 
-# The target each phantom document section builds, as in cli.CONFIG_SCHEMA:
-# the section's keys are the target's parameter names.
-PHANTOM_SCHEMA = {"phantom": PhantomSpec, "bumps": StiffnessBump, "artery": ArteryRidge,
-                  "true_transform": _transform_from_json}
-
-
 def save_phantom(spec: PhantomSpec, path):
     """Write the phantom JSON and its mesh, `mesh.obj`, next to it."""
     path = Path(path)
@@ -445,12 +439,6 @@ def load_phantom(path) -> PhantomSpec:
         mesh = load_mesh(mesh_path)
     except InvalidInputError as exc:
         raise ConfigError(f"bad mesh {mesh_path}: {exc}") from exc
-    bumps = tuple(build(PHANTOM_SCHEMA["bumps"], raw, f"phantom.bumps[{i}]")
-                  for i, raw in enumerate(read(data, "phantom", "bumps", list, [])))
-    artery = data.get("artery")
-    if artery is not None:
-        artery = build(PHANTOM_SCHEMA["artery"], artery, "phantom.artery")
-    transform = build(PHANTOM_SCHEMA["true_transform"], data.get("true_transform", {}),
+    transform = build(_transform_from_json, data.get("true_transform", {}),
                       "phantom.true_transform")
-    return build(PHANTOM_SCHEMA["phantom"], data, "phantom", set(keys(PhantomSpec)),
-                 mesh=mesh, bumps=bumps, artery=artery, true_transform=transform)
+    return build(PhantomSpec, data, "phantom", mesh=mesh, true_transform=transform)

@@ -5,7 +5,7 @@ import pytest
 
 from palpmap.care import (CMUConfig, CompatibleSet, ProbeMeasurement,
                           SetCollector, cmu_register, collect_sets,
-                          default_seed_transforms, estimate_stiffness)
+                          estimate_stiffness)
 from palpmap.errors import (DegenerateGeometryError, InsufficientDataError,
                             InvalidInputError)
 from palpmap.geometry import make_transform
@@ -15,7 +15,7 @@ from palpmap.simulator import (NoiseSpec, PhantomSpec, ProbeConfig,
 from _oracles import slope_least_squares
 
 UP = np.array([0.0, 0.0, 1.0])
-SEEDS = default_seed_transforms()  # the default config's restart table
+SEEDS = CMUConfig().seed_transforms  # the default config's restart table
 
 
 def meas(x, y, z, force, normal=UP):
@@ -241,20 +241,20 @@ class TestStiffnessEstimate:
 
 class TestSeedTransforms:
     def test_identity_first(self):
-        seeds = default_seed_transforms()
+        seeds = CMUConfig().seed_transforms
         assert len(seeds) == 11
         assert np.array_equal(seeds[0].rotation, np.eye(3))
         assert np.array_equal(seeds[0].translation, np.zeros(3))
 
     def test_deterministic(self):
-        a = default_seed_transforms()
-        b = default_seed_transforms()
+        a = CMUConfig().seed_transforms
+        b = CMUConfig().seed_transforms
         for s, t in zip(a, b):
             assert np.array_equal(s.rotation, t.rotation)
             assert np.array_equal(s.translation, t.translation)
 
     def test_ranges(self):
-        for seed in default_seed_transforms(random_seeds=50)[1:]:
+        for seed in CMUConfig(random_seeds=50).seed_transforms[1:]:
             assert np.all(np.abs(seed.translation) <= 10.0)
             assert np.all(np.abs(seed.euler_deg()) <= 15.0 + 1e-9)
 

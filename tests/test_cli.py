@@ -20,13 +20,13 @@ from palpmap import cli
 from palpmap.acquisition import expected_improvement
 from palpmap.care import (CMUConfig, ProbeMeasurement, cmu_register, collect_sets,
                           estimate_stiffness)
-from palpmap.cli import CONFIG_SCHEMA, load_config, main
+from palpmap.cli import ExperimentConfig, load_config, main
 from palpmap.errors import ConfigError, InvalidInputError
 from palpmap.geometry import RigidTransform, load_mesh, make_transform
 from palpmap.gp import gp_predict
 from palpmap.make_demo import write_demo
-from palpmap.schema import keys, schema_default
-from palpmap.simulator import (PHANTOM_SCHEMA, PhantomSpec, ProbeConfig, StiffnessBump,
+from palpmap.schema import REQUIRED, keys, schema_default
+from palpmap.simulator import (PhantomSpec, ProbeConfig, StiffnessBump, _transform_from_json,
                                load_phantom, make_surface_mesh, save_phantom)
 
 
@@ -72,15 +72,70 @@ class TestLoadConfig:
         assert cfg.kernel.length_scale_mm == 3.0
         assert cfg.policy.exploration_period == 5
         assert cfg.cmu.tangent_distance_mm == 1.0
-        assert len(cfg.seed_transforms) == 11
+        assert len(cfg.cmu.seed_transforms) == 11
         assert cfg.probe.depth_increment_mm == 0.3
         assert cfg.noise.position_sigma_mm == 0.0
 
     def test_paths_resolved_against_config_dir(self, tmp_path):
         small_phantom(tmp_path)
         cfg = load_config(write_config(tmp_path))
-        assert cfg.phantom_path == tmp_path / "phantom.json"
+        assert cfg.phantom == tmp_path / "phantom.json"
         assert cfg.output_dir == tmp_path / "out"
+
+    def test_every_document_key_is_a_field(self, tmp_path):
+        """Each leaf of a config with every key away from its default, and of
+        a phantom with bumps and an artery, is the same attribute path of the
+        loaded object; paths compare after resolution against the document's
+        directory. The phantom's mesh and transform are built by `load_phantom`."""
+        docs = _documents(tmp_path)
+        config_doc = docs["config.json"]
+        config_doc.update(
+            phantom="./phantom.json", budget=7, strategy="uniform", output_dir="results",
+            roi=dict(config_doc["roi"], spacing=3.0),
+            probe={"depth_increment_mm": 0.25, "max_depth_mm": 2.0},
+            noise={"position_sigma_mm": 0.1, "force_sigma_n": 0.05},
+            kernel={"sigma_f": 2.0, "length_scale_mm": 4.0, "jitter": 1e-6},
+            policy={"exploration_period": 3, "uncertainty_fraction": 0.5},
+            cmu={"tangent_distance_mm": 1.5, "normal_angle_deg": 12.0,
+                 "min_force_difference_n": 0.1, "max_iterations": 40,
+                 "convergence_tolerance_mm": 0.002, "random_seeds": 4,
+                 "max_translation_mm": 5.0, "max_rotation_deg": 10.0})
+        _write_documents(tmp_path, docs)
+        config = load_config(tmp_path / "config.json")
+        phantom = load_phantom(tmp_path / "phantom.json")
+
+        def attribute(obj, path):
+            for key in path:
+                obj = obj[key] if isinstance(obj, (dict, list, tuple)) else getattr(obj, key)
+            return obj
+
+        sections = dict(CONFIG_SECTIONS)
+        assert sorted(_leaves(config_doc)) == sorted(
+            [(key,) for key in keys(ExperimentConfig) if key not in sections] + NUMERIC_KEYS)
+        for path in _leaves(config_doc):
+            value = attribute(config_doc, path)
+            target = sections[path[0]] if len(path) > 1 else ExperimentConfig
+            assert value != schema_default(target, path[-1]), path
+            if path[-1] in ("phantom", "output_dir"):
+                value = tmp_path / value
+            assert attribute(config, path) == value, path
+        assert len(config.cmu.seed_transforms) == 4 + 1
+        leaves = [path for path in _leaves(docs["phantom.json"])
+                  if path[0] not in ("mesh", "true_transform")]
+        assert {path[0] for path in leaves} == {"baseline_stiffness", "bumps", "artery"}
+        for path in leaves:
+            assert attribute(phantom, path) == attribute(docs["phantom.json"], path), path
+
+    def test_config_is_validated_however_it_is_built(self, tmp_path):
+        """`dataclasses.replace` runs the same checks as `load_config`."""
+        small_phantom(tmp_path)
+        config = load_config(write_config(tmp_path))
+        for change in ({"budget": -1}, {"budget": cli.MAX_BUDGET + 1},
+                       {"strategy": "random"}, {"master_seed": -1}):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(config, **change)
+        with pytest.raises(InvalidInputError, match="random_seeds"):
+            CMUConfig(random_seeds=-1)
 
     def test_unknown_top_key(self, tmp_path):
         small_phantom(tmp_path)
@@ -138,7 +193,18 @@ class TestLoadConfig:
             load_config(path)
 
 
-NUMERIC_KEYS = [(section, key) for section, target in CONFIG_SCHEMA for key in keys(target)]
+def document_sections(root):
+    """(section, target) of each object a `root` document holds, read from
+    `root`'s annotations: a field annotated with a dataclass, a `Tuple` of one
+    or an `Optional` one."""
+    hints = typing.get_type_hints(root)
+    return [(key, target) for key in keys(root)
+            for target in (hints[key], *typing.get_args(hints[key]))
+            if dataclasses.is_dataclass(target)]
+
+
+CONFIG_SECTIONS = document_sections(ExperimentConfig)
+NUMERIC_KEYS = [(section, key) for section, target in CONFIG_SECTIONS for key in keys(target)]
 # (section, key, value out of range) for every config key whose check reads
 # that key alone; the ROI bounds are checked in pairs
 OUT_OF_RANGE = [
@@ -195,22 +261,39 @@ class TestConfigSchema:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_docs_tables_match_schema(self):
-        """docs/config_schema.md lists each section's keys with the code's defaults."""
+        """docs/config_schema.md lists the top level's keys and each section's
+        with the code's types, required flags and defaults."""
         text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
-        targets = {}
-        for section, target in CONFIG_SCHEMA:
-            for key in keys(target):
-                targets.setdefault(section, {})[key] = target
-        for section, section_keys in targets.items():
-            block = text.split(f"## `{section}`\n", 1)[1].split("\n## ", 1)[0]
+
+        def table(title):
+            block = text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
             lines = [line for line in block.splitlines() if line.startswith("|")]
             header = [cell.strip() for cell in lines[0].strip("|").split("|")]
             rows = {}
             for line in lines[2:]:
                 cells = [cell.strip() for cell in line.strip("|").split("|")]
                 rows[cells[0].strip("`")] = dict(zip(header, cells))
-            assert set(rows) == set(section_keys), section
-            for key, target in section_keys.items():
+            return rows
+
+        top = table("Top level")
+        hints = typing.get_type_hints(ExperimentConfig)
+        assert list(top) == list(keys(ExperimentConfig))
+        for key, row in top.items():
+            default, hint = schema_default(ExperimentConfig, key), hints[key]
+            kind = ("object" if dataclasses.is_dataclass(hint)
+                    else {str: "string", Path: "string", int: "int"}[hint])
+            assert row["type"] == kind, key
+            if default is REQUIRED:
+                assert (row["required"], row["default"]) == ("yes", ""), key
+            else:
+                shown = ("{}" if dataclasses.is_dataclass(default) else
+                         f'"{default}"' if isinstance(default, (str, Path)) else str(default))
+                assert (row["required"], row["default"].strip("`")) == ("no", shown), key
+
+        for section, target in CONFIG_SECTIONS:
+            rows = table(f"`{section}`")
+            assert set(rows) == set(keys(target)), section
+            for key in keys(target):
                 default = schema_default(target, key)
                 row = rows[key]
                 assert row["type"] == ("int" if isinstance(default, int) else "float")
@@ -277,8 +360,8 @@ class TestConfigSchema:
     def test_docs_list_the_accepted_keys(self):
         """The README's config example and docs/config_schema.md's key columns
         name exactly the keys `load_config` accepts, as dotted paths."""
-        accepted = set(cli._TOP_LEVEL) | {section for section, _ in CONFIG_SCHEMA}
-        accepted |= {f"{section}.{key}" for section, target in CONFIG_SCHEMA
+        accepted = set(keys(ExperimentConfig))
+        accepted |= {f"{section}.{key}" for section, target in CONFIG_SECTIONS
                      for key in keys(target)}
         root = Path(__file__).parents[1]
 
@@ -438,8 +521,11 @@ def _section(docs, document, section):
 
 def _float_fields():
     """(document, section, key, default) of every float or float-tuple schema field."""
-    rows = [("config.json", section, target) for section, target in CONFIG_SCHEMA]
-    rows += [("phantom.json", section, target) for section, target in PHANTOM_SCHEMA.items()]
+    rows = [("config.json", section, target) for section, target in CONFIG_SECTIONS]
+    # `load_phantom` builds the transform itself, from `_transform_from_json`'s keys
+    phantom = dict([("phantom", PhantomSpec), *document_sections(PhantomSpec)],
+                   true_transform=_transform_from_json)
+    rows += [("phantom.json", section, target) for section, target in phantom.items()]
 
     def holds_float(hint):
         return hint is float or any(holds_float(arg) for arg in typing.get_args(hint))
@@ -592,12 +678,12 @@ def test_one_ground_truth_map_per_command(tmp_path, monkeypatch, command):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("field", ["phantom_path", "roi"])
+@pytest.mark.parametrize("field", ["phantom", "roi"])
 def test_evaluate_rejects_runs_of_another_phantom_or_roi(tmp_path, field):
     small_phantom(tmp_path)
     config = load_config(write_config(tmp_path, budget=0))
     art = cli.execute_experiment(config)
-    changed = {"phantom_path": tmp_path / "other.json",
+    changed = {"phantom": tmp_path / "other.json",
                "roi": dataclasses.replace(config.roi, spacing=3.0)}[field]
     other = dataclasses.replace(art, config=dataclasses.replace(config, **{field: changed}))
     assert len(cli.evaluate([art, art])) == 2
@@ -793,7 +879,7 @@ class TestRunCommand:
         roi = {"xmin": 0.0, "xmax": 12.0, "ymin": 0.0, "ymax": 12.0, "spacing": 1.0}
         config = load_config(write_config(tmp_path, roi=roi, budget=30))
         art = cli.execute_experiment(config)
-        configured = len(config.seed_transforms)
+        configured = len(config.cmu.seed_transforms)
         assert len(art.trace) == 30 + 1
         first, *in_loop, final = [len(reg.per_seed) for _, reg in art.trace]
         assert first == configured
@@ -806,7 +892,7 @@ class TestRunCommand:
                      o.objective, o.iterations, o.converged) for o in outcomes]
 
         fresh = cmu_register(art.samples, art.phantom.mesh, art.measurements,
-                             config.seed_transforms, config.cmu)
+                             config.cmu.seed_transforms, config.cmu)
         assert exact(art.trace[-1][1]) == exact(fresh)
 
         register = cli.cmu_register
@@ -966,6 +1052,6 @@ class TestMakeDemo:
     def test_writes_loadable_bundle(self, tmp_path):
         out = write_demo(tmp_path / "demo")
         cfg = load_config(out / "config.json")
-        assert cfg.phantom_path.exists()
+        assert cfg.phantom.exists()
         assert cfg.budget == 100
         assert cfg.kernel.jitter == pytest.approx(0.01)

@@ -623,7 +623,7 @@ class TestRaycastIndex:
             spec, roi, budgets = artery_phantom(), ROI(0.0, 60.0, 0.0, 60.0, 1.5), [100]
         else:
             config = load_config(write_demo(tmp_path) / "config.json")
-            spec = load_phantom(config.phantom_path)
+            spec = load_phantom(config.phantom)
             spacing, budgets = {"demo-1mm": (1.0, [100]), "demo-0.5mm": (0.5, [300])}[workload]
             roi = dataclasses.replace(config.roi, spacing=spacing)
         for targets in [prediction_grid(roi), initial_samples(roi),

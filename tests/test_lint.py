@@ -1,14 +1,15 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
 import typing
 from pathlib import Path
 
 import pytest
 
-from palpmap.cli import CONFIG_SCHEMA
+from palpmap.cli import ExperimentConfig
 from palpmap.schema import keys
-from palpmap.simulator import PHANTOM_SCHEMA
+from palpmap.simulator import PhantomSpec, _transform_from_json
 
 SOURCES = sorted(path for path in (Path(__file__).parents[1] / "src" / "palpmap").glob("*.py")
                  if path.name != "__init__.py")
@@ -133,25 +134,38 @@ def test_exports_are_the_imported_names():
     assert sorted(exported) == sorted(imported)
 
 
-# PhantomSpec parameters that `load_phantom` passes in, not reads as keys
-PHANTOM_GIVEN = {"mesh", "bumps", "artery", "true_transform"}
-
-
 def _readable(hint) -> bool:
     """Whether `schema` reads a key annotated `hint`: `float`, `int`, `str`,
-    `list`, `dict`, or a `Tuple` of those (`Tuple[X, ...]` included)."""
-    if hint in (float, int, str, list, dict):
+    `list`, `dict`, `Path`, a `Tuple` of those (`Tuple[X, ...]` included), a
+    dataclass target or `Optional[target]`."""
+    if hint in (float, int, str, list, dict, Path) or dataclasses.is_dataclass(hint):
         return True
     items = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return len(items) == 2 and items[1] is type(None) and dataclasses.is_dataclass(items[0])
     return (typing.get_origin(hint) is tuple and bool(items)
             and all(item is Ellipsis or _readable(item) for item in items))
 
 
+def _document_keys(target, given=()):
+    """(target, key, annotation) of every key of a document object that builds
+    `target`, the keys of the objects it nests included; `given` are passed in."""
+    hints = typing.get_type_hints(target)
+    for key in keys(target):
+        if key not in given:
+            yield target, key, hints[key]
+            for nested in (hints[key], *typing.get_args(hints[key])):
+                if dataclasses.is_dataclass(nested):
+                    yield from _document_keys(nested)
+
+
 def test_document_keys_have_readable_annotations():
-    """Every config and phantom document key is a target parameter whose
-    annotation `schema` reads; a bool, Optional or class annotation is not one."""
-    targets = [target for _, target in CONFIG_SCHEMA] + list(PHANTOM_SCHEMA.values())
-    unread = [(target.__name__, key) for target in targets for key in keys(target)
-              if not _readable(typing.get_type_hints(target).get(key))
-              and not (target is PHANTOM_SCHEMA["phantom"] and key in PHANTOM_GIVEN)]
+    """Every config and phantom document key, at every level, is a target
+    parameter whose annotation `schema` reads; a bool or a class that is not
+    a dataclass is not one."""
+    documents = [*_document_keys(ExperimentConfig),
+                 *_document_keys(PhantomSpec, given=("mesh", "true_transform")),
+                 *_document_keys(_transform_from_json)]
+    unread = [(target.__name__, key) for target, key, hint in documents if not _readable(hint)]
     assert unread == []
+    assert len(documents) == 44  # the walk reached every nested object

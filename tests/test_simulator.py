@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from palpmap.acquisition import SamplingPolicy, select_next
-from palpmap.care import CMUConfig, default_seed_transforms
+from palpmap.care import CMUConfig
 from palpmap.cli import main
 from palpmap.errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from palpmap.geometry import RigidTransform, TriMesh, make_transform
@@ -445,7 +445,7 @@ _NON_FINITE = {
     "prior-variance-inf": (lambda: _select_next(_INF), "prior_variance must be > 0"),
     "exploration-period-nan": (lambda: SamplingPolicy(exploration_period=_NAN),
                                "exploration_period must be a positive integer"),
-    "restarts-nan": (lambda: default_seed_transforms(_NAN), "random_seeds must be an integer"),
+    "restarts-nan": (lambda: CMUConfig(random_seeds=_NAN), "random_seeds must be an integer"),
     "max-iterations-inf": (lambda: CMUConfig(max_iterations=_INF),
                            "max_iterations must be a positive integer"),
     "lattice-count-nan": (lambda: uniform_lattice(ROI(0.0, 10.0, 0.0, 10.0, 1.0), _NAN),
