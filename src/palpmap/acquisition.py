@@ -10,6 +10,7 @@ from scipy.special import ndtr
 
 from .errors import ExplorationExhaustedError, InvalidInputError
 from .gp import Prediction
+from .schema import integer
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -27,8 +28,7 @@ class SamplingPolicy:
     uncertainty_fraction: float = 0.9
 
     def __post_init__(self):
-        period = self.exploration_period
-        if not (math.isfinite(period) and int(period) == period and period >= 1):
+        if not (integer(self.exploration_period) and self.exploration_period >= 1):
             raise InvalidInputError("exploration_period must be a positive integer")
         if not (0.0 <= self.uncertainty_fraction <= 1.0):
             raise InvalidInputError("uncertainty_fraction must lie in [0, 1]")

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidInputError
 from .geometry import (Neighbourhoods, RigidTransform, TriMesh, check_not_collinear,
                        make_transform)
+from .schema import integer
 # unused here, but bench/tracing.py wraps care.rigid_fit_svd by name
 from .geometry import rigid_fit_svd  # noqa: F401
 
@@ -122,8 +123,7 @@ class StiffnessSample:
 def default_seed_transforms(random_seeds: int, max_translation_mm: float,
                             max_rotation_deg: float) -> Tuple[RigidTransform, ...]:
     """Identity plus `random_seeds` random perturbations for multi-seed registration."""
-    if not (math.isfinite(random_seeds) and int(random_seeds) == random_seeds
-            and 0 <= random_seeds <= MAX_RESTART_SEEDS):
+    if not (integer(random_seeds) and 0 <= random_seeds <= MAX_RESTART_SEEDS):
         raise InvalidInputError(f"random_seeds must be an integer in [0, {MAX_RESTART_SEEDS:,}]")
     for name, limit, cap in (("max_translation_mm", max_translation_mm,
                               MAX_RESTART_TRANSLATION_MM),
@@ -170,8 +170,7 @@ class CMUConfig:
             raise InvalidInputError("normal_angle_deg must be > 0")
         if not self.min_force_difference_n > 0.0:
             raise InvalidInputError("min_force_difference_n must be > 0")
-        cap = self.max_iterations
-        if not (math.isfinite(cap) and int(cap) == cap and cap >= 1):
+        if not (integer(self.max_iterations) and self.max_iterations >= 1):
             raise InvalidInputError("max_iterations must be a positive integer")
         if not self.convergence_tolerance_mm > 0.0:
             raise InvalidInputError("convergence_tolerance_mm must be > 0")

@@ -57,7 +57,7 @@ from .errors import (ConfigError, ExplorationExhaustedError, InvalidInputError,
 from .geometry import RigidTransform, load_mesh, rms_error
 from .gp import (CrossCovariance, GPModel, KernelParams, Prediction, TrainingSet, gp_fit,
                  gp_predict)
-from .schema import build, read_document
+from .schema import build, integer, read_document
 from .simulator import (MAX_GRID_NODES, NoiseSpec, PhantomSpec, ProbeConfig, ROI,
                         grid_shape, initial_samples, load_phantom, prediction_grid, probe,
                         stiffness_field, tool_rays, transform_to_json, uniform_lattice)
@@ -96,8 +96,8 @@ class ExperimentConfig:
         if self.strategy not in _STRATEGIES:
             raise ConfigError(f"strategy must be one of {_STRATEGIES}, got {self.strategy!r}")
         for key in ("budget", "master_seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"'{key}' must be >= 0")
+            if not (integer(getattr(self, key)) and getattr(self, key) >= 0):
+                raise ConfigError(f"'{key}' must be an integer >= 0")
         if self.budget > MAX_BUDGET:
             raise ConfigError(f"'budget' must be at most {MAX_BUDGET:,}")
 
@@ -140,16 +140,13 @@ class ExperimentReport:
         # registration_converged and gp_jitter_used are left out too; the
         # commands warn on them. The top-decile scores go to comparison.json.
         return {
-            "strategy": self.strategy,
-            "probe_count": int(self.probe_count),
+            **{key: getattr(self, key) for key in ("strategy", "probe_count", "rms_mm",
+                                                   "registration_objective", "map_rmse",
+                                                   "map_pearson")},
             "true_transform": transform_to_json(self.true_transform),
             "estimated_transform": transform_to_json(self.estimated_transform),
-            "translation_error_mm": [float(v) for v in self.translation_error_mm],
-            "rotation_error_deg": [float(v) for v in self.rotation_error_deg],
-            "rms_mm": float(self.rms_mm),
-            "registration_objective": float(self.registration_objective),
-            "map_rmse": float(self.map_rmse),
-            "map_pearson": float(self.map_pearson),
+            "translation_error_mm": list(self.translation_error_mm),
+            "rotation_error_deg": list(self.rotation_error_deg),
         }
 
 
@@ -172,11 +169,15 @@ class RunArtifacts:
 
 
 def _ground_truth_map(spec: PhantomSpec, grid: np.ndarray) -> np.ndarray:
-    """True stiffness seen through a noise-free probe at each grid node (NaN = miss)."""
+    """True stiffness seen through a noise-free probe at each grid node.
+
+    NaN where no probe can press: the node's ray misses the mesh or first
+    meets a face turned away from the probe (`probe`'s contact rule).
+    """
     origins, direction = tool_rays(spec, grid)
-    contacts, _ = spec.mesh.raycasts(origins, direction)
+    contacts, faces = spec.mesh.raycasts(origins, direction)
     values = np.full(grid.shape[0], np.nan)
-    good = np.isfinite(contacts[:, 0])
+    good = (faces >= 0) & (spec.mesh.face_normals[faces] @ direction <= 0.0)
     if np.any(good):
         values[good] = stiffness_field(spec, contacts[good][:, :2])
     return values
@@ -317,59 +318,40 @@ def evaluate(runs: Sequence[RunArtifacts]) -> List[ExperimentReport]:
 # Output files
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path: Path, header: str, *columns):
+    """Write one row per index of the equal-length `columns` under `header`.
 
-
-def _write_csv(path: Path, header: str, rows):
-    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
-
-
-def _write_stiffness_map(art: RunArtifacts, path: Path):
-    mean, std = art.prediction.mean, art.prediction.std
-    ei = expected_improvement(mean, std, float(art.model.training.outputs.max()))
-    rows = [[_fmt(x), _fmt(y), _fmt(mean[i]), _fmt(std[i]), _fmt(ei[i])]
-            for i, (x, y) in enumerate(art.grid)]
-    _write_csv(path, "x_mm,y_mm,mean,std,ei", rows)
+    A cell is `str(v)` when `v` is an integer (`int` or `np.integer`) and
+    `repr(float(v))` otherwise, the shortest spelling that reads back the
+    same float.
+    """
+    cells = [[str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in column]
+             for column in columns]
+    path.write_text("\n".join([header] + [",".join(row) for row in zip(*cells)]) + "\n")
 
 
 def _write_probe_log(art: RunArtifacts, path: Path):
     # each row gets its own measurement's set's stiffness: NaN for a
     # measurement in no set or in a degenerate one
-    stiffness = {member: s.stiffness for s in art.samples
-                 if not s.degenerate for member in s.cset.member_indices}
-
-    increment = art.config.probe.depth_increment_mm
-    steps = art.config.probe.steps
-    rows = []
-    for index, target in enumerate(art.probe_targets):
-        for k in range(steps):
-            row = index * steps + k
-            rows.append([
-                str(index), _fmt(target[0]), _fmt(target[1]),
-                str(k + 1), _fmt((k + 1) * increment), _fmt(art.measurements[row].force),
-                _fmt(stiffness.get(row, float("nan"))),
-            ])
+    stiffness = np.full(len(art.measurements), np.nan)
+    for s in art.samples:
+        if not s.degenerate:
+            stiffness[list(s.cset.member_indices)] = s.stiffness
+    steps, probes = art.config.probe.steps, len(art.probe_targets)
+    targets = np.repeat(art.probe_targets, steps, axis=0)
+    k = np.tile(np.arange(1, steps + 1), probes)
     _write_csv(path, "probe_index,target_x_mm,target_y_mm,sample_index,depth_mm,"
-                     "force_n,stiffness_n_per_mm", rows)
+                     "force_n,stiffness_n_per_mm",
+               np.repeat(np.arange(probes), steps), targets[:, 0], targets[:, 1], k,
+               k * art.config.probe.depth_increment_mm,
+               [m.force for m in art.measurements], stiffness)
 
 
-def _write_registration_trace(art: RunArtifacts, path: Path):
-    rows = []
-    for probes_used, reg in art.trace:
-        rx, ry, rz = reg.transform.euler_deg()
-        tx, ty, tz = reg.transform.translation
-        rows.append([
-            str(probes_used), str(reg.iterations), _fmt(reg.objective),
-            _fmt(tx), _fmt(ty), _fmt(tz), _fmt(rx), _fmt(ry), _fmt(rz),
-        ])
-    _write_csv(path, "probes_used,iterations,objective,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,rz_deg",
-               rows)
-
-
-def _pgm_bytes(values: np.ndarray) -> bytes:
-    """8-bit binary PGM (P5) of an (ny, nx) array: finite min to 0, max to 255, NaN to 0."""
-    ny, nx = values.shape
+def _pgm_bytes(values: np.ndarray, roi: ROI) -> bytes:
+    """8-bit binary PGM (P5) of flat values over `roi`'s grid: finite min to 0,
+    max to 255, NaN to 0."""
+    nx, ny = grid_shape(roi)
+    values = values.reshape(ny, nx)
     finite = np.isfinite(values)
     lo = float(values[finite].min()) if finite.any() else 0.0
     hi = float(values[finite].max()) if finite.any() else 0.0
@@ -383,11 +365,19 @@ def _pgm_bytes(values: np.ndarray) -> bytes:
 def write_run_outputs(art: RunArtifacts, report: ExperimentReport, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_stiffness_map(art, out / "stiffness_map.csv")
+    mean, std = art.prediction.mean, art.prediction.std
+    _write_csv(out / "stiffness_map.csv", "x_mm,y_mm,mean,std,ei", art.grid[:, 0],
+               art.grid[:, 1], mean, std,
+               expected_improvement(mean, std, float(art.model.training.outputs.max())))
     _write_probe_log(art, out / "probe_log.csv")
-    _write_registration_trace(art, out / "registration_trace.csv")
-    nx, ny = grid_shape(art.config.roi)
-    (out / "heatmap.pgm").write_bytes(_pgm_bytes(art.prediction.mean.reshape(ny, nx)))
+    probes_used, registrations = zip(*art.trace)
+    poses = np.array([[*reg.transform.translation, *reg.transform.euler_deg()]
+                      for reg in registrations])
+    _write_csv(out / "registration_trace.csv",
+               "probes_used,iterations,objective,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,rz_deg",
+               probes_used, [reg.iterations for reg in registrations],
+               [reg.objective for reg in registrations], *poses.T)
+    (out / "heatmap.pgm").write_bytes(_pgm_bytes(art.prediction.mean, art.config.roi))
     (out / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     (out / "timing.txt").write_text(
@@ -481,15 +471,13 @@ def _cmd_ground_truth(args) -> int:
     except InvalidInputError as exc:
         raise ConfigError(f"--spacing {args.spacing:g}: {exc}") from exc
     grid = prediction_grid(roi)
-    values = _ground_truth_map(spec, grid)  # NaN where no ray meets the mesh
+    values = _ground_truth_map(spec, grid)  # NaN where a ray misses or first meets a back face
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[_fmt(x), _fmt(y), _fmt(v)] for (x, y), v in zip(grid, values)]
-    _write_csv(out / "ground_truth_map.csv", "x_mm,y_mm,stiffness_n_per_mm", rows)
-
-    nx, ny = grid_shape(roi)
-    (out / "ground_truth.pgm").write_bytes(_pgm_bytes(values.reshape(ny, nx)))
+    _write_csv(out / "ground_truth_map.csv", "x_mm,y_mm,stiffness_n_per_mm",
+               grid[:, 0], grid[:, 1], values)
+    (out / "ground_truth.pgm").write_bytes(_pgm_bytes(values, roi))
     print(f"wrote {out / 'ground_truth_map.csv'} ({grid.shape[0]} points)")
     return 0
 

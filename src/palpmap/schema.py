@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import inspect
 import json
+import numbers
 import sys
 import typing
 from pathlib import Path
@@ -26,6 +27,11 @@ from .errors import ConfigError, InvalidInputError
 REQUIRED = inspect.Parameter.empty
 _KINDS = {float: "a number", int: "an integer", str: "a string", list: "a list",
           dict: "an object"}
+
+
+def integer(value) -> bool:
+    """True for an integer that is not a bool, as an `int` document key holds."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def read_text(path: Path, what: str) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from .care import ProbeMeasurement
 from .errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from .geometry import RigidTransform, TriMesh, load_mesh, make_transform
-from .schema import build, keys, read, read_document
+from .schema import build, integer, keys, read, read_document
 
 # Largest prediction grid a ROI may ask for; the benchmark's largest is 6,561
 # nodes, and each node costs a GP posterior row and a ground-truth ray.
@@ -285,7 +285,7 @@ def grid_shape(roi: ROI) -> Tuple[int, int]:
 
 def uniform_lattice(roi: ROI, count: int) -> np.ndarray:
     """`count` evenly spaced interior points, row-major (baseline strategy)."""
-    if not (math.isfinite(count) and int(count) == count and count >= 1):
+    if not (integer(count) and count >= 1):
         raise InvalidInputError("lattice count must be an integer >= 1")
     nx = int(math.ceil(math.sqrt(count)))
     ny = int(math.ceil(count / nx))

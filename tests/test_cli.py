@@ -134,6 +134,11 @@ class TestLoadConfig:
                        {"strategy": "random"}, {"master_seed": -1}):
             with pytest.raises(ConfigError):
                 dataclasses.replace(config, **change)
+        for key in ("budget", "master_seed"):
+            for value in (4.5, 3.0, True, "4"):
+                with pytest.raises(ConfigError, match=f"'{key}' must be an integer >= 0"):
+                    dataclasses.replace(config, **{key: value})
+        assert dataclasses.replace(config, budget=np.int64(3)).budget == 3
         with pytest.raises(InvalidInputError, match="random_seeds"):
             CMUConfig(random_seeds=-1)
 
@@ -830,6 +835,58 @@ class TestRunCommand:
         nan = float("nan")
         assert stiffness == pytest.approx([2.0, 2.0, 3.0, 3.0, 3.0, nan, nan, nan],
                                           nan_ok=True)
+
+    def test_written_tables_read_back_bit_for_bit(self, tmp_path):
+        """Every column of the three run tables reads back, with `float` or
+        `int`, as exactly the run's value."""
+        small_phantom(tmp_path)
+        noise = {"position_sigma_mm": 0.2, "force_sigma_n": 0.05}
+        config = load_config(write_config(tmp_path, noise=noise))
+        art = cli.execute_experiment(config)
+        [report] = cli.evaluate([art])
+        out = cli.write_run_outputs(art, report, tmp_path / "out")
+
+        def columns(name, *kinds):
+            lines = (out / name).read_text().splitlines()[1:]
+            rows = [line.split(",") for line in lines]
+            return [[kind(row[i]) for row in rows] for i, kind in enumerate(kinds)]
+
+        def same(read, expected):
+            return np.array_equal(np.asarray(read, dtype=float),
+                                  np.asarray(expected, dtype=float), equal_nan=True)
+
+        x, y, mean, std, ei = columns("stiffness_map.csv", *[float] * 5)
+        expected = [art.grid[:, 0], art.grid[:, 1], art.prediction.mean, art.prediction.std,
+                    expected_improvement(art.prediction.mean, art.prediction.std,
+                                         float(art.model.training.outputs.max()))]
+        for read, values in zip((x, y, mean, std, ei), expected):
+            assert same(read, values)
+
+        steps = config.probe.steps
+        index, tx, ty, k, depth, force, stiffness = columns(
+            "probe_log.csv", int, float, float, int, float, float, float)
+        rows = range(len(art.probe_targets) * steps)
+        assert len(index) == len(art.measurements) == len(rows)
+        assert index == [row // steps for row in rows]
+        assert k == [row % steps + 1 for row in rows]
+        assert same(tx, [art.probe_targets[row // steps][0] for row in rows])
+        assert same(ty, [art.probe_targets[row // steps][1] for row in rows])
+        assert same(depth, [(row % steps + 1) * config.probe.depth_increment_mm
+                            for row in rows])
+        assert same(force, [m.force for m in art.measurements])
+        expected = [np.nan] * len(rows)
+        for s in art.samples:
+            for member in s.cset.member_indices:
+                expected[member] = np.nan if s.degenerate else s.stiffness
+        assert same(stiffness, expected)
+
+        read = columns("registration_trace.csv", int, int, *[float] * 7)
+        assert len(read[0]) == len(art.trace)
+        for i, (probes_used, reg) in enumerate(art.trace):
+            assert [read[0][i], read[1][i]] == [probes_used, reg.iterations]
+            assert same([column[i] for column in read[2:]],
+                        [reg.objective, *reg.transform.translation,
+                         *reg.transform.euler_deg()])
 
     def test_run_deterministic_bytes(self, tmp_path):
         small_phantom(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from palpmap.acquisition import SamplingPolicy, select_next
 from palpmap.care import CMUConfig
+from palpmap import cli
 from palpmap.cli import main
 from palpmap.errors import ConfigError, InvalidInputError, OutOfWorkspaceError
 from palpmap.geometry import RigidTransform, TriMesh, make_transform
@@ -141,9 +143,22 @@ class TestProbe:
         mesh = TriMesh(verts, np.array([[0, 2, 1], [1, 2, 3]]))
         spec = PhantomSpec(mesh=mesh, baseline_stiffness=1.0, bumps=(),
                            artery=None, true_transform=RigidTransform.identity())
-        with pytest.raises(OutOfWorkspaceError):
+        with pytest.raises(OutOfWorkspaceError, match="facing away"):
             probe(spec, (0.0, 0.0), ProbeConfig(), NoiseSpec(),
                   np.random.default_rng(0))
+
+    def test_ground_truth_map_marks_back_faces(self):
+        """A node whose ray first meets a face turned away is NaN in the map,
+        as `probe` refuses it; the same mesh facing the probe maps everywhere."""
+        spec = flat_spec(size=10.0)
+        flipped = dataclasses.replace(
+            spec, mesh=TriMesh(spec.mesh.vertices, spec.mesh.faces[:, ::-1]))
+        grid = prediction_grid(ROI(-8.0, 8.0, -8.0, 8.0, 4.0))
+        assert np.all(cli._ground_truth_map(spec, grid) == 2.0)
+        assert np.all(np.isnan(cli._ground_truth_map(flipped, grid)))
+        for target in grid:
+            with pytest.raises(OutOfWorkspaceError, match="facing away"):
+                probe(flipped, target, ProbeConfig(), NoiseSpec(), np.random.default_rng(0))
 
     def test_noise_rng_replay(self):
         spec = flat_spec(baseline=2.0)
@@ -472,5 +487,26 @@ _NON_FINITE = {
 @pytest.mark.parametrize("name", sorted(_NON_FINITE))
 def test_validators_reject_non_finite(name):
     build, message = _NON_FINITE[name]
+    with pytest.raises(InvalidInputError, match=message):
+        build()
+
+
+# each passes an integral float or a bool where an integer is required
+_NOT_INTEGER = {
+    "restarts-float": (lambda: CMUConfig(random_seeds=3.0), "random_seeds must be an integer"),
+    "max-iterations-float": (lambda: CMUConfig(max_iterations=3.0),
+                             "max_iterations must be a positive integer"),
+    "exploration-period-float": (lambda: SamplingPolicy(exploration_period=3.0),
+                                 "exploration_period must be a positive integer"),
+    "exploration-period-bool": (lambda: SamplingPolicy(exploration_period=True),
+                                "exploration_period must be a positive integer"),
+    "lattice-count-float": (lambda: uniform_lattice(ROI(0.0, 10.0, 0.0, 10.0, 1.0), 4.0),
+                            "lattice count must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_INTEGER))
+def test_validators_reject_non_integers(name):
+    build, message = _NOT_INTEGER[name]
     with pytest.raises(InvalidInputError, match=message):
         build()
