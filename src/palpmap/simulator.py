@@ -184,11 +184,12 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
     A vertical tool-frame ray (direction -z) through the target is mapped
     through the true transform and intersected with the mesh (a one-row
     `raycasts` call), and the contact's stiffness is a one-row
-    `stiffness_field` lookup, as in the ground-truth map. From the contact
-    point the probe indents along the inward surface normal in fixed
-    increments; each step yields a sensed position (tool frame, with per-axis
-    noise), a sensed force from the linear force law (with noise, clamped at
-    zero), and the exact tool-frame surface normal.
+    `stiffness_field` lookup, as in the ground-truth map. The probe then
+    indents along the inward surface normal, one measurement per depth step.
+
+    The noise stream is part of the contract: each step draws three position
+    values and then one force value from `rng`, in step order. Runs stay
+    reproducible only while that order holds.
     """
     tgt = np.asarray(target, dtype=float)
     if tgt.shape != (2,):
@@ -209,18 +210,17 @@ def probe(spec: PhantomSpec, target, probe_config: ProbeConfig,
     stiffness = float(stiffness_field(spec, contact[None, :2])[0])
     sensed_normal = transform.rotation.T @ normal
 
-    measurements = []
-    for k in range(1, probe_config.steps + 1):
-        depth = k * probe_config.depth_increment_mm
-        tool_position = inverse.apply(contact - depth * normal)
-        position = tool_position + rng.normal(0.0, noise.position_sigma_mm, size=3)
-        force = stiffness * depth + rng.normal(0.0, noise.force_sigma_n)
-        measurements.append(ProbeMeasurement(
-            position=position,
-            force=max(force, 0.0),
-            sensed_normal=sensed_normal,
-        ))
-    return measurements
+    depths = np.arange(1, probe_config.steps + 1) * probe_config.depth_increment_mm
+    pressed = contact - depths[:, None] * normal
+    # one-row products, stacked: the bits of a one-point `inverse.apply` per
+    # step, which the flat (steps, 3) product does not keep
+    positions = (pressed[:, None, :] @ inverse.rotation.T)[:, 0, :] + inverse.translation
+    # `0.0 + sigma * z` is `rng.normal(0.0, sigma)`'s arithmetic, bit for bit
+    z = rng.standard_normal((probe_config.steps, 4))
+    positions += 0.0 + noise.position_sigma_mm * z[:, :3]
+    forces = stiffness * depths + (0.0 + noise.force_sigma_n * z[:, 3])
+    return [ProbeMeasurement(position=p, force=max(float(f), 0.0), sensed_normal=sensed_normal)
+            for p, f in zip(positions, forces)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +312,10 @@ def make_surface_mesh(xmin: float, xmax: float, ymin: float, ymax: float,
         raise InvalidInputError("height function must return a grid-shaped array")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
-    faces = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v00 = j * nx + i
-            v10 = v00 + 1
-            v01 = v00 + nx
-            v11 = v01 + 1
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return TriMesh(vertices, np.asarray(faces))
+    # cells row-major, each split into (v00, v10, v11) and (v00, v11, v01)
+    v00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    faces = np.column_stack([v00, v00 + 1, v00 + nx + 1, v00, v00 + nx + 1, v00 + nx])
+    return TriMesh(vertices, faces.reshape(-1, 3))
 
 
 _DEMO_TILT = (0.05, -0.035)  # base slope of the demo terrain along x and y

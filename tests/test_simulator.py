@@ -173,16 +173,19 @@ class TestProbe:
                                             -0.3 * k + offset[2]], atol=1e-12)
             assert m.force == pytest.approx(max(0.6 * k + df, 0.0), abs=1e-12)
 
-    @pytest.mark.parametrize("noise", [NoiseSpec(0.3, 0.1), NoiseSpec(0.25, 5.0)],
-                             ids=["demo-noise", "clamped-force"])
-    def test_posed_probe_arithmetic_bit_for_bit(self, noise):
+    @pytest.mark.parametrize("noise, config", [
+        (NoiseSpec(0.3, 0.1), ProbeConfig()),
+        (NoiseSpec(0.25, 5.0), ProbeConfig()),
+        (NoiseSpec(), ProbeConfig()),
+        (NoiseSpec(0.3, 0.1), ProbeConfig(0.1, 3.0)),
+    ], ids=["demo-noise", "clamped-force", "noise-free", "thirty-steps"])
+    def test_posed_probe_arithmetic_bit_for_bit(self, noise, config):
         # the probe's arithmetic, exactly, under a non-identity pose: a
         # rewrite of `probe` (say, batching its depth steps) must keep every
         # bit of every measurement, and the generator's state after the probe
         spec = multimodal_phantom()
         assert not np.allclose(spec.true_transform.rotation, np.eye(3))
         inverse = spec.true_transform.inverse()
-        config = ProbeConfig()
         for seed, target in enumerate([(12.0, 25.0), (30.5, 41.0), (3.0, 7.5)]):
             rng = np.random.default_rng(seed)
             ms = probe(spec, target, config, noise, rng)
@@ -298,6 +301,18 @@ class TestSurfaceMesh:
         mesh = make_surface_mesh(0.0, 40.0, 0.0, 40.0, 4.0,
                                  lambda x, y: 5.0 * np.sin(x / 6.0))
         assert np.all(mesh.face_normals[:, 2] > 0.0)
+
+    def test_faces_of_a_non_square_field(self):
+        # 5 x 3 vertices: a swapped nx / ny changes the faces
+        mesh = make_surface_mesh(0.0, 8.0, 0.0, 4.0, 2.0, lambda x, y: 0.0 * x)
+        nx, ny = 5, 3
+        assert mesh.vertices.shape == (nx * ny, 3)
+        expected = []
+        for j in range(ny - 1):
+            for i in range(nx - 1):
+                v00 = j * nx + i
+                expected += [[v00, v00 + 1, v00 + nx + 1], [v00, v00 + nx + 1, v00 + nx]]
+        assert mesh.faces.tolist() == expected
 
     def test_height_applied(self):
         mesh = make_surface_mesh(0.0, 4.0, 0.0, 4.0, 4.0,

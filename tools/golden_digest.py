@@ -16,6 +16,8 @@ they wrote, inputs included: `<sha256>  <scenario>/<path>`, sorted.
 `timing.txt` holds wall-clock time and is left out. Two checkouts run the
 same seed produce identical listings exactly when every other artifact is
 byte-identical, so a golden comparison is one `diff` of two listings.
+OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is already set: the
+map means depend on BLAS's thread count in their last bits.
 
 `--compare` runs nothing: it reads two directories kept with `--workdir`
 (the same seed, two checkouts) and, for each file that differs, prints the
@@ -31,10 +33,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
+# before NumPy loads OpenBLAS, which reads it once
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from palpmap.cli import main as palpmap_main  # noqa: E402
