@@ -3,7 +3,7 @@
 from .acquisition import SamplingPolicy, expected_improvement, select_next
 from .care import (CMUConfig, CompatibleSet, ProbeMeasurement, RegistrationResult,
                    SeedOutcome, SetCollector, StiffnessSample, cmu_register,
-                   collect_sets, default_seed_transforms, estimate_stiffness)
+                   default_seed_transforms, estimate_stiffness)
 from .cli import (ExperimentConfig, ExperimentReport, RunArtifacts,
                   compare_strategies, evaluate, execute_experiment, load_config,
                   main, run_experiment, write_run_outputs)
@@ -32,7 +32,7 @@ __all__ = [
     "PhantomSpec", "Prediction", "ProbeConfig", "ProbeMeasurement", "ROI",
     "RegistrationResult", "RigidTransform", "RunArtifacts", "SamplingPolicy",
     "SeedOutcome", "SetCollector", "StiffnessBump", "StiffnessSample",
-    "TrainingSet", "TriMesh", "artery_phantom", "cmu_register", "collect_sets",
+    "TrainingSet", "TriMesh", "artery_phantom", "cmu_register",
     "compare_strategies", "default_seed_transforms", "estimate_stiffness",
     "evaluate", "execute_experiment", "expected_improvement", "gp_fit", "gp_predict",
     "grid_shape", "initial_samples", "kernel_matrix", "load_config",

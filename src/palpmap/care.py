@@ -270,15 +270,6 @@ class SetCollector:
         return out
 
 
-def collect_sets(measurements: Sequence[ProbeMeasurement],
-                 config: CMUConfig) -> List[CompatibleSet]:
-    """Group measurements into compatible sets (arrival-order greedy)."""
-    collector = SetCollector(config)
-    for m in measurements:
-        collector.add(m)
-    return collector.sets()
-
-
 # ---------------------------------------------------------------------------
 # Step 2: per-set stiffness
 # ---------------------------------------------------------------------------

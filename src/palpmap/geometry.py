@@ -12,7 +12,6 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,8 +20,8 @@ from typing import Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometryError, InvalidInputError
-from .schema import read, read_document, read_text
+from .errors import ConfigError, DegenerateGeometryError, InvalidInputError
+from .schema import read_text
 
 # Farthest a closest-point query may lie from the mesh: the squared distances
 # it compares, with a factor-2 margin, must stay finite floats.
@@ -552,29 +551,6 @@ class TriMesh:
             _raise_obj_line_error(rows)
         return TriMesh(vertices, indices - 1)
 
-    def to_json_dict(self) -> dict:
-        return {"vertices": self._vertices.tolist(), "faces": self._faces.tolist()}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "TriMesh":
-        """Mesh from {"vertices": [[x, y, z], ...], "faces": [[i, j, k], ...]}.
-
-        Each field is read through the document reader, so a ragged or
-        non-numeric entry raises ConfigError naming it.
-        """
-        if not isinstance(data, dict):
-            raise InvalidInputError("mesh JSON must be an object")
-        vertices = read(data, "mesh", "vertices", Tuple[Tuple[float, float, float], ...])
-        faces = read(data, "mesh", "faces", Tuple[Tuple[int, int, int], ...])
-        return TriMesh(np.array(vertices, dtype=float), np.array(faces))
-
-    def save_json(self, path):
-        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
-
-    @staticmethod
-    def load_json(path) -> "TriMesh":
-        return TriMesh.from_json_dict(read_document(Path(path), "mesh"))
-
 
 def _raise_obj_line_error(rows):
     """Raise InvalidInputError naming the first malformed `v` or `f` record
@@ -601,10 +577,16 @@ def _raise_obj_line_error(rows):
 
 
 def load_mesh(path) -> TriMesh:
-    """Load a mesh from .obj or .json by file extension."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".obj":
+    """Load a mesh from .obj by extension, the one mesh format.
+
+    Another extension or a malformed file raises ConfigError("bad mesh
+    <path>: <reason>"); an unreadable file raises OSError.
+    """
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix != ".obj":
+        raise ConfigError(f"bad mesh {path}: unsupported mesh format: {suffix!r}")
+    try:
         return TriMesh.load_obj(path)
-    if suffix == ".json":
-        return TriMesh.load_json(path)
-    raise InvalidInputError(f"unsupported mesh format: {suffix!r}")
+    except InvalidInputError as exc:
+        raise ConfigError(f"bad mesh {path}: {exc}") from exc

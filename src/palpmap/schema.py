@@ -1,4 +1,4 @@
-"""How a JSON document value becomes a validated field, for configs, phantoms and meshes.
+"""How a JSON document value becomes a validated field, for configs and phantoms.
 
 A document object builds a target (a dataclass or function), and its keys
 are the target's parameter names. A parameter's annotation says what its key

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .care import ProbeMeasurement
-from .errors import ConfigError, InvalidInputError, OutOfWorkspaceError
+from .errors import InvalidInputError, OutOfWorkspaceError
 from .geometry import RigidTransform, TriMesh, load_mesh, make_transform
 from .schema import build, integer, keys, read, read_document
 
@@ -428,11 +428,7 @@ def load_phantom(path) -> PhantomSpec:
     """Read a phantom JSON; the mesh path resolves relative to the document."""
     path = Path(path)
     data = read_document(path, "phantom")
-    mesh_path = path.parent / read(data, "phantom", "mesh", str)
-    try:
-        mesh = load_mesh(mesh_path)
-    except InvalidInputError as exc:
-        raise ConfigError(f"bad mesh {mesh_path}: {exc}") from exc
+    mesh = load_mesh(path.parent / read(data, "phantom", "mesh", str))
     transform = build(_transform_from_json, data.get("true_transform", {}),
                       "phantom.true_transform")
     return build(PhantomSpec, data, "phantom", mesh=mesh, true_transform=transform)

@@ -3,15 +3,19 @@
 Each oracle deliberately takes a different computational route from the code
 under test (candidate enumeration instead of region classification, dense
 solves instead of Cholesky, scipy instead of hand-rolled math, every face
-instead of an index, a line at a time instead of in bulk).
+instead of an index, a line at a time instead of in bulk, a pair at a time
+instead of by running force bounds). `grouped` is no oracle but the one way
+the tests build sets through the package.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 from scipy.stats import norm
 
+from palpmap.care import SetCollector
 from palpmap.errors import InvalidInputError
 from palpmap.geometry import TriMesh
 from palpmap.schema import read_text
@@ -187,6 +191,38 @@ def slope_least_squares(depths, forces):
     f_mean = forces.mean()
     return float(((depths - d_mean) * (forces - f_mean)).sum()
                  / ((depths - d_mean) ** 2).sum())
+
+
+def grouped(measurements, config):
+    """The compatible sets of `measurements` added in order to a new `SetCollector`."""
+    collector = SetCollector(config)
+    for m in measurements:
+        collector.add(m)
+    return collector.sets()
+
+
+def greedy_sets(measurements, config):
+    """(member indices, reference index) of each group of >= 2 measurements:
+    each arrival is tested against the open groups in creation order, its
+    force against every member, its tangent-plane distance and normal angle
+    against the group's first member, and joins the first that passes."""
+    groups = []
+    for idx, m in enumerate(measurements):
+        for group in groups:
+            anchor = measurements[group[0]]
+            diff = m.position - anchor.position
+            tangent = diff - float(diff @ anchor.sensed_normal) * anchor.sensed_normal
+            cos = float(m.sensed_normal @ anchor.sensed_normal)
+            if (any(abs(m.force - measurements[i].force) >= config.min_force_difference_n
+                    for i in group)
+                    and np.linalg.norm(tangent) <= config.tangent_distance_mm
+                    and math.degrees(math.acos(min(cos, 1.0))) <= config.normal_angle_deg):
+                group.append(idx)
+                break
+        else:
+            groups.append([idx])
+    return [(tuple(group), min(group, key=lambda i: measurements[i].force))
+            for group in groups if len(group) >= 2]
 
 
 def expected_improvement_reference(mu, sigma, best):

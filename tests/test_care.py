@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from palpmap.care import (CMUConfig, CompatibleSet, ProbeMeasurement,
-                          SetCollector, cmu_register, collect_sets,
-                          estimate_stiffness)
+                          SetCollector, cmu_register, estimate_stiffness)
 from palpmap.errors import (DegenerateGeometryError, InsufficientDataError,
                             InvalidInputError)
 from palpmap.geometry import make_transform
 from palpmap.simulator import (NoiseSpec, PhantomSpec, ProbeConfig,
                                StiffnessBump, make_surface_mesh, probe)
 
-from _oracles import slope_least_squares
+from _oracles import greedy_sets, grouped, slope_least_squares
 
 UP = np.array([0.0, 0.0, 1.0])
 SEEDS = CMUConfig().seed_transforms  # the default config's restart table
@@ -52,19 +51,19 @@ class TestMeasurementValidation:
 class TestGrouping:
     def test_single_column_one_set(self):
         ms = column(5.0, 5.0)
-        sets = collect_sets(ms, CMUConfig())
+        sets = grouped(ms, CMUConfig())
         assert len(sets) == 1
         assert sets[0].member_indices == tuple(range(5))
 
     def test_reference_is_min_force(self):
         ms = column(5.0, 5.0)
-        sets = collect_sets(ms, CMUConfig())
+        sets = grouped(ms, CMUConfig())
         assert sets[0].reference_index == 0
         assert np.allclose(sets[0].location, [5.0, 5.0])
 
     def test_distant_columns_stay_separate(self):
         ms = column(0.0, 0.0) + column(5.0, 0.0)
-        sets = collect_sets(ms, CMUConfig())
+        sets = grouped(ms, CMUConfig())
         assert len(sets) == 2
         assert sets[0].member_indices == tuple(range(5))
         assert sets[1].member_indices == tuple(range(5, 10))
@@ -72,19 +71,19 @@ class TestGrouping:
     def test_tangent_threshold(self):
         near = [meas(0, 0, -0.3, 0.6), meas(0.8, 0, -0.6, 1.2)]
         far = [meas(0, 0, -0.3, 0.6), meas(1.3, 0, -0.6, 1.2)]
-        assert len(collect_sets(near, CMUConfig())) == 1
-        assert len(collect_sets(far, CMUConfig())) == 0  # two singletons
+        assert len(grouped(near, CMUConfig())) == 1
+        assert len(grouped(far, CMUConfig())) == 0  # two singletons
 
     def test_tangent_distance_is_in_plane(self):
         # second point offset only along the anchor normal: tangent dist 0
         ms = [meas(0, 0, -0.3, 0.6), meas(0, 0, -3.0, 6.0)]
-        assert len(collect_sets(ms, CMUConfig())) == 1
+        assert len(grouped(ms, CMUConfig())) == 1
 
     def test_force_difference_required(self):
         flat = [meas(0, 0, -0.3, 1.00), meas(0, 0, -0.31, 1.04)]
         okay = [meas(0, 0, -0.3, 1.00), meas(0, 0, -0.33, 1.06)]
-        assert len(collect_sets(flat, CMUConfig())) == 0
-        assert len(collect_sets(okay, CMUConfig())) == 1
+        assert len(grouped(flat, CMUConfig())) == 0
+        assert len(grouped(okay, CMUConfig())) == 1
 
     def test_normal_angle_threshold(self):
         tilted_ok = [meas(0, 0, -0.3, 0.6),
@@ -93,14 +92,14 @@ class TestGrouping:
         tilted_bad = [meas(0, 0, -0.3, 0.6),
                       meas(0, 0, -0.6, 1.2, normal=[np.sin(np.radians(12)), 0,
                                                     np.cos(np.radians(12))])]
-        assert len(collect_sets(tilted_ok, CMUConfig())) == 1
-        assert len(collect_sets(tilted_bad, CMUConfig())) == 0
+        assert len(grouped(tilted_ok, CMUConfig())) == 1
+        assert len(grouped(tilted_bad, CMUConfig())) == 0
 
     def test_greedy_first_match(self):
         # two open sets both compatible: joins the first-created one
         ms = [meas(0, 0, -0.3, 0.6), meas(0.6, 0, -0.3, 0.6),
               meas(0.3, 0, -0.6, 1.2)]
-        sets = collect_sets(ms, CMUConfig())
+        sets = grouped(ms, CMUConfig())
         assert len(sets) == 1
         assert sets[0].member_indices == (0, 2)
 
@@ -112,7 +111,7 @@ class TestGrouping:
             x, y = rng.uniform(0, 6, 2)
             ms.extend(column(x, y, stiffness=rng.uniform(1, 3), steps=3))
         config = CMUConfig()
-        for cset in collect_sets(ms, config):
+        for cset in grouped(ms, config):
             members = [ms[i] for i in cset.member_indices]
             for a in members:
                 for b in members:
@@ -122,21 +121,22 @@ class TestGrouping:
                     assert np.linalg.norm(tangent) <= 2.0 * config.tangent_distance_mm + 1e-9
 
     def test_incremental_matches_batch(self):
+        """The collector's sets are those of the pair-by-pair greedy rule, on
+        columns whose normals tilt up to 15 degrees, so all three conditions
+        both pass and fail."""
         rng = np.random.default_rng(1)
         ms = []
         for _ in range(40):
             x, y = rng.uniform(0, 5, 2)
-            ms.extend(column(x, y, stiffness=rng.uniform(1, 3), steps=3))
+            tilt, azimuth = np.radians(rng.uniform(0, 15)), rng.uniform(0, 2 * np.pi)
+            normal = [np.sin(tilt) * np.cos(azimuth), np.sin(tilt) * np.sin(azimuth),
+                      np.cos(tilt)]
+            stiffness = rng.uniform(1, 3)
+            ms.extend(meas(x, y, -0.3 * k, stiffness * 0.3 * k, normal) for k in (1, 2, 3))
         config = CMUConfig()
-        collector = SetCollector(config)
-        for m in ms:
-            collector.add(m)
-        incremental = collector.sets()
-        batch = collect_sets(ms, config)
-        assert len(incremental) == len(batch)
-        for a, b in zip(incremental, batch):
-            assert a.member_indices == b.member_indices
-            assert a.reference_index == b.reference_index
+        incremental = [(s.member_indices, s.reference_index) for s in grouped(ms, config)]
+        assert incremental == greedy_sets(ms, config)
+        assert len(incremental) > 5
 
     def test_sets_rebuilt_only_when_changed(self):
         """After every add the cached sets equal a fresh grouping, in slot
@@ -154,7 +154,7 @@ class TestGrouping:
             collector.add(m)
             previous = history[-1]
             current = collector.sets()
-            fresh = collect_sets(script[:n], config)
+            fresh = grouped(script[:n], config)
             assert len(current) == len(fresh)
             for a, b in zip(current, fresh):
                 assert (a.member_indices, a.reference_index) == \
@@ -291,7 +291,7 @@ class TestRegistration:
         # default iteration cap stops short of full convergence; raise it so
         # a single cold call settles
         config = dataclasses.replace(CMUConfig(), max_iterations=500)
-        sets = collect_sets(measurements, config)
+        sets = grouped(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
         result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert np.all(np.abs(result.transform.translation - truth.translation)
@@ -305,7 +305,7 @@ class TestRegistration:
         spec, measurements = probed_phantom(truth)
         config = CMUConfig()
         assert config.max_iterations == 50
-        sets = collect_sets(measurements, config)
+        sets = grouped(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
         result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert np.all(np.abs(result.transform.translation - truth.translation)
@@ -320,7 +320,7 @@ class TestRegistration:
         spec, measurements = probed_phantom(truth)
         # one step cannot settle any seed from 5 mm and 5 deg away
         config = dataclasses.replace(CMUConfig(), max_iterations=1)
-        sets = collect_sets(measurements, config)
+        sets = grouped(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
         result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert not result.converged
@@ -335,7 +335,7 @@ class TestRegistration:
         # 7 and 9 when the objective stops falling, 3 and 5 at the cap, the
         # rest by the tolerance (1, 2 and 8 on their sixth step)
         config = dataclasses.replace(CMUConfig(), max_iterations=6)
-        sets = collect_sets(measurements, config)
+        sets = grouped(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
         result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert {outcome.converged for outcome in result.per_seed} == {True, False}
@@ -356,7 +356,7 @@ class TestRegistration:
         for x in (2.0, 6.0, 10.0, 14.0):
             measurements.extend(column(x, 5.0))
         config = CMUConfig()
-        sets = collect_sets(measurements, config)
+        sets = grouped(measurements, config)
         assert len(sets) == 4
         samples = [estimate_stiffness(s, measurements) for s in sets]
         with pytest.raises(DegenerateGeometryError):
@@ -366,7 +366,7 @@ class TestRegistration:
         truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
         spec, measurements = probed_phantom(truth)
         config = CMUConfig()
-        sets = collect_sets(measurements, config)
+        sets = grouped(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
         result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
 
@@ -385,7 +385,7 @@ class TestRegistration:
         truth = make_transform(2.0, -3.0, 4.0, 5.0, -4.0, 3.0)
         spec, measurements = probed_phantom(truth)
         config = CMUConfig()
-        sets = collect_sets(measurements, config)
+        sets = grouped(measurements, config)
         samples = [estimate_stiffness(s, measurements) for s in sets]
         result = cmu_register(samples, spec.mesh, measurements, SEEDS, config)
         assert result.objective == min(o.objective for o in result.per_seed)
@@ -394,7 +394,7 @@ class TestRegistration:
         truth = make_transform(0, 0, 0, 0, 0, 0)
         spec, measurements = probed_phantom(truth)
         config = CMUConfig()
-        sets = collect_sets(measurements, config)[:2]
+        sets = grouped(measurements, config)[:2]
         samples = [estimate_stiffness(s, measurements) for s in sets]
         with pytest.raises(InsufficientDataError):
             cmu_register(samples, spec.mesh, measurements, SEEDS, config)
@@ -404,6 +404,6 @@ class TestRegistration:
         spec, measurements = probed_phantom(truth)
         config = CMUConfig()
         samples = [estimate_stiffness(s, measurements)
-                   for s in collect_sets(measurements, config)]
+                   for s in grouped(measurements, config)]
         with pytest.raises(InvalidInputError, match="at least one seed"):
             cmu_register(samples, spec.mesh, measurements, (), config)

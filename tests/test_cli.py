@@ -18,16 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from palpmap import cli
 from palpmap.acquisition import expected_improvement
-from palpmap.care import (CMUConfig, ProbeMeasurement, cmu_register, collect_sets,
-                          estimate_stiffness)
+from palpmap.care import CMUConfig, ProbeMeasurement, cmu_register, estimate_stiffness
 from palpmap.cli import ExperimentConfig, load_config, main
 from palpmap.errors import ConfigError, InvalidInputError
-from palpmap.geometry import RigidTransform, load_mesh, make_transform
+from palpmap.geometry import RigidTransform, make_transform
 from palpmap.gp import gp_predict
 from palpmap.make_demo import write_demo
 from palpmap.schema import REQUIRED, keys, schema_default
 from palpmap.simulator import (PhantomSpec, ProbeConfig, StiffnessBump, _transform_from_json,
                                load_phantom, make_surface_mesh, save_phantom)
+
+from _oracles import grouped
 
 
 def small_phantom(path_dir):
@@ -385,11 +386,10 @@ class TestConfigSchema:
         assert documented == accepted
 
 
-# mesh files that are not a readable document: (file name, bytes, stderr text)
+# mesh files refused as config errors: (file name, bytes, stderr text)
 BAD_MESH_FILES = [
-    ("ragged.json", b'{"vertices": [[0, 0, 0], [1, 0]], "faces": [[0, 1, 2]]}',
-     "'mesh.vertices[1]' must have 3 entries"),
-    ("latin1.json", b'{"vertices": [], "faces": [], "name": "caf\xe9"}', "bad mesh file"),
+    ("mesh.json", b'{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "faces": [[0, 1, 2]]}',
+     "unsupported mesh format: '.json'"),
     ("latin1.obj", b"# caf\xe9\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "bad mesh file"),
 ]
 
@@ -410,14 +410,12 @@ class TestMeshFiles:
 
     @pytest.mark.parametrize("name,content", [
         ("huge.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999999\n"),
-        ("huge.json", b'{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], '
-                      b'"faces": [[0, 1, 99999999999999999999999]]}'),
         ("past_float.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1" + b"0" * 400 + b"\n"),
-    ], ids=["obj", "json", "obj-past-float"])
+    ], ids=["obj", "obj-past-float"])
     @pytest.mark.filterwarnings("error")  # numpy warns on an out-of-range int64 cast
     def test_face_index_past_int64_is_out_of_range(self, tmp_path, capfd, name, content):
         (tmp_path / name).write_bytes(content)
-        assert main(["mesh-check", str(tmp_path / name)]) == 3
+        assert main(["mesh-check", str(tmp_path / name)]) == 2
         small_phantom(tmp_path)
         phantom = json.loads((tmp_path / "phantom.json").read_text())
         (tmp_path / "phantom.json").write_text(json.dumps({**phantom, "mesh": name}))
@@ -442,9 +440,9 @@ _BAD_LEAVES = [float("nan"), float("inf"), float("-inf"), "4", True, None, [1.0]
                {"a": 1.0}, _DELETE]
 
 
-def _documents(directory, json_mesh=False):
-    """A valid config and phantom (artery included), and the mesh as a JSON
-    document when `json_mesh`, keyed by file name; the OBJ mesh is written."""
+def _documents(directory):
+    """A valid config and phantom (artery included), keyed by file name; the
+    OBJ mesh is written."""
     small_phantom(directory)
     docs = {"config.json": json.loads(write_config(
         directory, budget=2, noise={"position_sigma_mm": 0.1},
@@ -453,9 +451,6 @@ def _documents(directory, json_mesh=False):
     docs["phantom.json"] = json.loads((directory / "phantom.json").read_text())
     docs["phantom.json"]["artery"] = {"polyline": [[0.0, 0.0], [8.0, 6.0]],
                                       "half_width": 2.0, "amplitude": 1.0}
-    if json_mesh:
-        docs["phantom.json"]["mesh"] = "mesh.json"
-        docs["mesh.json"] = load_mesh(directory / "mesh.obj").to_json_dict()
     return docs
 
 
@@ -495,17 +490,25 @@ def test_mutated_documents_never_raise(tmp_path_factory, data):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_mutated_mesh_files_never_raise(tmp_path_factory, data):
-    """One leaf of a JSON mesh replaced or deleted, or one byte of any input
-    file, the OBJ mesh included, made non-UTF-8: a clean exit."""
+    """One token of an OBJ `v` or `f` record replaced by a non-number, a 0,
+    negative or past-the-vertex-count index, or dropped; or one byte of any
+    input file, the mesh included, made non-UTF-8: a clean exit."""
     directory = tmp_path_factory.mktemp("mutated-mesh")
-    json_mesh = data.draw(st.booleans())
-    docs = _documents(directory, json_mesh)
-    leaf = json_mesh and data.draw(st.booleans())
-    if leaf:
-        _replace_leaf(data, docs["mesh.json"])
-    _write_documents(directory, docs)
-    if not leaf:
-        name = data.draw(st.sampled_from(sorted(docs) + ([] if json_mesh else ["mesh.obj"])))
+    _write_documents(directory, _documents(directory))
+    mesh = directory / "mesh.obj"
+    if data.draw(st.booleans()):
+        lines = [line.split() for line in mesh.read_text().splitlines()]
+        tokens = lines[data.draw(st.integers(0, len(lines) - 1))]
+        at = data.draw(st.integers(1, len(tokens) - 1))
+        past = str(sum(line[0] == "v" for line in lines) + 1)
+        value = data.draw(st.sampled_from(["x", "0", "-1", past, _DELETE]))
+        if value is _DELETE:
+            del tokens[at]
+        else:
+            tokens[at] = value
+        mesh.write_text("".join(" ".join(line) + "\n" for line in lines))
+    else:
+        name = data.draw(st.sampled_from(["config.json", "phantom.json", "mesh.obj"]))
         text = (directory / name).read_bytes()
         at = data.draw(st.integers(0, len(text) - 1))
         (directory / name).write_bytes(text[:at] + b"\xff" + text[at + 1:])
@@ -820,7 +823,7 @@ class TestRunCommand:
                 ((40.0, -1.0), 1.0), ((40.0, -1.0), 2.0)]  # zero depth span
         measurements = [ProbeMeasurement(np.array([x, 0.0, z]), force, up)
                         for (x, z), force in rows]
-        sets = collect_sets(measurements, CMUConfig())
+        sets = grouped(measurements, CMUConfig())
         samples = [estimate_stiffness(cset, measurements) for cset in sets]
         assert [s.member_indices for s in sets] == [(0, 1), (2, 3, 4), (6, 7)]
         assert [s.degenerate for s in samples] == [False, False, True]
@@ -1059,7 +1062,7 @@ class TestOtherCommands:
     def test_mesh_check_malformed(self, tmp_path):
         bad = tmp_path / "bad.obj"
         bad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-        assert main(["mesh-check", str(bad)]) == 3
+        assert main(["mesh-check", str(bad)]) == 2
 
     def test_ground_truth_command(self, tmp_path):
         phantom = small_phantom(tmp_path)

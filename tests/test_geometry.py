@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from palpmap import geometry
 from palpmap.cli import load_config, main
-from palpmap.errors import DegenerateGeometryError, InvalidInputError
+from palpmap.errors import ConfigError, DegenerateGeometryError, InvalidInputError
 from palpmap.geometry import (RigidTransform, TriMesh, load_mesh,
                               make_transform, rigid_fit_svd, rms_error)
 from palpmap.make_demo import write_demo
@@ -470,24 +470,16 @@ class TestTriMesh:
         assert back.vertices.tobytes() == mesh.vertices.tobytes()
         assert np.array_equal(back.faces, mesh.faces)
 
-    def test_json_roundtrip(self, tmp_path):
-        mesh = lumpy_mesh(3, 3)
-        path = tmp_path / "m.json"
-        mesh.save_json(path)
-        back = load_mesh(path)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.faces, mesh.faces)
-
     def test_obj_rejects_quads(self, tmp_path):
         path = tmp_path / "quad.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError, match="only triangular faces"):
             load_mesh(path)
 
     def test_obj_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.obj"
         path.write_text("# nothing here\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigError, match="no triangles"):
             load_mesh(path)
 
     def test_obj_ignores_other_records(self, tmp_path):
@@ -562,10 +554,10 @@ def test_malformed_obj_message_and_exit_code(tmp_path, capsys, name):
     path = tmp_path / "m.obj"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(InvalidInputError) as info:
-        load_mesh(path)
+        TriMesh.load_obj(path)
     assert str(info.value) == message
-    assert main(["mesh-check", str(path)]) == 3
-    assert message in capsys.readouterr().err
+    assert main(["mesh-check", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: bad mesh {path}: {message}\n"
 
 
 MUTABLE_OBJ = ("# tetra\no tetra\nv 0.1 0 0\nv 1.5 0 0\nv 0 1.25 0\nvn 0 0 1\n"
@@ -602,7 +594,7 @@ def test_load_obj_matches_line_reader(tmp_path_factory, data):
         del lines[at]
     path = tmp_path_factory.mktemp("obj") / "m.obj"
     path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines), encoding="utf-8")
-    assert _obj_outcome(load_mesh, path) == _obj_outcome(load_obj_lines, path)
+    assert _obj_outcome(TriMesh.load_obj, path) == _obj_outcome(load_obj_lines, path)
 
 
 def assert_casts_match_oracle(mesh, origins, direction):

@@ -123,6 +123,21 @@ def test_private_definitions_are_read_in_the_package():
     assert dead == []
 
 
+def test_public_definitions_are_read_outside_tests():
+    """Every public module-level function, class and constant is read by the
+    program: in the package outside its own definition and `__init__.py`, or
+    in the benchmark or the tools. Tests do not count, so a second way to do
+    one thing cannot stay public for their sake alone."""
+    read = set().union(*(_reads_outside_definitions(path) for path in SOURCES),
+                       *(_references(path) for folder in ("bench", "tools")
+                         for path in (ROOT / folder).rglob("*.py")
+                         if not path.name.startswith("test_")))
+    unread = [f"{path.name}:{line} {name}" for path in SOURCES
+              for line, name in _definitions(ast.parse(path.read_text()).body)
+              if not name.startswith("_") and name not in read]
+    assert unread == []
+
+
 def test_exports_are_the_imported_names():
     """`palpmap.__all__` lists each name `__init__.py` imports, once, and no other."""
     body = ast.parse((ROOT / "src" / "palpmap" / "__init__.py").read_text()).body

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from palpmap import care, cli, geometry, gp
-from palpmap.care import ProbeMeasurement, collect_sets, estimate_stiffness
+from palpmap.care import ProbeMeasurement, estimate_stiffness
 from palpmap.make_demo import write_demo
+
+from _oracles import grouped
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -117,9 +119,9 @@ def test_replayed_run_reuse_equals_recomputation(demo_config, monkeypatch):
 
     def sets(self):
         out = original_sets(self)
-        with monkeypatch.context() as patch:  # collect_sets calls sets itself
+        with monkeypatch.context() as patch:  # grouped calls sets itself
             patch.setattr(care.SetCollector, "sets", original_sets)
-            fresh = collect_sets(replayed, demo_config.cmu)
+            fresh = grouped(replayed, demo_config.cmu)
         assert len(out) == len(fresh)
         assert all(_same_set(a, b) for a, b in zip(out, fresh))
         history.append(out)
